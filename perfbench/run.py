@@ -33,7 +33,10 @@ HERE = Path(__file__).resolve().parent
 REPO = HERE.parent
 SRC = REPO / "src"
 WORKLOAD_NAMES = ("train", "eval", "detect", "share")
-SETUP_SAMPLES = 3  # fresh processes timed for setup_s; the median is reported
+SETUP_SAMPLES = 5  # fresh processes timed for setup_s; the median is reported
+REFERENCE_PY_STEPS = 50_000  # the host-speed reference loop, about 10 ms in all
+REFERENCE_NP_STEPS = 750
+REFERENCE_NOMINAL_S = 0.010  # host speed the timed metrics are normalized to
 SETUP_TIMEOUT_S = 150
 
 # name -> unit of every end-to-end metric, reported by every workload
@@ -102,48 +105,123 @@ def _environment(args, cli) -> dict:
     }
 
 
-def _time_setup(args, setup_dir: Path, tally) -> float:
-    """Wall time of a fresh process doing imports, set-up and warm-up."""
+def _time_setup(args, setup_dir: Path, tally):
+    """Wall time of a fresh process doing imports, set-up and warm-up.
+
+    Returns it with the two host-speed reference times the process took at
+    its start and end, so that its time is normalized by the speed of the
+    CPU it ran on.
+    """
     cmd = [sys.executable, str(Path(__file__).resolve()), "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", "0", "--size", args.size,
            "--setup-only", str(setup_dir)]
     t0 = time.perf_counter()
     try:
-        proc = subprocess.run(cmd, cwd=REPO, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.PIPE, text=True, timeout=SETUP_TIMEOUT_S)
+        proc = subprocess.run(cmd, cwd=REPO, capture_output=True, text=True,
+                              timeout=SETUP_TIMEOUT_S)
         ok, err = proc.returncode == 0, proc.stderr
     except subprocess.TimeoutExpired:
         ok, err = False, f"timed out after {SETUP_TIMEOUT_S} s"
     seconds = time.perf_counter() - t0
+    if ok:
+        try:
+            references = json.loads(proc.stdout.strip().splitlines()[-1])
+        except (IndexError, ValueError):
+            ok, err = False, "set-up process printed no reference times\n"
     if not ok:
         sys.stderr.write(err)
+        references = [_reference_s(), _reference_s()]
     tally.check(ok, f"set-up process in {setup_dir.name} failed")
-    return seconds
+    return seconds, references
+
+
+def _reference_s() -> float:
+    """Wall time of a fixed loop of Python arithmetic and small numpy products.
+
+    It calls no semlink code, so its time moves only with the host: on a
+    shared host a contended core runs everything slower for seconds at a
+    time.  Timed beside every measured operation, it tells how fast the
+    host ran then.
+    """
+    import numpy as np
+
+    a = np.linspace(0.0, 1.0, 64 * 64).reshape(64, 64)
+    t0 = time.perf_counter()
+    acc = 0
+    for i in range(REFERENCE_PY_STEPS):
+        acc += i * i % 7
+    for _ in range(REFERENCE_NP_STEPS):
+        a @ a
+    return time.perf_counter() - t0
+
+
+class HostSpeed:
+    """Host-speed reference timings taken around every measured operation.
+
+    ``timer`` is a workload timer (see ``bench_workloads.plain_timer``) that
+    also times the reference loop just before and just after the operation;
+    ``add`` records an operation timed elsewhere.  ``slowdown(k)`` is the
+    mean of the two reference times of operation ``k`` over
+    ``REFERENCE_NOMINAL_S``: how much slower than a host on which the loop
+    takes that long the host ran during the operation.
+    """
+
+    def __init__(self):
+        self.ops = []  # (seconds, reference before, reference after)
+
+    def add(self, seconds: float, before: float, after: float) -> None:
+        self.ops.append((seconds, before, after))
+
+    def timer(self, fn, *args):
+        before = _reference_s()
+        t0 = time.perf_counter()
+        result = fn(*args)
+        seconds = time.perf_counter() - t0
+        self.add(seconds, before, _reference_s())
+        return result, seconds
+
+    def slowdown(self, k: int) -> float:
+        _, before, after = self.ops[k]
+        return (before + after) / 2.0 / REFERENCE_NOMINAL_S
+
+    def normalized_seconds(self, k: int) -> float:
+        """Time operation ``k`` would have taken on the nominal host."""
+        return self.ops[k][0] / self.slowdown(k)
 
 
 def _measure_untraced(wl, args, workdir: Path, tally, bt):
-    """Rounds until --seconds of them have run; returns (rounds, set-up times).
+    """Rounds until their timed operations add up to --seconds.
 
-    The set-up processes are spread over the run (none runs while a round
-    does), so that their median does not rest on one moment of the host's
-    speed.
+    Returns the rounds, each with the range of its operations in
+    ``host.ops``, the operation index of every set-up process, and the
+    HostSpeed that timed them all.  The set-up processes are spread over
+    the run (none runs while a round does), so that their median does not
+    rest on one moment of the host's speed.
     """
-    setup_times = [_time_setup(args, workdir / "setup-0", tally)]
+    host = HostSpeed()
+    setups = []
+
+    def time_setup():
+        setups.append(len(host.ops))
+        seconds, references = _time_setup(args, workdir / f"setup-{len(setups) - 1}", tally)
+        host.add(seconds, *references)
+
+    time_setup()
     tally.check(wl.adopt(workdir / "setup-0"), "set-up artifacts missing")
     wl.warm_up()
     rounds, measured = [], 0.0
     while len(rounds) < wl.sizes.quality_rounds or measured < args.seconds:
-        t0 = time.perf_counter()
-        rounds.append(wl.run_round(len(rounds)))
-        measured += time.perf_counter() - t0
-        tally.add(rounds[-1])
-        if (len(setup_times) < SETUP_SAMPLES
-                and measured >= args.seconds * len(setup_times) / SETUP_SAMPLES):
-            setup_times.append(_time_setup(args, workdir / f"setup-{len(setup_times)}", tally))
-    while len(setup_times) < SETUP_SAMPLES:
-        setup_times.append(_time_setup(args, workdir / f"setup-{len(setup_times)}", tally))
+        first = len(host.ops)
+        rd = wl.run_round(len(rounds), host.timer)
+        rounds.append((rd, range(first, len(host.ops))))
+        measured += rd.seconds
+        tally.add(rd)
+        if len(setups) < SETUP_SAMPLES and measured >= args.seconds * len(setups) / SETUP_SAMPLES:
+            time_setup()
+    while len(setups) < SETUP_SAMPLES:
+        time_setup()
     tally.check(not bt.wrapped_names(), "untraced run found tracing wrappers installed")
-    return rounds, setup_times
+    return rounds, setups, host
 
 
 def _measure_traced(wl, args, tally, bt):
@@ -181,11 +259,14 @@ def _measure_traced(wl, args, tally, bt):
 
 
 def _setup_only(args, bw, sizes) -> int:
+    """Set-up and warm-up; prints the reference times taken at start and end."""
+    first = _reference_s()
     setup_dir = Path(args.setup_only)
     setup_dir.mkdir(parents=True, exist_ok=True)
     wl = bw.WORKLOADS[args.workload](setup_dir, args.seed, sizes)
     ok = wl.setup(setup_dir)
     wl.warm_up()
+    print(json.dumps([first, _reference_s()]))
     return 0 if ok else 3
 
 
@@ -224,21 +305,30 @@ def main(argv=None) -> int:
             record.update({"details": self_ms,
                            "rounds": {"untraced": len(plain), "traced": len(traced)}})
         else:
-            rounds, setup_times = _measure_untraced(wl, args, workdir, tally, bt)
+            timed, setups, host = _measure_untraced(wl, args, workdir, tally, bt)
+            rounds = [rd for rd, _ in timed]
+            setup_times = [host.ops[k][0] for k in setups]
             details = wl.details(rounds)
             details["error_rate"] = tally.failed / tally.attempted
+            details["raw_units_per_s"] = statistics.median(rd.units / rd.seconds for rd in rounds)
+            details["raw_setup_s"] = statistics.median(setup_times)
+            details["host_slowdown"] = statistics.median(
+                host.slowdown(k) for k in range(len(host.ops)))
             metrics = {
-                "units_per_s": statistics.median(rd.units / rd.seconds for rd in rounds),
+                "units_per_s": statistics.median(
+                    rd.units / sum(host.normalized_seconds(k) for k in ops) for rd, ops in timed),
                 "output_mse": wl.output_mse(details),
-                "setup_s": statistics.median(setup_times),
+                "setup_s": statistics.median(host.normalized_seconds(k) for k in setups),
                 "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
                 "success_rate": 1.0 - tally.failed / tally.attempted,
             }
             units = END_TO_END
-            record.update({"details": details, "setup_times_s": setup_times,
-                           "rounds": len(rounds), "unit": wl.unit,
+            record.update({"details": details, "rounds": len(rounds), "unit": wl.unit,
+                           "setup_times_s": setup_times,
                            "round_units": [rd.units for rd in rounds],
-                           "round_seconds": [rd.seconds for rd in rounds]})
+                           "round_seconds": [rd.seconds for rd in rounds],
+                           "round_ops": [[ops.start, ops.stop] for _, ops in timed],
+                           "ops": host.ops, "reference_nominal_s": REFERENCE_NOMINAL_S})
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
