@@ -7,6 +7,7 @@ any computation starts.  Lists are comma-separated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -81,6 +82,13 @@ SCHEMA = {
 }
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def _coerce(key: str, raw, tag: str):
     if not isinstance(raw, str):
         return raw
@@ -89,7 +97,7 @@ def _coerce(key: str, raw, tag: str):
         if tag == "int":
             return int(text)
         if tag == "float":
-            return float(text)
+            return _finite_float(text)
         if tag == "bool":
             if text.lower() in ("true", "1", "yes", "on"):
                 return True
@@ -102,7 +110,7 @@ def _coerce(key: str, raw, tag: str):
         if tag == "ints":
             return tuple(int(p) for p in parts)
         if tag == "floats":
-            return tuple(float(p) for p in parts)
+            return tuple(_finite_float(p) for p in parts)
         if tag == "strs":
             return tuple(parts)
     except ValueError as exc:

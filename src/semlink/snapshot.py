@@ -14,6 +14,7 @@ count, so model parameters round-trip byte-identically.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -27,6 +28,7 @@ _MAGIC = b"SLNK"
 _CKPT_MAGIC = b"SLNKCKPT"
 _DTYPE_REAL = 0
 _DTYPE_COMPLEX = 1
+_DTYPES = {_DTYPE_REAL: ("<f8", Tensor), _DTYPE_COMPLEX: ("<c16", ComplexTensor)}
 
 
 def tensor_to_bytes(t) -> bytes:
@@ -42,23 +44,27 @@ def tensor_to_bytes(t) -> bytes:
 
 
 def tensor_from_bytes(buf: bytes, offset: int = 0):
-    """Decode one snapshot block; returns (tensor, next_offset)."""
+    """Decode one snapshot block; returns (tensor, next_offset).
+
+    A block cut short anywhere raises ParseError.
+    """
     if buf[offset : offset + 4] != _MAGIC:
         raise ParseError("bad tensor snapshot magic")
-    tag, rank = struct.unpack_from("<BB", buf, offset + 4)
-    pos = offset + 6
-    dims = struct.unpack_from(f"<{rank}Q", buf, pos) if rank else ()
-    pos += 8 * rank
-    count = int(np.prod(dims)) if dims else 1
-    if tag == _DTYPE_REAL:
-        nbytes = 8 * count
-        arr = np.frombuffer(buf, dtype="<f8", count=count, offset=pos).reshape(dims)
-        return Tensor(arr.copy()), pos + nbytes
-    if tag == _DTYPE_COMPLEX:
-        nbytes = 16 * count
-        arr = np.frombuffer(buf, dtype="<c16", count=count, offset=pos).reshape(dims)
-        return ComplexTensor(arr.copy()), pos + nbytes
-    raise ParseError(f"unknown snapshot dtype tag {tag}")
+    try:
+        tag, rank = struct.unpack_from("<BB", buf, offset + 4)
+        dims = struct.unpack_from(f"<{rank}Q", buf, offset + 6)
+    except struct.error as exc:
+        raise ParseError(f"truncated tensor snapshot header ({exc})") from exc
+    if tag not in _DTYPES:
+        raise ParseError(f"unknown snapshot dtype tag {tag}")
+    dtype, wrap = _DTYPES[tag]
+    pos = offset + 6 + 8 * rank
+    count = math.prod(dims)
+    end = pos + np.dtype(dtype).itemsize * count
+    if end > len(buf):
+        raise ParseError(f"truncated tensor snapshot data: needs {end} bytes, has {len(buf)}")
+    arr = np.frombuffer(buf, dtype=dtype, count=count, offset=pos).reshape(dims)
+    return wrap(arr.copy()), end
 
 
 def save_tensors(path, tensors: dict) -> None:
@@ -74,17 +80,21 @@ def save_tensors(path, tensors: dict) -> None:
 
 
 def load_tensors(path) -> dict:
+    """Read a checkpoint file; a truncated or corrupt file raises ParseError."""
     buf = Path(path).read_bytes()
     if buf[:8] != _CKPT_MAGIC:
         raise ParseError(f"{path}: not a checkpoint file")
-    (count,) = struct.unpack_from("<I", buf, 8)
-    pos = 12
     out = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", buf, pos)
-        pos += 2
-        name = buf[pos : pos + nlen].decode("utf-8")
-        pos += nlen
-        tensor, pos = tensor_from_bytes(buf, pos)
-        out[name] = tensor
+    try:
+        (count,) = struct.unpack_from("<I", buf, 8)
+        pos = 12
+        for _ in range(count):
+            (nlen,) = struct.unpack_from("<H", buf, pos)
+            pos += 2
+            name = buf[pos : pos + nlen].decode("utf-8")
+            pos += nlen
+            tensor, pos = tensor_from_bytes(buf, pos)
+            out[name] = tensor
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: truncated or corrupt checkpoint ({exc})") from exc
     return out

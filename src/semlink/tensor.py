@@ -8,6 +8,8 @@ the optimizer, never through graph ops).
 
 Construction rejects NaN/Inf, so a diverging computation raises
 NonFiniteError at the op that produced it instead of propagating garbage.
+The fused ops (layer_norm, softmax_attention) also check the intermediates
+whose overflow their later arithmetic would hide.
 """
 
 from __future__ import annotations
@@ -152,6 +154,13 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def _check_finite(arr: np.ndarray, what: str) -> None:
+    """Reject non-finite values in a fused op's intermediate (op outputs are
+    checked by Tensor construction)."""
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteError(f"{what} overflowed")
 
 
 def _make(data, parents, vjp) -> Tensor:
@@ -396,17 +405,27 @@ def softmax(a) -> Tensor:
 def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
     """Normalize each row of x to zero mean / unit variance, then scale+shift.
 
-    Composite of primitives, so gradients come for free.  eps > 0 guards
-    zero-variance rows (a constant row maps to the bias).
+    One graph node with a closed-form VJP.  eps > 0 guards zero-variance rows
+    (a constant row maps to the bias).  A row variance that overflows raises
+    NonFiniteError: it would otherwise normalize the row silently to zero.
     """
     if eps <= 0:
         raise ContractError("layer_norm requires eps > 0")
-    x = as_tensor(x)
-    mu = tmean(x, axis=-1, keepdims=True)
-    centered = sub(x, mu)
-    var = tmean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = power(add(var, eps), -0.5)
-    return add(mul(mul(centered, inv), gain), bias)
+    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    _check_finite(var, "layer_norm row variance")
+    inv = (var + eps) ** -0.5
+    xhat = centered * inv
+    out = xhat * gain.data + bias.data
+
+    def vjp(g):
+        gx = g * gain.data
+        dx = inv * (gx - gx.mean(axis=-1, keepdims=True)
+                    - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+        return dx, _unbroadcast(g * xhat, gain.shape), _unbroadcast(g, bias.shape)
+
+    return _make(out, (x, gain, bias), vjp)
 
 
 # -- attention ----------------------------------------------------------------
@@ -447,39 +466,64 @@ def softmax_attention(q, k, v, params: AttentionParams, num_heads: int,
 
     q, k, v are [L x d] sequences sharing d; heads split d evenly and each
     head applies softmax(Q Kᵀ / sqrt(d_head)) V; concatenated heads go
-    through the output projection.
+    through the output projection.  All heads run at once as [H, L, d_head]
+    stacks, and the whole layer is one graph node whose VJP returns the
+    gradients of q, k, v and the eight projection tensors.  Scores that
+    overflow raise NonFiniteError (the softmax would otherwise hide a -inf).
+
+    With return_weights, also returns one constant [L x L] weight tensor per
+    head.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    d = q.shape[1]
+    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
+        raise ShapeError(f"attention expects 2-D sequences, got {q.shape}, {k.shape}, {v.shape}")
+    length, d = q.shape
     if k.shape[1] != d or v.shape[1] != d:
         raise ShapeError("q, k, v must share the model dimension")
-    if q.shape[0] != k.shape[0] or k.shape[0] != v.shape[0]:
+    if length != k.shape[0] or k.shape[0] != v.shape[0]:
         raise ShapeError("q, k, v must share the sequence length")
     if d % num_heads != 0:
         raise ConfigError(f"model dim {d} not divisible by {num_heads} heads")
     hd = d // num_heads
     inv_sqrt_hd = 1.0 / math.sqrt(hd)
+    p = params
 
-    qp = add(matmul(q, params.wq), params.bq)
-    kp = add(matmul(k, params.wk), params.bk)
-    vp = add(matmul(v, params.wv), params.bv)
+    def split(rows):  # [L, d] -> [H, L, hd]
+        return rows.reshape(length, num_heads, hd).transpose(1, 0, 2)
 
-    head_outs = []
-    weights = []
-    for h in range(num_heads):
-        lo, hi = h * hd, (h + 1) * hd
-        qh = slice_cols(qp, lo, hi)
-        kh = slice_cols(kp, lo, hi)
-        vh = slice_cols(vp, lo, hi)
-        scores = mul(matmul(qh, transpose(kh)), inv_sqrt_hd)
-        attn = softmax(scores)
-        weights.append(attn)
-        head_outs.append(matmul(attn, vh))
+    def merge(heads):  # [H, L, hd] -> [L, d]
+        return heads.transpose(1, 0, 2).reshape(length, d)
 
-    merged = concat(head_outs, axis=1) if num_heads > 1 else head_outs[0]
-    out = add(matmul(merged, params.wo), params.bo)
+    qh = split(q.data @ p.wq.data + p.bq.data)
+    kh = split(k.data @ p.wk.data + p.bk.data)
+    vh = split(v.data @ p.wv.data + p.bv.data)
+    scores = (qh @ kh.transpose(0, 2, 1)) * inv_sqrt_hd
+    _check_finite(scores, "attention scores")
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    merged = merge(attn @ vh)
+    out = merged @ p.wo.data + p.bo.data
+
+    def vjp(g):
+        d_merged = g @ p.wo.data.T
+        d_heads = split(d_merged)
+        d_attn = d_heads @ vh.transpose(0, 2, 1)
+        d_vp = merge(attn.transpose(0, 2, 1) @ d_heads)
+        d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True)) * inv_sqrt_hd
+        d_qp = merge(d_scores @ kh)
+        d_kp = merge(d_scores.transpose(0, 2, 1) @ qh)
+        return (
+            d_qp @ p.wq.data.T, d_kp @ p.wk.data.T, d_vp @ p.wv.data.T,
+            q.data.T @ d_qp, _unbroadcast(d_qp, p.bq.shape),
+            k.data.T @ d_kp, _unbroadcast(d_kp, p.bk.shape),
+            v.data.T @ d_vp, _unbroadcast(d_vp, p.bv.shape),
+            merged.T @ g, _unbroadcast(g, p.bo.shape),
+        )
+
+    parents = (q, k, v, p.wq, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo)
+    out = _make(out, parents, vjp)
     if return_weights:
-        return out, weights
+        return out, [Tensor(w) for w in attn]
     return out
 
 

@@ -90,6 +90,13 @@ class TestExitCodes:
     def test_dangling_override_exits_2(self, tmp_path):
         assert main(["gen-scenes", "--out", str(tmp_path), "--gen.count"]) == 2
 
+    @pytest.mark.parametrize("key,value", [("--channel.p_s", "nan"),
+                                           ("--bench.snr_db_list", "0,inf")])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, key, value):
+        assert main(["channel-bench", "--out", str(tmp_path), key, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
 
 class TestGenScenes:
     def test_roundtrip_via_loader(self, tmp_path):
@@ -201,6 +208,20 @@ class TestEval:
                 vals.append(region_metric(pair["original"], pair["reconstructed"],
                                           loc, grid, "psnr"))
             assert abs(float(row[col]) - float(np.mean(vals))) < 1e-9
+
+
+class TestTruncatedCheckpoint:
+    def test_eval_exits_3_when_cut_short(self, tmp_path, trained_checkpoint, capsys):
+        src = Path(trained_checkpoint)
+        buf = src.read_bytes()
+        manifest = Path(trained_checkpoint + ".json").read_bytes()
+        for cut in (0, 7, 11, 13, 20, 30, 200, len(buf) // 2, len(buf) - 1):
+            ckpt = tmp_path / f"cut{cut}.ckpt"
+            ckpt.write_bytes(buf[:cut])
+            Path(str(ckpt) + ".json").write_bytes(manifest)
+            assert main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path)]) == 3, cut
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 class TestSweepPr:

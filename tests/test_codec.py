@@ -14,10 +14,12 @@ from semlink.codec import (
     zero_fill,
 )
 from semlink.errors import ConfigError, ContractError
+from semlink.link import LinkModel
 from semlink.masking import PatchGrid, patchify, unpatchify
 from semlink.rng import RngStream
 from semlink.scenes import Loc, SceneConfig, generate_scene, locate_any
 from semlink.tensor import Tensor, layer_norm, mul, sinusoid_table, tmean
+from semlink.training import TrainConfig, _forward_codec
 
 
 def small_cfg(num_patches=16, patch_dim=8):
@@ -250,3 +252,35 @@ class TestCodecGradients:
         worst = sampled_param_check(loss_fn, params.tensors(), RngStream(19),
                                     coords_per_tensor=4)
         assert worst < 1e-4
+
+
+def count_op_nodes(out: Tensor) -> int:
+    """Non-leaf graph nodes reachable from out (each shared node once)."""
+    seen, stack, count = set(), [out], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        count += node._vjp is not None
+        stack.extend(node._parents)
+    return count
+
+
+class TestGraphSize:
+    """Attention and layer norm are single graph nodes; un-fusing them
+    multiplies the per-sample graph (and the interpreter cost with it)."""
+
+    def test_block_builds_at_most_ten_nodes(self):
+        cfg = CodecConfig(feature_dim=16, enc_layers=1, dec_layers=1, num_heads=4,
+                          patch_dim=8, num_patches=16)
+        params = CodecParams.init(cfg, RngStream(20))
+        x = Tensor(np.random.default_rng(21).normal(size=(10, cfg.feature_dim)))
+        assert count_op_nodes(_block(x, params.enc_blocks[0], cfg.num_heads)) <= 10
+
+    def test_codec_phase_loss_at_most_eighty_nodes(self):
+        cfg = SceneConfig()
+        model = LinkModel.init(cfg.grid(), RngStream(22))
+        scene = generate_scene(RngStream(23), cfg)
+        loss = _forward_codec(model, scene, TrainConfig(), RngStream(24))
+        assert count_op_nodes(loss) <= 80

@@ -107,6 +107,14 @@ class TestLayerNorm:
         with pytest.raises(ContractError):
             layer_norm(Tensor([[1.0, 2.0]]), Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=0.0)
 
+    def test_variance_overflow_raises(self):
+        # the centred values are finite but their squares overflow; without a
+        # check the row would normalize to zero and return the bias
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteError):
+                layer_norm(Tensor([[1e200, -1e200, 0.0]]), Tensor(np.ones(3)),
+                           Tensor(np.zeros(3)))
+
 
 class TestGelu:
     def test_zero(self):
@@ -148,18 +156,23 @@ class TestAttention:
             np.testing.assert_allclose(w.data, np.full((5, 5), 0.2), atol=1e-12)
 
     def test_two_token_hand_oracle(self):
+        self._check_hand_oracle(length=2, dim=4, heads=2)
+
+    def test_five_token_three_head_hand_oracle(self):
+        self._check_hand_oracle(length=5, dim=6, heads=3)
+
+    def _check_hand_oracle(self, length, dim, heads):
         # independent plain-numpy evaluation of the same attention definition
-        dim, heads = 4, 2
         params = self._params(dim, 7)
         rng = np.random.default_rng(8)
-        q, k, v = (rng.normal(size=(2, dim)) for _ in range(3))
+        q, k, v = (rng.normal(size=(length, dim)) for _ in range(3))
         out = softmax_attention(Tensor(q), Tensor(k), Tensor(v), params, heads)
 
         qp = q @ params.wq.data + params.bq.data
         kp = k @ params.wk.data + params.bk.data
         vp = v @ params.wv.data + params.bv.data
         hd = dim // heads
-        merged = np.zeros((2, dim))
+        merged = np.zeros((length, dim))
         for h in range(heads):
             sl = slice(h * hd, (h + 1) * hd)
             scores = qp[:, sl] @ kp[:, sl].T / math.sqrt(hd)
@@ -167,7 +180,7 @@ class TestAttention:
             attn = e / e.sum(axis=1, keepdims=True)
             merged[:, sl] = attn @ vp[:, sl]
         expected = merged @ params.wo.data + params.bo.data
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
+        np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
 
     def test_attention_rows_sum_to_one(self):
         dim = 12
@@ -177,6 +190,21 @@ class TestAttention:
         _, weights = softmax_attention(x, x, x, params, 3, return_weights=True)
         for w in weights:
             np.testing.assert_allclose(w.data.sum(axis=1), np.ones(7), atol=1e-6)
+
+    def test_score_overflow_raises(self):
+        # one score overflows to -inf while its row maximum stays finite, so
+        # the softmax alone would hide it as a zero weight
+        params = AttentionParams(
+            wq=Tensor(np.eye(2)), bq=Tensor(np.zeros(2)),
+            wk=Tensor(np.eye(2)), bk=Tensor(np.zeros(2)),
+            wv=Tensor(np.eye(2)), bv=Tensor(np.zeros(2)),
+            wo=Tensor(np.eye(2)), bo=Tensor(np.zeros(2)),
+        )
+        q = Tensor([[1e160, 0.0], [0.0, 0.0]])
+        k = Tensor([[-1e160, 0.0], [1.0, 0.0]])
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteError):
+                softmax_attention(q, k, k, params, 1)
 
     def test_indivisible_heads_rejected(self):
         params = self._params(6, 1)
@@ -279,6 +307,34 @@ class TestFiniteDifferences:
         ]
         for fn, arrays in cases:
             check_grads(fn, arrays)
+
+    @pytest.mark.parametrize("shape,eps", [((7, 5), 1e-6), ((2, 4, 6), 0.5)])
+    def test_layer_norm_grads(self, shape, eps):
+        rng = np.random.default_rng(47)
+        upstream = Tensor(rng.normal(size=shape))
+        dim = shape[-1]
+
+        def fn(ts):
+            return tsum(mul(layer_norm(ts[0], ts[1], ts[2], eps), upstream))
+
+        check_grads(fn, [_rand(rng, shape) * 2 + 1, _rand(rng, (dim,)), _rand(rng, (dim,))])
+
+    @pytest.mark.parametrize("num_heads", [1, 2, 3])
+    def test_attention_grads_all_inputs(self, num_heads):
+        # distinct q, k, v: gradients of all 11 inputs against finite differences
+        rng = np.random.default_rng(48 + num_heads)
+        length, dim = 4, 6
+        names = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+        upstream = Tensor(rng.normal(size=(length, dim)))
+
+        def fn(ts):
+            p = AttentionParams(**dict(zip(names, ts[3:])))
+            return tsum(mul(softmax_attention(ts[0], ts[1], ts[2], p, num_heads), upstream))
+
+        arrays = [_rand(rng, (length, dim)) for _ in range(3)]
+        arrays += [_rand(rng, (dim, dim)) * 0.5 if n[0] == "w" else _rand(rng, (dim,))
+                   for n in names]
+        check_grads(fn, arrays)
 
     def test_attention_grads(self):
         rng = np.random.default_rng(45)
@@ -387,6 +443,19 @@ class TestSnapshot:
         loaded = load_tensors(p1)
         assert set(loaded) == {"a", "b"}
         np.testing.assert_array_equal(loaded["a"].data, tensors["a"].data)
+
+    def test_every_truncation_raises_parse_error(self, tmp_path):
+        from semlink.errors import ParseError
+
+        rng = np.random.default_rng(4)
+        path = tmp_path / "full.ckpt"
+        save_tensors(path, {"w": Tensor(rng.normal(size=(2, 3))),
+                            "z": ComplexTensor(rng.normal(size=2) + 1j)})
+        buf = path.read_bytes()
+        for cut in range(len(buf)):
+            path.write_bytes(buf[:cut])
+            with pytest.raises(ParseError):
+                load_tensors(path)
 
     def test_bad_magic(self):
         from semlink.errors import ParseError

@@ -198,6 +198,21 @@ class TestTrainPhase:
                 train_phase(model, scenes, TrainConfig(phase="channel", lr=1e150,
                                                        epochs=3, batch_size=2, seed=12))
 
+    @pytest.mark.parametrize("names", [("embed.w",), ("enc0.attn.wq", "enc0.attn.wk")])
+    def test_fused_op_overflow_surfaces_as_divergence(self, names):
+        # embed.w overflows the first layer norm's row variance; wq and wk
+        # overflow the first attention scores.  Both happen inside a fused op.
+        scenes, grid = toy_scenes(2)
+        model = LinkModel.init(grid, RngStream(13), feature_dim=16, enc_layers=1,
+                               dec_layers=1, num_heads=2, symbol_dim=4)
+        params = model.codec.tensors()
+        for name in names:
+            params[name].data[...] *= 1e160
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDiverged, match="overflowed"):
+                train_phase(model, scenes, TrainConfig(phase="codec", lr=1e-3, epochs=1,
+                                                       batch_size=2, seed=14))
+
     def test_epoch_checkpoints_written(self, tmp_path):
         scenes, grid = toy_scenes(4)
         model = LinkModel.init(grid, RngStream(12), feature_dim=16, enc_layers=1,
