@@ -3,13 +3,22 @@
 Symbols are serialized row-major from the [L, symbol_dim] signal, zero-padded
 to a multiple of n_t, and reshaped into n_t-row blocks with one block-fading
 channel matrix per frame.  Detection applies
-X_hat = H_hatᴴ (H_hat H_hatᴴ + noise_var I)⁻¹ Y blockwise with the estimated
-CSI and strips the padding.
+X_hat = H_hatᴴ (H_hat H_hatᴴ + (noise_var / p_s) I)⁻¹ Y blockwise with the
+estimated CSI, the L-MMSE estimator for i.i.d. symbols of power p_s, and
+strips the padding.
+
+draw_channel, transmit, lmmse_detect and transmit_detect also take a stack
+of T frames: given a sequence of T streams, draw_channel returns a frame of
+[T, n_r, n_t] matrices, signals are [T, L, S], and frame t draws its noise
+from stream t (power_scale, normalize_power and metrics.nmse take
+stacked=True for such signals).  A frame gives bit-identical results alone or
+inside a stack.
 
 SNR is calibrated per configuration: noise_var is set so the expected
 received per-symbol signal power over channel draws divided by noise_var
-equals 10**(snr_db/10).  The expectation is a Monte Carlo estimate frozen
-per (kind, rician_r, n_t, n_r), so noise_var scales exactly with SNR.
+equals 10**(snr_db/10).  For unit-power fading entries that expectation is
+p_s * n_t exactly (Rayleigh and Rician alike), and p_s for the identity
+channel, so noise_var scales exactly with SNR.
 
 Training never touches this statistical channel; it uses surrogate_channel,
 a differentiable per-entry gain-plus-noise map over the interleaved real
@@ -26,7 +35,7 @@ import numpy as np
 
 from .ctensor import ComplexTensor
 from .errors import ConfigError, ContractError, NumericError, ShapeError
-from .rng import RngStream, _mix64
+from .rng import RngStream
 from .tensor import Tensor, add, mul
 
 __all__ = [
@@ -42,8 +51,6 @@ __all__ = [
     "surrogate_channel",
 ]
 
-_CAL_DRAWS = 10_000
-_CAL_SEED = 0xCA11B8A7E
 _INV_FLOOR = 1e-12
 
 
@@ -57,12 +64,14 @@ class ChannelConfig:
     csi_error_var: float = 0.0
     p_s: float = 1.0  # max average symbol power (normalization target)
 
-    def validate(self):
+    def validate(self, geometry: bool = True):
+        """Check every field; geometry=False skips the check that the kind
+        fits the antenna counts, for a kind that is named but not drawn."""
         if self.kind not in ("awgn", "rayleigh", "rician"):
             raise ConfigError(f"unknown channel kind {self.kind!r}")
         if self.n_t < 1 or self.n_r < 1:
             raise ConfigError("antenna counts must be >= 1")
-        if self.kind == "awgn" and self.n_t != self.n_r:
+        if geometry and self.kind == "awgn" and self.n_t != self.n_r:
             raise ConfigError("awgn (identity) channel requires n_t == n_r")
         if self.rician_r < 0:
             raise ConfigError("rician factor must be >= 0")
@@ -74,57 +83,54 @@ class ChannelConfig:
 
 @dataclass
 class ChannelFrame:
-    h: ComplexTensor  # true channel [n_r, n_t]
-    h_hat: ComplexTensor  # estimated CSI
+    h: ComplexTensor  # true channel [n_r, n_t], or a stack [T, n_r, n_t]
+    h_hat: ComplexTensor  # estimated CSI, same shape
     noise_var: float
+    p_s: float = 1.0  # symbol power the detector assumes
 
 
-def power_scale(x: ComplexTensor, p_s: float) -> float:
-    """Scale factor bringing mean per-symbol power exactly to p_s."""
-    mean_pow = x.mean_power()
-    if mean_pow == 0.0:
+def _per_stream(rng, draw) -> np.ndarray:
+    """draw(rng) for one stream; stacked draw(r) over a sequence of streams."""
+    if isinstance(rng, RngStream):
+        return draw(rng)
+    return np.stack([draw(r) for r in rng])
+
+
+def power_scale(x: ComplexTensor, p_s: float, stacked: bool = False):
+    """Scale factor bringing mean per-symbol power exactly to p_s.
+
+    stacked treats the first axis of x as T independent signals and returns
+    one factor per signal, shaped [T, 1, ..., 1] to broadcast against x.
+    """
+    axes = tuple(range(1, x.data.ndim)) if stacked else None
+    mean_pow = np.mean(np.abs(x.data) ** 2, axis=axes, keepdims=stacked)
+    if np.any(mean_pow == 0.0):
         raise ContractError("cannot normalize an all-zero signal")
-    return math.sqrt(p_s / mean_pow)
+    scale = np.sqrt(p_s / mean_pow)
+    return scale if stacked else float(scale)
 
 
-def normalize_power(x: ComplexTensor, p_s: float) -> ComplexTensor:
-    """Rescale so the mean per-symbol power equals p_s exactly."""
-    return x * power_scale(x, p_s)
+def normalize_power(x: ComplexTensor, p_s: float, stacked: bool = False) -> ComplexTensor:
+    """Rescale so the mean per-symbol power equals p_s exactly (per signal
+    of the stack when stacked)."""
+    return x * power_scale(x, p_s, stacked)
 
 
 # -- calibration --------------------------------------------------------------
 
-_gain_cache: dict = {}
-
-
-def _mean_channel_gain(cfg: ChannelConfig) -> float:
-    """Monte Carlo mean of ||H||_F^2 / n_r, the per-receive-symbol power gain
-    for unit-power inputs; exact 1.0 for the identity channel."""
-    if cfg.kind == "awgn":
-        return float(cfg.n_t) / cfg.n_r  # identity: always n_t == n_r == gain 1
-    key = (cfg.kind, float(cfg.rician_r), cfg.n_t, cfg.n_r)
-    if key not in _gain_cache:
-        # process-stable stream id (never Python's randomized hash())
-        r_bits = int(np.float64(cfg.rician_r).view(np.uint64))
-        sid = _mix64(_mix64(_mix64(len(cfg.kind) * 1315423911 + cfg.kind.encode()[0],
-                                   r_bits), cfg.n_t), cfg.n_r)
-        rng = RngStream(_CAL_SEED, sid)
-        draws = rng.complex_normal((_CAL_DRAWS, cfg.n_r, cfg.n_t), 0.0, 1.0)
-        if cfg.kind == "rician":
-            mu = math.sqrt(cfg.rician_r / (cfg.rician_r + 1.0))
-            sig = math.sqrt(1.0 / (cfg.rician_r + 1.0))
-            draws = mu + sig * draws
-        power = np.sum(np.abs(draws) ** 2, axis=(1, 2)) / cfg.n_r
-        _gain_cache[key] = float(power.mean())
-    return _gain_cache[key]
-
 
 def calibrate_noise(cfg: ChannelConfig, signal_power: float | None = None) -> float:
-    """Noise variance hitting the configured SNR for p_s-power inputs."""
+    """Noise variance hitting the configured SNR for p_s-power inputs.
+
+    The mean per-receive-symbol gain E||H||_F^2 / n_r is n_t for Rayleigh and
+    Rician fading (unit-power entries: mu^2 + sigma^2 = 1) and 1 for the
+    identity channel.
+    """
     cfg.validate()
     p = cfg.p_s if signal_power is None else signal_power
+    gain = 1.0 if cfg.kind == "awgn" else float(cfg.n_t)
     snr_lin = 10.0 ** (cfg.snr_db / 10.0)
-    return p * _mean_channel_gain(cfg) / snr_lin
+    return p * gain / snr_lin
 
 
 # -- channel draws -------------------------------------------------------------
@@ -141,36 +147,53 @@ def _draw_h(cfg: ChannelConfig, rng: RngStream) -> np.ndarray:
     return rng.complex_normal(shape, mu, var)
 
 
-def draw_channel(cfg: ChannelConfig, rng: RngStream) -> ChannelFrame:
-    """One block-fading realization plus its (possibly corrupted) CSI."""
+def draw_channel(cfg: ChannelConfig, rng) -> ChannelFrame:
+    """One block-fading realization plus its (possibly corrupted) CSI.
+
+    Given a sequence of streams instead of one, draws one realization from
+    each and returns them as a stacked frame.
+    """
     cfg.validate()
-    h = _draw_h(cfg, rng)
+    h = _per_stream(rng, lambda r: _draw_h(cfg, r))
+    h_hat = h
     if cfg.csi_error_var > 0:
-        h_hat = h + rng.complex_normal(h.shape, 0.0, cfg.csi_error_var)
-    else:
-        h_hat = h
-    return ChannelFrame(ComplexTensor(h), ComplexTensor(h_hat), calibrate_noise(cfg))
+        h_hat = h + _per_stream(rng, lambda r: r.complex_normal(h.shape[-2:], 0.0, cfg.csi_error_var))
+    return ChannelFrame(ComplexTensor(h), ComplexTensor(h_hat), calibrate_noise(cfg), cfg.p_s)
 
 
 # -- transmission and detection -------------------------------------------------
 
 
-def _to_blocks(x: ComplexTensor, n_t: int):
-    flat = x.data.reshape(-1)
-    count = flat.size
+def _check_lead(shape: tuple, frame: ChannelFrame, what: str) -> tuple:
+    """Stack axes of frame (() for one frame); shape must start with them."""
+    lead = frame.h.shape[:-2]
+    if tuple(shape[:len(lead)]) != lead:
+        raise ShapeError(f"{what} {shape} does not match a stack of {lead} frames")
+    return lead
+
+
+def _to_blocks(x: np.ndarray, lead: tuple, n_t: int) -> np.ndarray:
+    """[*lead, n_t, m] blocks filled column-wise, zero-padded to m * n_t."""
+    flat = x.reshape(*lead, -1)
+    count = flat.shape[-1]
     m = -(-count // n_t)  # ceil
-    padded = np.zeros(m * n_t, dtype=np.complex128)
-    padded[:count] = flat
-    return padded.reshape(m, n_t).T, count
+    padded = np.zeros((*lead, m * n_t), dtype=np.complex128)
+    padded[..., :count] = flat
+    return padded.reshape(*lead, m, n_t).swapaxes(-1, -2)
 
 
-def transmit(x: ComplexTensor, frame: ChannelFrame, rng: RngStream) -> ComplexTensor:
-    """Y = H X_blocks + N with i.i.d. CN(0, noise_var) entries."""
-    n_t = frame.h.shape[1]
-    blocks, _ = _to_blocks(x, n_t)
-    y = frame.h.data @ blocks
+def transmit(x: ComplexTensor, frame: ChannelFrame, rng) -> ComplexTensor:
+    """Y = H X_blocks + N with i.i.d. CN(0, noise_var) entries.
+
+    For a stacked frame, x is [T, ...] and rng a sequence of T streams.
+    """
+    lead = _check_lead(x.shape, frame, "signal")
+    y = frame.h.data @ _to_blocks(x.data, lead, frame.h.shape[-1])
     if frame.noise_var > 0:
-        y = y + rng.complex_normal(y.shape, 0.0, frame.noise_var)
+        noise = _per_stream(rng, lambda r: r.complex_normal(y.shape[-2:], 0.0, frame.noise_var))
+        if noise.shape != y.shape:
+            raise ShapeError(f"noise streams {noise.shape[:-2]} do not match frames {lead}")
+        y = y + noise
     return ComplexTensor(y)
 
 
@@ -178,28 +201,31 @@ def lmmse_detect(y: ComplexTensor, frame: ChannelFrame, out_shape=None) -> Compl
     """L-MMSE detection with estimated CSI.
 
     out_shape, when given, strips the zero-padding and restores the original
-    [L, symbol_dim] layout; otherwise the n_t-row block matrix is returned.
+    layout (including the stack axis of a stacked frame); otherwise the n_t-row
+    block matrices are returned.
     """
     hh = frame.h_hat.data
-    n_r = hh.shape[0]
-    if y.data.ndim != 2 or y.shape[0] != n_r:
+    if y.data.ndim != hh.ndim or y.shape[:-1] != hh.shape[:-1]:
         raise ShapeError(f"received blocks {y.shape} do not match CSI {hh.shape}")
-    gram = hh @ hh.conj().T + max(frame.noise_var, _INV_FLOOR) * np.eye(n_r)
+    hh_h = hh.conj().swapaxes(-1, -2)
+    reg = max(frame.noise_var / frame.p_s, _INV_FLOOR)
+    gram = hh @ hh_h + reg * np.eye(hh.shape[-2])
     try:
         w = np.linalg.solve(gram, y.data)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"detection system singular: {exc}") from exc
-    xb = hh.conj().T @ w
+    xb = hh_h @ w
     if out_shape is None:
         return ComplexTensor(xb)
-    count = int(np.prod(out_shape))
-    flat = xb.T.reshape(-1)
-    if count > flat.size:
-        raise ShapeError(f"requested {count} symbols from {flat.size} detected")
-    return ComplexTensor(flat[:count].reshape(out_shape))
+    lead = _check_lead(out_shape, frame, "output")
+    count = math.prod(out_shape[len(lead):])
+    flat = xb.swapaxes(-1, -2).reshape(*lead, -1)
+    if count > flat.shape[-1]:
+        raise ShapeError(f"requested {count} symbols from {flat.shape[-1]} detected")
+    return ComplexTensor(flat[..., :count].reshape(out_shape))
 
 
-def transmit_detect(x: ComplexTensor, frame: ChannelFrame, rng: RngStream) -> ComplexTensor:
+def transmit_detect(x: ComplexTensor, frame: ChannelFrame, rng) -> ComplexTensor:
     """Round trip preserving the input layout exactly."""
     y = transmit(x, frame, rng)
     return lmmse_detect(y, frame, out_shape=x.shape)

@@ -5,7 +5,7 @@ Every command takes --config FILE plus arbitrary `--section.key value`
 overrides, honors --seed deterministically (reruns produce byte-identical
 outputs), writes CSV results with a trailing .meta.json sidecar carrying the
 fully resolved configuration, and exits 0 on success, 2 on configuration
-errors, 3 on runtime errors.  SEMLINK_THREADS bounds the trial worker pool.
+errors, 3 on runtime errors.
 """
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -43,23 +41,9 @@ _S_GEN = 0x6C
 _S_MODEL = 0x7D
 
 
-def _worker_count() -> int:
-    env = os.environ.get("SEMLINK_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"SEMLINK_THREADS={env!r} is not an integer") from exc
-    return min(4, os.cpu_count() or 1)
-
-
 def run_trials(n: int, fn):
-    """Run fn(0..n-1) across the worker pool; results in trial order."""
-    workers = _worker_count()
-    if workers == 1 or n < 2:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n)))
+    """Run fn(0..n-1) in order; results in trial order."""
+    return [fn(i) for i in range(n)]
 
 
 def _fmt(value) -> str:
@@ -345,6 +329,23 @@ def cmd_sweep_users(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
+def _bench_cell(chan_cfg, base: RngStream, trials: int, n_sym: int) -> np.ndarray:
+    """Detection NMSE of every trial of one cell, all trials as one stack.
+
+    Trial t draws its symbols from base.substream(t), its channel from
+    .substream(1) of that and its noise from .substream(2), so each value
+    equals that of the trial run alone.
+    """
+    streams = [base.substream(t) for t in range(trials)]
+    x = normalize_power(
+        ComplexTensor(np.stack([r.complex_normal((n_sym, 1), 0.0, 1.0) for r in streams])),
+        chan_cfg.p_s, stacked=True,
+    )
+    frame = draw_channel(chan_cfg, [r.substream(1) for r in streams])
+    x_hat = transmit_detect(x, frame, [r.substream(2) for r in streams])
+    return nmse(x, x_hat, stacked=True)
+
+
 def cmd_channel_bench(cfg: RunConfig, out_dir: Path) -> int:
     trials = cfg["bench.trials"]
     n_sym = cfg["bench.symbols"]
@@ -357,16 +358,7 @@ def cmd_channel_bench(cfg: RunConfig, out_dir: Path) -> int:
                     hash_key(kind), int(snr_db * 1000) & 0xFFFFFFFF, int(csi_var * 1e6)
                 )
 
-                def one(t):
-                    rng = base.substream(t)
-                    x = normalize_power(
-                        ComplexTensor(rng.complex_normal((n_sym, 1), 0.0, 1.0)), chan_cfg.p_s
-                    )
-                    frame = draw_channel(chan_cfg, rng.substream(1))
-                    x_hat = transmit_detect(x, frame, rng.substream(2))
-                    return nmse(x, x_hat)
-
-                vals = np.asarray(run_trials(trials, one))
+                vals = _bench_cell(chan_cfg, base, trials, n_sym)
                 rows.append((kind, snr_db, csi_var, vals.mean(), vals.std()))
 
     out = out_dir / "channel_bench.csv"
@@ -425,7 +417,7 @@ def main(argv=None) -> int:
         overrides = _parse_overrides(extras)
         if args.seed is not None:
             overrides["seed"] = str(args.seed)
-        cfg = RunConfig.load(args.config, overrides)
+        cfg = RunConfig.load(args.config, overrides, command=args.command)
         out_dir = Path(args.out)
 
         if args.command == "gen-scenes":

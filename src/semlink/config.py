@@ -8,7 +8,7 @@ any computation starts.  Lists are comma-separated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .channel import ChannelConfig
@@ -82,6 +82,10 @@ SCHEMA = {
 }
 
 
+# the channel-kind list each command draws statistical channels from
+_COMMAND_KINDS = {"eval": "eval.kinds", "sweep-pr": "sweep.kinds", "channel-bench": "bench.kinds"}
+
+
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -123,7 +127,7 @@ class RunConfig:
     values: dict = field(default_factory=dict)
 
     @staticmethod
-    def load(config_path=None, overrides=None) -> "RunConfig":
+    def load(config_path=None, overrides=None, command: str | None = None) -> "RunConfig":
         values = {k: default for k, (_, default) in SCHEMA.items()}
         if config_path is not None:
             path = Path(config_path)
@@ -144,7 +148,7 @@ class RunConfig:
                 raise ConfigError(f"unknown config key {key!r}")
             values[key] = _coerce(key, raw, SCHEMA[key][0])
         cfg = RunConfig(values)
-        cfg.validate()
+        cfg.validate(command)
         return cfg
 
     def __getitem__(self, key: str):
@@ -152,10 +156,18 @@ class RunConfig:
             raise ConfigError(f"unknown config key {key!r}")
         return self.values[key]
 
-    def validate(self) -> None:
+    def validate(self, command: str | None = None) -> None:
+        """Check every value.  command, when given, limits the check that a
+        channel kind fits the antenna counts to the kinds that command draws;
+        None checks every kind key and channel.kind."""
         v = self.values
         self.scene_config().validate()
-        self.channel_config().validate()
+        chan = self.channel_config()
+        chan.validate(geometry=command is None)
+        for key in _COMMAND_KINDS.values():
+            geometry = command is None or _COMMAND_KINDS.get(command) == key
+            for kind in v[key]:
+                replace(chan, kind=kind).validate(geometry)
         self.train_config("codec").validate()
         if not 0.0 <= v["eval.mask_prob"] <= 1.0:
             raise ConfigError("eval.mask_prob outside [0, 1]")
@@ -169,9 +181,6 @@ class RunConfig:
             raise ConfigError("users.source must be synthetic or scenes")
         if v["scene.target_label"] != "any" and v["scene.target_label"] not in VOCABULARY:
             raise ConfigError(f"scene.target_label must be 'any' or one of {VOCABULARY}")
-        for key in ("eval.kinds", "sweep.kinds", "bench.kinds"):
-            for kind in v[key]:
-                ChannelConfig(kind=kind, n_t=v["channel.n_t"], n_r=v["channel.n_r"]).validate()
         if v["codec.feature_dim"] % v["codec.num_heads"]:
             raise ConfigError("codec.feature_dim must be divisible by codec.num_heads")
         for key in ("eval.trials", "sweep.trials", "users.trials", "bench.trials",

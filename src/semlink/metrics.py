@@ -157,11 +157,17 @@ def region_metric(a, b, loc, grid: PatchGrid, which: str, max_val: float = 1.0) 
     return float(np.mean(vals))
 
 
-def nmse(x: ComplexTensor, x_hat: ComplexTensor) -> float:
-    """||x_hat - x||^2 / ||x||^2 over complex symbol tensors."""
+def nmse(x: ComplexTensor, x_hat: ComplexTensor, stacked: bool = False):
+    """||x_hat - x||^2 / ||x||^2 over complex symbol tensors.
+
+    stacked treats the first axis as T independent signals and returns the
+    [T] array of their NMSEs.
+    """
     if x.shape != x_hat.shape:
         raise ShapeError(f"nmse shape mismatch {x.shape} vs {x_hat.shape}")
-    ref = float(np.sum(np.abs(x.data) ** 2))
-    if ref == 0.0:
+    axes = tuple(range(1, x.data.ndim)) if stacked else None
+    ref = np.sum(np.abs(x.data) ** 2, axis=axes)
+    if np.any(ref == 0.0):
         raise ContractError("nmse undefined for a zero reference")
-    return float(np.sum(np.abs(x_hat.data - x.data) ** 2)) / ref
+    err = np.sum(np.abs(x_hat.data - x.data) ** 2, axis=axes)
+    return err / ref if stacked else float(err) / float(ref)

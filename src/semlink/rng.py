@@ -3,11 +3,14 @@
 Every stochastic component of the simulator draws from an RngStream, a thin
 wrapper over numpy's counter-based Philox generator keyed by
 (seed, stream_id).  Identical keys give bit-identical sequences; distinct
-stream_ids give statistically independent streams, so Monte Carlo trials can
-fan out across workers and still assemble deterministic results.
+stream_ids give statistically independent streams, so each Monte Carlo trial
+draws from its own substream and results do not depend on the order in which
+trials are drawn or whether they are stacked into one batch.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -49,7 +52,7 @@ class RngStream:
     # -- draws ------------------------------------------------------------
 
     def _count(self, shape) -> int:
-        return int(np.prod(shape)) if shape else 1
+        return int(shape) if isinstance(shape, (int, np.integer)) else math.prod(shape)
 
     def normal(self, shape=(), mean: float = 0.0, std: float = 1.0) -> np.ndarray:
         if std < 0:
@@ -78,7 +81,13 @@ class RngStream:
         """i.i.d. circularly-symmetric complex Gaussian CN(mean, var)."""
         if var < 0:
             raise ValueError("var must be >= 0")
-        s = np.sqrt(var / 2.0)
-        re = self.normal(shape, std=1.0) * s + np.real(mean)
-        im = self.normal(shape, std=1.0) * s + np.imag(mean)
-        return re + 1j * im
+        if isinstance(shape, (int, np.integer)):
+            shape = (shape,)
+        self.counter += 2 * self._count(shape)
+        # one call draws the real parts then the imaginary parts, the same
+        # sequence as two normal(shape) calls
+        re, im = self._gen.standard_normal((2, *shape)) * math.sqrt(var / 2.0)
+        out = np.empty(shape, dtype=np.complex128)
+        out.real = re + mean.real
+        out.imag = im + mean.imag
+        return out[()]

@@ -18,7 +18,7 @@ from semlink.channel import (
     transmit_detect,
 )
 from semlink.ctensor import ComplexTensor
-from semlink.errors import ConfigError, ContractError
+from semlink.errors import ConfigError, ContractError, NonFiniteError, NumericError, ShapeError
 from semlink.metrics import nmse
 from semlink.rng import RngStream
 from semlink.tensor import Tensor
@@ -203,6 +203,97 @@ class TestLmmse:
         assert vals[-1] > vals[0]
 
 
+class TestPowerInvariance:
+    """L-MMSE regularizes with noise_var / p_s, so at a fixed SNR the
+    detection NMSE does not depend on the power budget."""
+
+    @pytest.mark.parametrize("kind,n,csi_var", [("awgn", 1, 0.0), ("rayleigh", 2, 0.0),
+                                                ("rician", 3, 0.05)])
+    def test_nmse_same_at_every_p_s(self, kind, n, csi_var):
+        x0 = ComplexTensor(RngStream(40).complex_normal((16, 2), 0.0, 1.0))
+        vals = []
+        for p_s in (1.0, 4.0, 0.25):
+            cfg = ChannelConfig(kind=kind, snr_db=10.0, n_t=n, n_r=n,
+                                csi_error_var=csi_var, p_s=p_s)
+            x = normalize_power(x0, p_s)
+            frame = draw_channel(cfg, RngStream(41))
+            assert frame.p_s == p_s
+            vals.append(nmse(x, transmit_detect(x, frame, RngStream(42))))
+        np.testing.assert_allclose(vals[1:], vals[0], rtol=1e-12, atol=0)
+
+    def test_awgn_nmse_near_lmmse_optimum_at_p_s_4(self):
+        # scalar LMMSE over AWGN at SNR 10: E|x_hat - x|^2 / p_s = 1 / (1 + 10)
+        cfg = ChannelConfig(kind="awgn", snr_db=10.0, p_s=4.0)
+        x = normalize_power(ComplexTensor(RngStream(43).complex_normal((20_000, 1), 0.0, 1.0)), 4.0)
+        val = nmse(x, transmit_detect(x, draw_channel(cfg, RngStream(44)), RngStream(45)))
+        assert abs(val - 1.0 / 11.0) < 0.003
+
+
+class TestStackedFrames:
+    def test_stack_matches_single_frames(self):
+        cfg = ChannelConfig(kind="rician", snr_db=5.0, n_t=2, n_r=3, csi_error_var=0.02, p_s=2.0)
+        streams = [RngStream(50, t) for t in range(4)]
+        x = ComplexTensor(RngStream(51).complex_normal((4, 7, 3), 0.0, 1.0))
+        stacked = draw_channel(cfg, [s.substream(1) for s in streams])
+        assert stacked.h.shape == stacked.h_hat.shape == (4, 3, 2)
+        x_hat = transmit_detect(x, stacked, [s.substream(2) for s in streams])
+        assert x_hat.shape == x.shape
+        for t, s in enumerate(streams):
+            frame = draw_channel(cfg, s.substream(1))
+            np.testing.assert_array_equal(stacked.h_hat.data[t], frame.h_hat.data)
+            single = transmit_detect(ComplexTensor(x.data[t]), frame, s.substream(2))
+            np.testing.assert_array_equal(x_hat.data[t], single.data)
+
+    def test_stacked_power_and_nmse_per_signal(self):
+        x = ComplexTensor(RngStream(52).complex_normal((3, 5, 2), 0.0, 1.0))
+        scaled = normalize_power(x, 2.0, stacked=True)
+        for t in range(3):
+            assert abs(np.mean(np.abs(scaled.data[t]) ** 2) - 2.0) < 1e-12
+        vals = nmse(x, scaled, stacked=True)
+        assert vals.shape == (3,)
+        for t in range(3):
+            assert vals[t] == nmse(ComplexTensor(x.data[t]), ComplexTensor(scaled.data[t]))
+
+    def test_zero_signal_in_stack_rejected(self):
+        x = np.ones((2, 3, 1), dtype=complex)
+        x[1] = 0.0
+        with pytest.raises(ContractError):
+            normalize_power(ComplexTensor(x), 1.0, stacked=True)
+        with pytest.raises(ContractError):
+            nmse(ComplexTensor(x), ComplexTensor(x), stacked=True)
+
+    def test_stack_size_mismatch_rejected(self):
+        cfg = ChannelConfig(kind="rayleigh", n_t=2, n_r=2)
+        frame = draw_channel(cfg, [RngStream(53, t) for t in range(3)])
+        x = ComplexTensor(np.ones((2, 4, 1), dtype=complex))
+        with pytest.raises(ShapeError):
+            transmit(x, frame, [RngStream(54, t) for t in range(2)])
+        x3 = ComplexTensor(np.ones((3, 4, 1), dtype=complex))
+        for streams in (RngStream(54), [RngStream(54, t) for t in range(2)]):
+            with pytest.raises(ShapeError):
+                transmit(x3, frame, streams)
+        y = transmit(x3, frame, [RngStream(54, t) for t in range(3)])
+        with pytest.raises(ShapeError):
+            lmmse_detect(ComplexTensor(y.data[:2]), frame)
+        with pytest.raises(ShapeError):
+            lmmse_detect(y, frame, out_shape=(2, 4, 1))
+
+    def test_non_finite_stack_rejected(self):
+        h = np.ones((2, 1, 1), dtype=complex)
+        h[1, 0, 0] = np.nan
+        with pytest.raises(NonFiniteError):
+            ChannelFrame(ComplexTensor(np.eye(1)), ComplexTensor(h), 0.1)
+
+    def test_singular_frame_in_stack_raises_numeric_error(self):
+        h = np.ones((2, 2, 2), dtype=complex)
+        h[0] = np.eye(2)
+        h[1] *= 1e10  # rank one; the 1e-12 regularizer vanishes beside 2e20
+        frame = ChannelFrame(ComplexTensor(h), ComplexTensor(h), 0.0)
+        y = ComplexTensor(np.ones((2, 2, 3), dtype=complex))
+        with pytest.raises(NumericError):
+            lmmse_detect(y, frame)
+
+
 class TestCalibration:
     def test_awgn_definition(self):
         assert calibrate_noise(ChannelConfig(kind="awgn", snr_db=0.0, p_s=1.0)) == 1.0
@@ -226,6 +317,18 @@ class TestCalibration:
         snr = (sig_power / n) / noise_var
         target = 10.0 ** 0.7
         assert abs(snr - target) / target < 0.03
+
+    @pytest.mark.parametrize("n_t,n_r", [(1, 1), (2, 3), (4, 4)])
+    def test_fading_gain_closed_form(self, n_t, n_r):
+        for kind in ("rayleigh", "rician"):
+            for r in (0.0, 0.5, 1.0, 7.0):
+                cfg = ChannelConfig(kind=kind, rician_r=r, snr_db=7.0, n_t=n_t, n_r=n_r, p_s=2.5)
+                assert calibrate_noise(cfg) == 2.5 * n_t / 10.0 ** (7.0 / 10.0)
+
+    def test_awgn_gain_is_one_for_any_square_size(self):
+        for n in (1, 2, 4):
+            assert calibrate_noise(ChannelConfig(kind="awgn", n_t=n, n_r=n, snr_db=3.0)) == \
+                1.0 / 10.0 ** 0.3
 
     def test_scaling_with_p_s(self):
         a = calibrate_noise(ChannelConfig(kind="rician", rician_r=2.0, snr_db=5.0, p_s=1.0))

@@ -1,14 +1,17 @@
 import csv
 import json
-import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from semlink.cli import main
+from semlink.channel import ChannelConfig, draw_channel, normalize_power, transmit_detect
+from semlink.cli import _bench_cell, main
 from semlink.config import RunConfig
+from semlink.ctensor import ComplexTensor
 from semlink.errors import ConfigError
+from semlink.metrics import nmse
+from semlink.rng import RngStream
 from semlink.scenes import load_annotated
 
 FAST_TRAIN = [
@@ -305,17 +308,36 @@ class TestChannelBench:
         assert nmse_by_snr[40.0] < 1e-3
         assert nmse_by_snr[0.0] > nmse_by_snr[20.0] > nmse_by_snr[40.0]
 
-    def test_thread_env_does_not_change_bytes(self, tmp_path):
-        args = ["channel-bench", "--seed", "6", "--bench.trials", "20",
-                "--bench.kinds", "rayleigh", "--bench.snr_db_list", "10",
-                "--bench.csi_var_list", "0"]
-        outs = []
-        for name, threads in (("t1", "1"), ("t4", "4")):
-            out = tmp_path / name
-            os.environ["SEMLINK_THREADS"] = threads
-            try:
-                assert main([*args, "--out", str(out)]) == 0
-            finally:
-                del os.environ["SEMLINK_THREADS"]
-            outs.append(out / "channel_bench.csv")
-        assert outs[0].read_bytes() == outs[1].read_bytes()
+    @pytest.mark.parametrize("kind,n_t,n_r,p_s,csi_var,n_sym", [
+        ("awgn", 1, 1, 1.0, 0.0, 64),
+        ("rayleigh", 4, 4, 4.0, 0.05, 64),
+        ("rician", 2, 3, 1.0, 0.01, 63),  # 63 symbols over 2 antennas: one padding slot
+    ])
+    def test_batched_cell_matches_per_trial_loop(self, kind, n_t, n_r, p_s, csi_var, n_sym):
+        chan_cfg = ChannelConfig(kind=kind, snr_db=10.0, n_t=n_t, n_r=n_r,
+                                 csi_error_var=csi_var, p_s=p_s)
+        base = RngStream(6, 0x5B).substream(11)
+        batched = _bench_cell(chan_cfg, base, 25, n_sym)
+        looped = []
+        for t in range(25):
+            rng = base.substream(t)
+            x = normalize_power(ComplexTensor(rng.complex_normal((n_sym, 1), 0.0, 1.0)), p_s)
+            frame = draw_channel(chan_cfg, rng.substream(1))
+            looped.append(nmse(x, transmit_detect(x, frame, rng.substream(2))))
+        np.testing.assert_array_equal(batched, np.asarray(looped))
+
+    def test_non_square_mimo_runs_without_awgn(self, tmp_path):
+        args = ["channel-bench", "--out", str(tmp_path), "--bench.trials", "3",
+                "--bench.snr_db_list", "10", "--bench.csi_var_list", "0",
+                "--channel.n_t", "2", "--channel.n_r", "3"]
+        assert main([*args, "--bench.kinds", "rayleigh,rician"]) == 0
+        _, rows = read_csv(tmp_path / "channel_bench.csv")
+        assert [r[0] for r in rows] == ["rayleigh", "rician"]
+
+    def test_non_square_awgn_exits_2(self, tmp_path, capsys):
+        args = ["channel-bench", "--out", str(tmp_path), "--bench.kinds", "awgn",
+                "--channel.n_t", "2", "--channel.n_r", "3"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "n_t == n_r" in err

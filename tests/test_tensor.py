@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradcheck import check_grads, fd_grad, rel_err
 from semlink.errors import ConfigError, ContractError, NonFiniteError, ShapeError
@@ -405,6 +407,28 @@ class TestRng:
     def test_negative_std_rejected(self):
         with pytest.raises(ContractError):
             draw_gaussian(RngStream(0), 3, std=-1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.one_of(st.integers(0, 6), st.lists(st.integers(0, 4), max_size=3).map(tuple)),
+        mean=st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+        var=st.floats(0.0, 1e6),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_complex_normal_matches_two_normal_draws(self, shape, mean, var, seed):
+        got_rng, twin = RngStream(seed, 3), RngStream(seed, 3)
+        got = got_rng.complex_normal(shape, mean, var)
+        s = math.sqrt(var / 2.0)
+        re = twin.normal(shape) * s + mean.real
+        im = twin.normal(shape) * s + mean.imag
+        want = re + 1j * im
+        assert np.shape(got) == np.shape(want) and np.asarray(got).dtype == np.complex128
+        np.testing.assert_array_equal(np.real(got), np.real(want))
+        np.testing.assert_array_equal(np.imag(got), np.imag(want))
+        size = int(np.prod(shape))
+        assert got_rng.counter == twin.counter == 2 * size
+        # the stream continues where the twin's two draws left off
+        np.testing.assert_array_equal(got_rng.normal((4,)), twin.normal((4,)))
 
 
 class TestSinusoidTable:
