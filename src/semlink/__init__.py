@@ -22,7 +22,6 @@ from .codec import (
     decode,
     embed,
     encode,
-    reconstruct,
     zero_fill,
 )
 from .config import RunConfig
@@ -34,7 +33,6 @@ from .masking import (
     patchify,
     random_mask,
     sample_mask,
-    sample_mask_fixed_count,
     unpatchify,
 )
 from .metrics import MetricReport, nmse, psnr, region_metric, ssim
@@ -57,7 +55,7 @@ from .sharing import (
     transport,
     variance_profile,
 )
-from .tensor import Tensor, backward, draw_gaussian, gelu, layer_norm, matmul, softmax_attention
+from .tensor import Tensor, backward, gelu, layer_norm, matmul, softmax_attention
 from .training import Adam, LossRecord, TrainConfig, loss_channel, loss_codec, loss_whole, train_phase
 
 __version__ = "0.1.0"

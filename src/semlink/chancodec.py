@@ -86,12 +86,8 @@ def chan_decode_real(view: Tensor, params: ChanCodecParams) -> Tensor:
     return add(matmul(view, params.dec_weight), params.dec_bias)
 
 
-def chan_encode(sem, params: ChanCodecParams) -> ComplexTensor:
-    """Semantic rows -> complex symbols [L, symbol_dim].
-
-    Accepts a SemanticTensor or a plain [L, feature_dim] Tensor.
-    """
-    values = sem.values if hasattr(sem, "values") else sem
+def chan_encode(values: Tensor, params: ChanCodecParams) -> ComplexTensor:
+    """Semantic rows [L, feature_dim] -> complex symbols [L, symbol_dim]."""
     view = chan_encode_real(values, params)
     return ComplexTensor(real_view_to_complex(view.data))
 

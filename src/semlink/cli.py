@@ -105,24 +105,25 @@ def _training_scenes(cfg: RunConfig):
     return [generate_scene(rng.substream(i), scene_cfg) for i in range(cfg["train.scenes"])]
 
 
+def _new_model(cfg: RunConfig) -> LinkModel:
+    """Freshly initialized model for the run's grid, codec settings and seed."""
+    return LinkModel.init(
+        cfg.scene_config().grid(), RngStream(cfg["seed"], _S_MODEL),
+        feature_dim=cfg["codec.feature_dim"], enc_layers=cfg["codec.enc_layers"],
+        dec_layers=cfg["codec.dec_layers"], num_heads=cfg["codec.num_heads"],
+        symbol_dim=cfg["codec.symbol_dim"],
+    )
+
+
 def cmd_train(cfg: RunConfig, out_dir: Path, phase: str, checkpoint: str | None) -> int:
     if phase not in ("codec", "channel", "whole", "all"):
         raise ConfigError(f"unknown phase {phase!r}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = cfg.scene_config().grid()
 
     if checkpoint is not None:
         model = LinkModel.load(checkpoint)
     elif phase in ("codec", "all"):
-        model = LinkModel.init(
-            grid,
-            RngStream(cfg["seed"], _S_MODEL),
-            feature_dim=cfg["codec.feature_dim"],
-            enc_layers=cfg["codec.enc_layers"],
-            dec_layers=cfg["codec.dec_layers"],
-            num_heads=cfg["codec.num_heads"],
-            symbol_dim=cfg["codec.symbol_dim"],
-        )
+        model = _new_model(cfg)
     else:
         prev = "codec" if phase == "channel" else "channel"
         prior = out_dir / f"{prev}.ckpt"
@@ -269,13 +270,7 @@ def cmd_sweep_pr(cfg: RunConfig, out_dir: Path, checkpoint: str | None) -> int:
 def _train_for_pr(cfg: RunConfig, p_r: float) -> LinkModel:
     sub = RunConfig(dict(cfg.values))
     sub.values["train.mask_prob"] = p_r
-    grid = sub.scene_config().grid()
-    model = LinkModel.init(
-        grid, RngStream(sub["seed"], _S_MODEL),
-        feature_dim=sub["codec.feature_dim"], enc_layers=sub["codec.enc_layers"],
-        dec_layers=sub["codec.dec_layers"], num_heads=sub["codec.num_heads"],
-        symbol_dim=sub["codec.symbol_dim"],
-    )
+    model = _new_model(sub)
     scenes = _training_scenes(sub)
     for ph in ("codec", "channel", "whole"):
         train_phase(model, scenes, sub.train_config(ph))

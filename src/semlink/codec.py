@@ -18,13 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
-from .masking import MaskPlan, PatchGrid, patchify, sample_mask, unpatchify
+from .masking import PatchGrid
 from .rng import RngStream
 from .tensor import (
     AttentionParams,
     Tensor,
     add,
-    gather_rows,
     gelu,
     layer_norm,
     matmul,
@@ -42,7 +41,6 @@ __all__ = [
     "encode",
     "zero_fill",
     "decode",
-    "reconstruct",
 ]
 
 LN_EPS = 1e-6
@@ -264,26 +262,3 @@ def decode(z_full: Tensor, params: CodecParams, cfg: CodecConfig) -> Tensor:
     x = layer_norm(x, params.dec_final_gain, params.dec_final_bias, LN_EPS)
     return add(matmul(x, params.out_w), params.out_b)
 
-
-def reconstruct(scene, loc, p: float, params: CodecParams, cfg: CodecConfig,
-                rng: RngStream, grid: PatchGrid | None = None):
-    """End-to-end noiseless pass: mask, encode, zero-fill, decode.
-
-    Returns (reconstructed image, semantic rows, mask plan).
-    """
-    if grid is None:
-        grid = PatchGrid.for_image(scene.image.shape, _patch_size_for(cfg, scene.image.shape))
-    rows = patchify(scene.image, grid)
-    plan = sample_mask(grid, loc, p, rng)
-    kept = gather_rows(rows, plan.keep_indices)
-    z = encode(kept, plan.keep_indices, params, cfg)
-    q_rows = decode(zero_fill(z), params, cfg)
-    return unpatchify(q_rows, grid), z, plan
-
-
-def _patch_size_for(cfg: CodecConfig, shape) -> int:
-    c, h, w = shape
-    size = int(round(np.sqrt(cfg.patch_dim // c)))
-    if c * size * size != cfg.patch_dim:
-        raise ConfigError("cannot infer patch size from codec config; pass a grid")
-    return size

@@ -1,9 +1,12 @@
 """Point-to-point link pipeline: semantic codec + channel codec + channel.
 
 Bundles the trainable pieces behind one object with checkpoint IO, and
-provides the two forward passes the rest of the system uses: a
-differentiable pass through the surrogate channel for training, and a
-statistical pass through fading + L-MMSE detection for evaluation.
+provides the forward passes the rest of the system uses: a noiseless codec
+pass, a differentiable pass through the surrogate channel for training, and a
+statistical pass through fading + L-MMSE detection for evaluation.  Each pass
+is composed of the same steps, each written once here: encode, decode, and
+one function per channel stage (training phase 2 and multi-user transport
+call the stages directly).
 
 The transmit power scale is treated as known at the receiver (automatic gain
 control), so detected symbols are de-normalized before channel decoding.
@@ -20,13 +23,15 @@ import numpy as np
 from .chancodec import ChanCodecParams, chan_decode, chan_encode, chan_decode_real, chan_encode_real
 from .channel import ChannelConfig, draw_channel, power_scale, surrogate_channel, transmit_detect
 from .codec import CodecConfig, CodecParams, SemanticTensor, decode, encode, zero_fill
+from .ctensor import ComplexTensor
 from .errors import ContractError, ParseError
 from .masking import MaskPlan, PatchGrid, patchify, unpatchify
 from .rng import RngStream
 from .snapshot import load_tensors, save_tensors
 from .tensor import Tensor, div, gather_rows, mul, power, tmean
 
-__all__ = ["LinkModel", "LinkResult", "surrogate_link", "evaluate_link", "codec_only_pass"]
+__all__ = ["LinkModel", "LinkResult", "surrogate_link", "evaluate_link", "codec_only_pass",
+           "surrogate_stage", "statistical_stage"]
 
 
 @dataclass
@@ -110,13 +115,15 @@ class LinkResult:
     plan: MaskPlan
 
 
-def codec_only_pass(model: LinkModel, image: Tensor, plan: MaskPlan):
-    """Mask, encode, zero-fill, decode; no channel.  Returns (Q, Z)."""
-    rows = patchify(image, model.grid)
-    kept = gather_rows(rows, plan.keep_indices)
-    z = encode(kept, plan.keep_indices, model.codec, model.codec_cfg)
-    q_rows = decode(zero_fill(z), model.codec, model.codec_cfg)
-    return unpatchify(q_rows, model.grid), z
+def _encode(model: LinkModel, image: Tensor, plan: MaskPlan) -> SemanticTensor:
+    """Patchify, keep the plan's patches, encode them."""
+    kept = gather_rows(patchify(image, model.grid), plan.keep_indices)
+    return encode(kept, plan.keep_indices, model.codec, model.codec_cfg)
+
+
+def _decode(model: LinkModel, z: SemanticTensor) -> Tensor:
+    """Zero-fill to the full sequence, decode, unpatchify."""
+    return unpatchify(decode(zero_fill(z), model.codec, model.codec_cfg), model.grid)
 
 
 def _normalize_real(view: Tensor, p_s: float):
@@ -132,21 +139,39 @@ def _normalize_real(view: Tensor, p_s: float):
     return mul(view, scale), scale
 
 
+def surrogate_stage(values: Tensor, chan: ChanCodecParams, chan_cfg: ChannelConfig,
+                    rng: RngStream) -> Tensor:
+    """Differentiable channel stage: semantic rows -> received semantic rows
+    through the channel codec and the surrogate channel."""
+    norm_view, scale = _normalize_real(chan_encode_real(values, chan), chan_cfg.p_s)
+    received = surrogate_channel(norm_view, chan_cfg, rng)
+    return chan_decode_real(div(received, scale), chan)
+
+
+def statistical_stage(values: Tensor, chan: ChanCodecParams, chan_cfg: ChannelConfig,
+                      rng: RngStream, frame=None) -> ComplexTensor:
+    """Statistical channel stage: semantic rows -> detected symbols, scaled
+    back to the encoder's power.  The channel is drawn from rng.substream(1)
+    unless a frame is given; the noise comes from rng.substream(2)."""
+    x = chan_encode(values, chan)
+    s = power_scale(x, chan_cfg.p_s)
+    if frame is None:
+        frame = draw_channel(chan_cfg, rng.substream(1))
+    return transmit_detect(x * s, frame, rng.substream(2)) * (1.0 / s)
+
+
+def codec_only_pass(model: LinkModel, image: Tensor, plan: MaskPlan):
+    """Mask, encode, zero-fill, decode; no channel.  Returns (Q, Z)."""
+    z = _encode(model, image, plan)
+    return _decode(model, z), z
+
+
 def surrogate_link(model: LinkModel, image: Tensor, plan: MaskPlan,
                    chan_cfg: ChannelConfig, rng: RngStream) -> LinkResult:
-    """Differentiable end-to-end pass used by training phases 2 and 3."""
-    rows = patchify(image, model.grid)
-    kept = gather_rows(rows, plan.keep_indices)
-    z = encode(kept, plan.keep_indices, model.codec, model.codec_cfg)
-
-    view = chan_encode_real(z.values, model.chan)
-    norm_view, scale = _normalize_real(view, chan_cfg.p_s)
-    received = surrogate_channel(norm_view, chan_cfg, rng)
-    z_hat_rows = chan_decode_real(div(received, scale), model.chan)
-    z_hat = z.with_values(z_hat_rows)
-
-    q_rows = decode(zero_fill(z_hat), model.codec, model.codec_cfg)
-    return LinkResult(unpatchify(q_rows, model.grid), z, z_hat, plan)
+    """Differentiable end-to-end pass used by training phase 3."""
+    z = _encode(model, image, plan)
+    z_hat = z.with_values(surrogate_stage(z.values, model.chan, chan_cfg, rng))
+    return LinkResult(_decode(model, z_hat), z, z_hat, plan)
 
 
 def evaluate_link(model: LinkModel, image: Tensor, plan: MaskPlan,
@@ -157,16 +182,7 @@ def evaluate_link(model: LinkModel, image: Tensor, plan: MaskPlan,
     A pre-drawn frame can be passed to pair arms of a comparison on the same
     channel realization.
     """
-    rows = patchify(image, model.grid)
-    kept = gather_rows(rows, plan.keep_indices)
-    z = encode(kept, plan.keep_indices, model.codec, model.codec_cfg)
-
-    x = chan_encode(z, model.chan)
-    s = power_scale(x, chan_cfg.p_s)
-    if frame is None:
-        frame = draw_channel(chan_cfg, rng.substream(1))
-    x_hat = transmit_detect(x * s, frame, rng.substream(2)) * (1.0 / s)
+    z = _encode(model, image, plan)
+    x_hat = statistical_stage(z.values, model.chan, chan_cfg, rng, frame)
     z_hat = z.with_values(chan_decode(x_hat, model.chan))
-
-    q_rows = decode(zero_fill(z_hat), model.codec, model.codec_cfg)
-    return LinkResult(unpatchify(q_rows, model.grid), z, z_hat, plan)
+    return LinkResult(_decode(model, z_hat), z, z_hat, plan)

@@ -4,8 +4,8 @@ An image is cut into a grid of square patches.  The mask sampler takes the
 set of object patches R (from the scene locator) and masks each patch
 independently: object patches with probability p, background patches with
 probability 1 - p.  Keeping p below 0.5 biases the kept set towards object
-pixels.  A fixed-count variant supports budget-matched baseline comparisons,
-and a uniform sampler is the baseline being compared against.
+pixels.  A uniform sampler of a given kept count is the baseline being
+compared against.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "patchify",
     "unpatchify",
     "sample_mask",
-    "sample_mask_fixed_count",
     "random_mask",
 ]
 
@@ -147,39 +146,6 @@ def sample_mask(grid: PatchGrid, loc, p: float, rng: RngStream) -> MaskPlan:
     probs[obj] = p
     u = rng.uniform((n,))
     return _plan_from_masked(u < probs, obj, p)
-
-
-def sample_mask_fixed_count(grid: PatchGrid, loc, p: float, keep_count: int,
-                            rng: RngStream) -> MaskPlan:
-    """Exactly keep_count kept patches, drawn without replacement with keep
-    weight 1 - p on object patches and p elsewhere.
-
-    If fewer patches have positive weight than keep_count, the positive-weight
-    ones are all kept and the remainder is filled uniformly from the rest.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ContractError(f"mask probability {p} outside [0, 1]")
-    n = grid.num_patches
-    if not 0 <= keep_count <= n:
-        raise ContractError(f"keep_count {keep_count} outside [0, {n}]")
-    weights = np.full(n, p)
-    obj = np.asarray(sorted(loc.patch_indices), dtype=np.intp)
-    weights[obj] = 1.0 - p
-
-    positive = np.flatnonzero(weights > 0)
-    if keep_count == 0:
-        kept = np.empty(0, dtype=np.intp)
-    elif len(positive) >= keep_count:
-        pnorm = weights[positive] / weights[positive].sum()
-        kept = positive[rng.choice(len(positive), keep_count, replace=False, p=pnorm)]
-    else:
-        rest = np.flatnonzero(weights == 0)
-        extra = rest[rng.choice(len(rest), keep_count - len(positive), replace=False)]
-        kept = np.concatenate([positive, extra])
-
-    masked = np.ones(n, dtype=bool)
-    masked[kept] = False
-    return _plan_from_masked(masked, obj, p)
 
 
 def random_mask(grid: PatchGrid, keep_count: int, rng: RngStream) -> MaskPlan:

@@ -13,8 +13,20 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 _MASK64 = (1 << 64) - 1
+
+
+class _PhiloxKey(ISeedSequence):
+    """Hands Philox a fixed key as its seed state.  Philox(key=...) would
+    first build a SeedSequence from OS entropy and then discard it."""
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
 
 
 def _mix64(a: int, b: int) -> int:
@@ -37,7 +49,7 @@ class RngStream:
         self.stream_id = int(stream_id) & _MASK64
         self.counter = 0
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._gen = np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id}, counter={self.counter})"

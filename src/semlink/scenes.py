@@ -354,9 +354,15 @@ def _read_pnm(path: Path) -> np.ndarray:
         tokens.append(raw[pos:end])
         pos = end
     pos += 1  # single whitespace after maxval
-    magic, w, h, maxval = tokens[0], int(tokens[1]), int(tokens[2]), int(tokens[3])
+    magic = tokens[0]
     if magic not in (b"P5", b"P6"):
         raise ParseError(f"{path.name}: unsupported magic {magic!r}")
+    try:
+        w, h, maxval = (int(t) for t in tokens[1:])
+    except ValueError:
+        raise ParseError(f"{path.name}: non-integer size or maxval {tokens[1:]!r}") from None
+    if min(w, h, maxval) < 1:
+        raise ParseError(f"{path.name}: size and maxval must be positive, got {w}x{h} {maxval}")
     if maxval != 255:
         raise ParseError(f"{path.name}: only 8-bit images supported")
     c = 1 if magic == b"P5" else 3

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chancodec import ChanCodecParams, chan_decode, chan_encode
-from .channel import ChannelConfig, draw_channel, power_scale, transmit_detect
+from .chancodec import ChanCodecParams, chan_decode
+from .channel import ChannelConfig
 from .errors import ConfigError, ContractError
+from .link import statistical_stage
 from .rng import RngStream
 from .tensor import Tensor
 
@@ -136,16 +137,6 @@ class TransportResult:
     symbols_sent: int  # complex symbols: rows_sent * symbol_dim
 
 
-def _send_rows(rows: np.ndarray, codec: ChanCodecParams, cfg: ChannelConfig,
-               rng: RngStream):
-    """Encode rows, normalize power, cross the channel, detect, de-normalize."""
-    x = chan_encode(Tensor(rows), codec)
-    s = power_scale(x, cfg.p_s)
-    frame = draw_channel(cfg, rng.substream(1))
-    x_hat = transmit_detect(x * s, frame, rng.substream(2)) * (1.0 / s)
-    return x_hat
-
-
 def transport(part: SharePartition, user_codecs: list, pub_codec: ChanCodecParams,
               cfg: ChannelConfig, rng: RngStream) -> TransportResult:
     """Broadcast the shared rows once, send private rows per user, reassemble.
@@ -165,14 +156,15 @@ def transport(part: SharePartition, user_codecs: list, pub_codec: ChanCodecParam
 
     x_pub_hat = None
     if part.l_pub:
-        x_pub_hat = _send_rows(part.z_pub, pub_codec, cfg, rng.substream(0))
+        x_pub_hat = statistical_stage(Tensor(part.z_pub), pub_codec, cfg, rng.substream(0))
 
     z_hat = []
     rows_sent = part.l_pub
     for u in range(k):
         x_pri_hat = None
         if part.l_pri:
-            x_pri_hat = _send_rows(part.z_pri[u], user_codecs[u], cfg, rng.substream(100 + u))
+            x_pri_hat = statistical_stage(Tensor(part.z_pri[u]), user_codecs[u], cfg,
+                                          rng.substream(100 + u))
             rows_sent += part.l_pri
         out = np.zeros((part.length, d_s))
         if x_pub_hat is not None:

@@ -49,7 +49,6 @@ __all__ = [
     "sinusoid_table",
     "backward",
     "zero_grad",
-    "draw_gaussian",
 ]
 
 
@@ -591,9 +590,3 @@ def zero_grad(tensors) -> None:
     for t in tensors:
         t.grad = None
 
-
-def draw_gaussian(stream: RngStream, n: int, mean: float = 0.0, std: float = 1.0) -> Tensor:
-    """n i.i.d. Gaussian samples as a constant tensor; advances the stream."""
-    if std < 0:
-        raise ContractError("draw_gaussian requires std >= 0")
-    return Tensor(stream.normal((n,), mean=mean, std=std))

@@ -16,15 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chancodec import chan_decode_real, chan_encode_real
-from .channel import ChannelConfig, surrogate_channel
-from .codec import encode
+from .channel import ChannelConfig
 from .errors import ConfigError, ContractError, NonFiniteError, TrainingDiverged
-from .link import LinkModel, _normalize_real, codec_only_pass, surrogate_link
-from .masking import patchify, sample_mask
+from .link import LinkModel, _encode, codec_only_pass, surrogate_link, surrogate_stage
+from .masking import sample_mask
 from .rng import RngStream
 from .scenes import locate_any
-from .tensor import Tensor, add, backward, div, gather_rows, mul, sub, tmean, zero_grad
+from .tensor import Tensor, add, backward, mul, sub, tmean, zero_grad
 
 __all__ = [
     "TrainConfig",
@@ -149,40 +147,20 @@ def sample_nonempty_mask(grid, loc, p: float, rng: RngStream, max_tries: int = 1
     raise ContractError(f"no non-empty mask after {max_tries} draws (p={p})")
 
 
-def _surrogate_cfg(cfg: TrainConfig, snr_db: float) -> ChannelConfig:
-    return ChannelConfig(kind=cfg.surrogate_kind, snr_db=snr_db)
-
-
-def _forward_codec(model: LinkModel, scene, cfg: TrainConfig, rng: RngStream) -> Tensor:
+def _sample_loss(model: LinkModel, scene, phase: str, cfg: TrainConfig, snr_db: float | None,
+                 rng: RngStream) -> Tensor:
+    """One sample's loss for a phase: mask once, then the phase's forward."""
     loc = locate_any(scene, model.grid)
     plan = sample_nonempty_mask(model.grid, loc, cfg.mask_prob, rng.substream(1))
-    q, _ = codec_only_pass(model, scene.image, plan)
-    return loss_codec(scene.image, q)
-
-
-def _forward_channel(model: LinkModel, scene, cfg: TrainConfig, snr_db: float,
-                     rng: RngStream) -> Tensor:
-    loc = locate_any(scene, model.grid)
-    plan = sample_nonempty_mask(model.grid, loc, cfg.mask_prob, rng.substream(1))
-    rows = patchify(scene.image, model.grid)
-    kept = gather_rows(rows, plan.keep_indices)
-    # frozen semantic encoder: semantics enter as constants
-    z = encode(kept, plan.keep_indices, model.codec, model.codec_cfg)
-    z_const = z.values.detach()
-
-    view = chan_encode_real(z_const, model.chan)
-    norm_view, scale = _normalize_real(view, 1.0)
-    received = surrogate_channel(norm_view, _surrogate_cfg(cfg, snr_db), rng.substream(2))
-    z_hat = chan_decode_real(div(received, scale), model.chan)
-    return loss_channel(z_const, z_hat)
-
-
-def _forward_whole(model: LinkModel, scene, cfg: TrainConfig, snr_db: float,
-                   rng: RngStream) -> Tensor:
-    loc = locate_any(scene, model.grid)
-    plan = sample_nonempty_mask(model.grid, loc, cfg.mask_prob, rng.substream(1))
-    result = surrogate_link(model, scene.image, plan, _surrogate_cfg(cfg, snr_db),
-                            rng.substream(2))
+    if phase == "codec":
+        q, _ = codec_only_pass(model, scene.image, plan)
+        return loss_codec(scene.image, q)
+    chan_cfg = ChannelConfig(kind=cfg.surrogate_kind, snr_db=snr_db)
+    if phase == "channel":
+        # frozen semantic encoder: semantics enter as constants
+        z = _encode(model, scene.image, plan).values.detach()
+        return loss_channel(z, surrogate_stage(z, model.chan, chan_cfg, rng.substream(2)))
+    result = surrogate_link(model, scene.image, plan, chan_cfg, rng.substream(2))
     return loss_whole(scene.image, result.image, result.z.values, result.z_hat.values)
 
 
@@ -221,12 +199,7 @@ def train_phase(model: LinkModel, scenes: list, cfg: TrainConfig,
             scene = scenes[int(scene_idx)]
             sample_rng = root.substream(3, epoch, pos)
             try:
-                if cfg.phase == "codec":
-                    loss = _forward_codec(model, scene, cfg, sample_rng)
-                elif cfg.phase == "channel":
-                    loss = _forward_channel(model, scene, cfg, snr_db, sample_rng)
-                else:
-                    loss = _forward_whole(model, scene, cfg, snr_db, sample_rng)
+                loss = _sample_loss(model, scene, cfg.phase, cfg, snr_db, sample_rng)
                 backward(loss)
             except NonFiniteError as exc:
                 raise TrainingDiverged(
@@ -267,6 +240,6 @@ def dataset_loss(model: LinkModel, scenes: list, cfg: TrainConfig, seed_salt: in
     root = RngStream(cfg.seed, seed_salt)
     total = 0.0
     for i, scene in enumerate(scenes):
-        loss = _forward_codec(model, scene, cfg, root.substream(i))
+        loss = _sample_loss(model, scene, "codec", cfg, None, root.substream(i))
         total += float(loss.data)
     return total / len(scenes)

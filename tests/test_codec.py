@@ -10,16 +10,16 @@ from semlink.codec import (
     decode,
     embed,
     encode,
-    reconstruct,
     zero_fill,
 )
 from semlink.errors import ConfigError, ContractError
-from semlink.link import LinkModel
-from semlink.masking import PatchGrid, patchify, unpatchify
+from semlink.chancodec import ChanCodecParams
+from semlink.link import LinkModel, codec_only_pass
+from semlink.masking import PatchGrid, patchify, sample_mask, unpatchify
 from semlink.rng import RngStream
 from semlink.scenes import Loc, SceneConfig, generate_scene, locate_any
 from semlink.tensor import Tensor, layer_norm, mul, sinusoid_table, tmean
-from semlink.training import TrainConfig, _forward_codec
+from semlink.training import TrainConfig, _sample_loss
 
 
 def small_cfg(num_patches=16, patch_dim=8):
@@ -197,7 +197,15 @@ class TestDecode:
             assert np.all(np.isfinite(out.data))
 
 
+def codec_model(grid, ccfg, params) -> LinkModel:
+    """LinkModel around given codec parameters (its channel codec is unused
+    by the noiseless pass)."""
+    return LinkModel(grid, ccfg, params, ChanCodecParams.init(ccfg.feature_dim, 8, RngStream(0)))
+
+
 class TestReconstruct:
+    """Noiseless mask, encode, zero-fill, decode through link.codec_only_pass."""
+
     def test_all_masked_surfaces_contract_error(self):
         cfg = SceneConfig()
         grid = cfg.grid()
@@ -206,17 +214,20 @@ class TestReconstruct:
         params = CodecParams.init(ccfg, RngStream(12))
         loc = Loc(frozenset(range(grid.num_patches)))
         with pytest.raises(ContractError):
-            reconstruct(scene, loc, 1.0, params, ccfg, RngStream(13), grid=grid)
+            plan = sample_mask(grid, loc, 1.0, RngStream(13))
+            codec_only_pass(codec_model(grid, ccfg, params), scene.image, plan)
 
     def test_deterministic(self):
         cfg = SceneConfig()
         grid = cfg.grid()
         scene = generate_scene(RngStream(2, 51), cfg)
         ccfg = CodecConfig.for_grid(grid, feature_dim=16, enc_layers=1, dec_layers=1, num_heads=2)
-        params = CodecParams.init(ccfg, RngStream(14))
+        model = codec_model(grid, ccfg, CodecParams.init(ccfg, RngStream(14)))
         loc = locate_any(scene, grid)
-        q1, z1, plan1 = reconstruct(scene, loc, 0.3, params, ccfg, RngStream(15), grid=grid)
-        q2, z2, plan2 = reconstruct(scene, loc, 0.3, params, ccfg, RngStream(15), grid=grid)
+        plan1 = sample_mask(grid, loc, 0.3, RngStream(15))
+        q1, z1 = codec_only_pass(model, scene.image, plan1)
+        plan2 = sample_mask(grid, loc, 0.3, RngStream(15))
+        q2, z2 = codec_only_pass(model, scene.image, plan2)
         np.testing.assert_array_equal(q1.data, q2.data)
         np.testing.assert_array_equal(plan1.masked, plan2.masked)
 
@@ -225,9 +236,10 @@ class TestReconstruct:
         grid = cfg.grid()
         scene = generate_scene(RngStream(3, 52), cfg)
         ccfg = CodecConfig.for_grid(grid, feature_dim=16, enc_layers=1, dec_layers=1, num_heads=2)
-        params = CodecParams.init(ccfg, RngStream(16))
+        model = codec_model(grid, ccfg, CodecParams.init(ccfg, RngStream(16)))
         loc = locate_any(scene, grid)
-        q, z, plan = reconstruct(scene, loc, 0.3, params, ccfg, RngStream(17), grid=grid)
+        plan = sample_mask(grid, loc, 0.3, RngStream(17))
+        q, z = codec_only_pass(model, scene.image, plan)
         assert q.shape == scene.image.shape
         assert z.values.shape == (plan.keep_count, ccfg.feature_dim)
 
@@ -282,5 +294,5 @@ class TestGraphSize:
         cfg = SceneConfig()
         model = LinkModel.init(cfg.grid(), RngStream(22))
         scene = generate_scene(RngStream(23), cfg)
-        loss = _forward_codec(model, scene, TrainConfig(), RngStream(24))
+        loss = _sample_loss(model, scene, "codec", TrainConfig(), None, RngStream(24))
         assert count_op_nodes(loss) <= 80

@@ -8,7 +8,6 @@ from semlink.masking import (
     patchify,
     random_mask,
     sample_mask,
-    sample_mask_fixed_count,
     unpatchify,
 )
 from semlink.rng import RngStream
@@ -115,43 +114,6 @@ class TestSampleMask:
         np.testing.assert_array_equal(back.keep_indices, plan.keep_indices)
         assert back.object_indices == plan.object_indices
         assert back.object_mask_prob == plan.object_mask_prob
-
-
-class TestFixedCount:
-    def setup_method(self):
-        self.grid = grid_for(1, 32, 32, 4)
-        self.loc = Loc(frozenset(range(10)))
-
-    def test_keep_everything(self):
-        plan = sample_mask_fixed_count(self.grid, self.loc, 0.3, 64, RngStream(1))
-        assert plan.keep_count == 64
-        assert not plan.masked.any()
-
-    def test_keep_nothing(self):
-        plan = sample_mask_fixed_count(self.grid, self.loc, 0.3, 0, RngStream(2))
-        assert plan.keep_count == 0
-        assert plan.masked.all()
-
-    def test_exact_count_always(self):
-        for seed, count in [(1, 1), (2, 13), (3, 40), (4, 63)]:
-            plan = sample_mask_fixed_count(self.grid, self.loc, 0.25, count, RngStream(seed))
-            assert plan.keep_count == count
-
-    def test_zero_background_weight_keeps_subset_of_objects(self):
-        for seed in range(30):
-            plan = sample_mask_fixed_count(self.grid, self.loc, 0.0, 7, RngStream(seed))
-            assert set(int(i) for i in plan.keep_indices) <= self.loc.patch_indices
-
-    def test_overflow_falls_back_to_uniform_fill(self):
-        # only 10 positive-weight patches but 20 requested
-        plan = sample_mask_fixed_count(self.grid, self.loc, 0.0, 20, RngStream(9))
-        kept = set(int(i) for i in plan.keep_indices)
-        assert plan.keep_count == 20
-        assert self.loc.patch_indices <= kept
-
-    def test_bounds(self):
-        with pytest.raises(ContractError):
-            sample_mask_fixed_count(self.grid, self.loc, 0.3, 65, RngStream(0))
 
 
 class TestRandomMask:

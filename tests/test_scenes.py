@@ -193,6 +193,21 @@ class TestSceneIO:
         with pytest.raises(ParseError):
             load_annotated(tmp_path)
 
+    @pytest.mark.parametrize("header", [
+        b"P5\nxx 8\n255\n",  # non-numeric width
+        b"P5\n8 8.5\n255\n",  # non-integer height
+        b"P5\n0 8\n255\n",  # zero width
+        b"P5\n8 -1\n255\n",  # negative height
+        b"P5\n8 8\n0\n",  # zero maxval
+        b"P5\n8 8\nff\n",  # non-numeric maxval
+    ])
+    def test_bad_pnm_header_named_in_error(self, tmp_path, header):
+        scene = generate_scene(RngStream(9, 9), SceneConfig(channels=1))
+        save_scene(scene, tmp_path)
+        (tmp_path / f"{scene.id}.pgm").write_bytes(header + bytes(64))
+        with pytest.raises(ParseError, match=scene.id):
+            load_annotated(tmp_path)
+
     def test_missing_sidecar(self, tmp_path):
         scene = generate_scene(RngStream(8, 8), SceneConfig())
         save_scene(scene, tmp_path)

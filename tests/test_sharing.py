@@ -4,6 +4,7 @@ import pytest
 from semlink.chancodec import ChanCodecParams, inverse_params
 from semlink.channel import ChannelConfig
 from semlink.errors import ConfigError, ContractError
+from semlink.link import statistical_stage
 from semlink.rng import RngStream
 from semlink.sharing import (
     MultiUserSemantics,
@@ -14,7 +15,7 @@ from semlink.sharing import (
     transport,
     variance_profile,
 )
-from semlink.sharing import _send_rows
+from semlink.tensor import Tensor
 
 
 def brute_force_partition(values, epsilon, all_pairs=False):
@@ -175,7 +176,8 @@ class TestTransport:
 
         for u in range(3):
             direct = chan_decode(
-                _send_rows(z.values[u], self.codec, self.clean, RngStream(15).substream(100 + u)),
+                statistical_stage(Tensor(z.values[u]), self.codec, self.clean,
+                                  RngStream(15).substream(100 + u)),
                 self.codec,
             ).data
             np.testing.assert_array_equal(res.z_hat[u], direct)

@@ -17,7 +17,6 @@ from semlink.tensor import (
     backward,
     concat,
     div,
-    draw_gaussian,
     gather_rows,
     gelu,
     layer_norm,
@@ -371,14 +370,14 @@ class TestFiniteDifferences:
 
 class TestRng:
     def test_zero_std_constant(self):
-        t = draw_gaussian(RngStream(1, 2), 10, mean=3.5, std=0.0)
-        np.testing.assert_array_equal(t.data, np.full(10, 3.5))
+        t = RngStream(1, 2).normal((10,), mean=3.5, std=0.0)
+        np.testing.assert_array_equal(t, np.full(10, 3.5))
 
     def test_clt_mean_bound(self):
         n = 1_000_000
         mean, std = 0.7, 2.0
-        t = draw_gaussian(RngStream(3, 4), n, mean=mean, std=std)
-        assert abs(t.data.mean() - mean) < 4 * std / math.sqrt(n)
+        t = RngStream(3, 4).normal((n,), mean=mean, std=std)
+        assert abs(t.mean() - mean) < 4 * std / math.sqrt(n)
 
     def test_bit_identical_streams(self):
         a = RngStream(42, 9).normal((1000,))
@@ -392,6 +391,14 @@ class TestRng:
         rho = np.corrcoef(a, b)[0, 1]
         assert abs(rho) < 0.03
 
+    @pytest.mark.parametrize("sid", [0, 2**63, 2**64 - 1])
+    def test_philox_key_is_seed_and_stream_id(self, sid):
+        ours = RngStream(42, sid)
+        ref = np.random.Generator(np.random.Philox(key=np.array([42, sid], dtype=np.uint64)))
+        np.testing.assert_array_equal(ours._gen.bit_generator.state["state"]["key"],
+                                      ref.bit_generator.state["state"]["key"])
+        np.testing.assert_array_equal(ours.normal((100,)), ref.normal(size=100))
+
     def test_substream_deterministic(self):
         a = RngStream(5).substream(7, 9).normal((50,))
         b = RngStream(5).substream(7, 9).normal((50,))
@@ -403,10 +410,6 @@ class TestRng:
         assert s.counter == 10
         s.uniform((3, 3))
         assert s.counter == 19
-
-    def test_negative_std_rejected(self):
-        with pytest.raises(ContractError):
-            draw_gaussian(RngStream(0), 3, std=-1.0)
 
     @settings(max_examples=60, deadline=None)
     @given(
