@@ -3,9 +3,11 @@
 Symbols are serialized row-major from the [L, symbol_dim] signal, zero-padded
 to a multiple of n_t, and reshaped into n_t-row blocks with one block-fading
 channel matrix per frame.  Detection applies
-X_hat = H_hatᴴ (H_hat H_hatᴴ + (noise_var / p_s) I)⁻¹ Y blockwise with the
-estimated CSI, the L-MMSE estimator for i.i.d. symbols of power p_s, and
-strips the padding.
+X_hat = H_hatᴴ (H_hat H_hatᴴ + (noise_var / p_s + n_t csi_error_var) I)⁻¹ Y
+blockwise with the estimated CSI and strips the padding.  This is the L-MMSE
+estimator for i.i.d. symbols of power p_s when H = H_hat - E with E i.i.d.
+CN(0, csi_error_var): the term E X adds p_s n_t csi_error_var to the noise
+power a detector built from H_hat sees.
 
 draw_channel, transmit, lmmse_detect and transmit_detect also take a stack
 of T frames: given a sequence of T streams, draw_channel returns a frame of
@@ -87,6 +89,7 @@ class ChannelFrame:
     h_hat: ComplexTensor  # estimated CSI, same shape
     noise_var: float
     p_s: float = 1.0  # symbol power the detector assumes
+    csi_error_var: float = 0.0  # variance of the CSI error entries H_hat - H
 
 
 def _per_stream(rng, draw) -> np.ndarray:
@@ -158,7 +161,8 @@ def draw_channel(cfg: ChannelConfig, rng) -> ChannelFrame:
     h_hat = h
     if cfg.csi_error_var > 0:
         h_hat = h + _per_stream(rng, lambda r: r.complex_normal(h.shape[-2:], 0.0, cfg.csi_error_var))
-    return ChannelFrame(ComplexTensor(h), ComplexTensor(h_hat), calibrate_noise(cfg), cfg.p_s)
+    return ChannelFrame(ComplexTensor(h), ComplexTensor(h_hat), calibrate_noise(cfg), cfg.p_s,
+                        cfg.csi_error_var)
 
 
 # -- transmission and detection -------------------------------------------------
@@ -198,7 +202,7 @@ def transmit(x: ComplexTensor, frame: ChannelFrame, rng) -> ComplexTensor:
 
 
 def lmmse_detect(y: ComplexTensor, frame: ChannelFrame, out_shape=None) -> ComplexTensor:
-    """L-MMSE detection with estimated CSI.
+    """L-MMSE detection with estimated CSI, counting its error as noise.
 
     out_shape, when given, strips the zero-padding and restores the original
     layout (including the stack axis of a stacked frame); otherwise the n_t-row
@@ -208,7 +212,7 @@ def lmmse_detect(y: ComplexTensor, frame: ChannelFrame, out_shape=None) -> Compl
     if y.data.ndim != hh.ndim or y.shape[:-1] != hh.shape[:-1]:
         raise ShapeError(f"received blocks {y.shape} do not match CSI {hh.shape}")
     hh_h = hh.conj().swapaxes(-1, -2)
-    reg = max(frame.noise_var / frame.p_s, _INV_FLOOR)
+    reg = max(frame.noise_var / frame.p_s + hh.shape[-1] * frame.csi_error_var, _INV_FLOOR)
     gram = hh @ hh_h + reg * np.eye(hh.shape[-2])
     try:
         w = np.linalg.solve(gram, y.data)

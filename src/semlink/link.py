@@ -6,7 +6,7 @@ pass, a differentiable pass through the surrogate channel for training, and a
 statistical pass through fading + L-MMSE detection for evaluation.  Each pass
 is composed of the same steps, each written once here: encode, decode, and
 one function per channel stage (training phase 2 and multi-user transport
-call the stages directly).
+call the stages directly; transport sends its private streams as one stack).
 
 The transmit power scale is treated as known at the receiver (automatic gain
 control), so detected symbols are de-normalized before channel decoding.
@@ -31,7 +31,7 @@ from .snapshot import load_tensors, save_tensors
 from .tensor import Tensor, div, gather_rows, mul, power, tmean
 
 __all__ = ["LinkModel", "LinkResult", "surrogate_link", "evaluate_link", "codec_only_pass",
-           "surrogate_stage", "statistical_stage"]
+           "surrogate_stage", "statistical_stage", "fading_stage"]
 
 
 @dataclass
@@ -151,13 +151,28 @@ def surrogate_stage(values: Tensor, chan: ChanCodecParams, chan_cfg: ChannelConf
 def statistical_stage(values: Tensor, chan: ChanCodecParams, chan_cfg: ChannelConfig,
                       rng: RngStream, frame=None) -> ComplexTensor:
     """Statistical channel stage: semantic rows -> detected symbols, scaled
-    back to the encoder's power.  The channel is drawn from rng.substream(1)
-    unless a frame is given; the noise comes from rng.substream(2)."""
-    x = chan_encode(values, chan)
-    s = power_scale(x, chan_cfg.p_s)
+    back to the encoder's power (see fading_stage)."""
+    return fading_stage(chan_encode(values, chan), chan_cfg, rng, frame)
+
+
+def fading_stage(x: ComplexTensor, chan_cfg: ChannelConfig, rng, frame=None) -> ComplexTensor:
+    """Symbols -> power normalization, fading, L-MMSE detection -> symbols at
+    their original power.  The channel is drawn from rng.substream(1) unless
+    a frame is given; the noise comes from rng.substream(2).
+
+    Given a sequence of T streams, x is a stack of T signals [T, ...], each
+    normalized on its own and sent through the frame drawn from its stream,
+    with the same result as sending it alone.
+    """
+    if isinstance(rng, RngStream):
+        s = power_scale(x, chan_cfg.p_s)
+        chan_rng, noise_rng = rng.substream(1), rng.substream(2)
+    else:
+        s = power_scale(x, chan_cfg.p_s, stacked=True)
+        chan_rng, noise_rng = [r.substream(1) for r in rng], [r.substream(2) for r in rng]
     if frame is None:
-        frame = draw_channel(chan_cfg, rng.substream(1))
-    return transmit_detect(x * s, frame, rng.substream(2)) * (1.0 / s)
+        frame = draw_channel(chan_cfg, chan_rng)
+    return transmit_detect(x * s, frame, noise_rng) * (1.0 / s)
 
 
 def codec_only_pass(model: LinkModel, image: Tensor, plan: MaskPlan):

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chancodec import ChanCodecParams, chan_decode
+from .chancodec import ChanCodecParams, chan_decode, chan_encode
 from .channel import ChannelConfig
+from .ctensor import ComplexTensor
 from .errors import ConfigError, ContractError
-from .link import statistical_stage
+from .link import fading_stage, statistical_stage
 from .rng import RngStream
 from .tensor import Tensor
 
@@ -142,9 +143,10 @@ def transport(part: SharePartition, user_codecs: list, pub_codec: ChanCodecParam
     """Broadcast the shared rows once, send private rows per user, reassemble.
 
     The public stream uses one channel realization shared by all receivers;
-    each private stream uses that user's own realization.  Receiver k decodes
-    the concatenated detected streams with its own decoder and scatters rows
-    back to their original sequence positions.
+    each private stream uses that user's own realization, drawn from
+    rng.substream(100 + u), and all K private streams cross the channel as
+    one stack.  Receiver k decodes the concatenated detected streams with its
+    own decoder and scatters rows back to their original sequence positions.
     """
     k = part.num_users
     if len(user_codecs) != k:
@@ -158,20 +160,22 @@ def transport(part: SharePartition, user_codecs: list, pub_codec: ChanCodecParam
     if part.l_pub:
         x_pub_hat = statistical_stage(Tensor(part.z_pub), pub_codec, cfg, rng.substream(0))
 
+    x_pri_hat = None
+    if part.l_pri:
+        x_pri = np.stack([chan_encode(Tensor(part.z_pri[u]), user_codecs[u]).data
+                          for u in range(k)])
+        x_pri_hat = fading_stage(ComplexTensor(x_pri), cfg,
+                                 [rng.substream(100 + u) for u in range(k)]).data
+
     z_hat = []
-    rows_sent = part.l_pub
     for u in range(k):
-        x_pri_hat = None
-        if part.l_pri:
-            x_pri_hat = statistical_stage(Tensor(part.z_pri[u]), user_codecs[u], cfg,
-                                          rng.substream(100 + u))
-            rows_sent += part.l_pri
         out = np.zeros((part.length, d_s))
         if x_pub_hat is not None:
             out[part.shared_idx] = chan_decode(x_pub_hat, user_codecs[u]).data
         if x_pri_hat is not None:
-            out[part.private_idx] = chan_decode(x_pri_hat, user_codecs[u]).data
+            out[part.private_idx] = chan_decode(ComplexTensor(x_pri_hat[u]), user_codecs[u]).data
         z_hat.append(out)
+    rows_sent = part.l_pub + k * part.l_pri
     return TransportResult(z_hat, rows_sent, rows_sent * sym_dim)
 
 

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ConfigError, ContractError, NonFiniteError, ShapeError
 from .rng import RngStream
@@ -376,6 +375,8 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 def gelu(a) -> Tensor:
     """Gaussian error linear unit, exact erf form: x * Phi(x)."""
+    from scipy.special import erf  # here, not at module top: only the codec needs scipy
+
     a = as_tensor(a)
     phi_cdf = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
     out = a.data * phi_cdf

@@ -229,6 +229,52 @@ class TestPowerInvariance:
         assert abs(val - 1.0 / 11.0) < 0.003
 
 
+def _csi_blind_detect(y, frame):
+    """The detector that treats the estimated CSI as exact: regularizer
+    noise_var / p_s, whatever the CSI error."""
+    hh = frame.h_hat.data
+    hh_h = hh.conj().swapaxes(-1, -2)
+    reg = max(frame.noise_var / frame.p_s, 1e-12)
+    return hh_h @ np.linalg.solve(hh @ hh_h + reg * np.eye(hh.shape[-2]), y.data)
+
+
+def _stacked_cell(cfg, trials, n_sym, seed):
+    streams = [RngStream(seed, t) for t in range(trials)]
+    x = normalize_power(
+        ComplexTensor(np.stack([r.complex_normal((n_sym, 1), 0.0, 1.0) for r in streams])),
+        cfg.p_s, stacked=True,
+    )
+    frame = draw_channel(cfg, [r.substream(1) for r in streams])
+    return x, frame, transmit(x, frame, [r.substream(2) for r in streams])
+
+
+class TestCsiAwareDetection:
+    """With CSI error E = H_hat - H of variance csi_error_var per entry, the
+    detector adds n_t * csi_error_var to its regularizer."""
+
+    def test_frame_carries_csi_error_var(self):
+        for var in (0.0, 0.05):
+            cfg = ChannelConfig(kind="rayleigh", n_t=2, n_r=2, csi_error_var=var)
+            assert draw_channel(cfg, RngStream(60)).csi_error_var == var
+            assert draw_channel(cfg, [RngStream(60), RngStream(61)]).csi_error_var == var
+
+    @pytest.mark.parametrize("kind,n,p_s", [("awgn", 1, 1.0), ("rayleigh", 4, 4.0),
+                                            ("rician", 2, 0.5)])
+    def test_perfect_csi_matches_csi_blind_detector_bitwise(self, kind, n, p_s):
+        cfg = ChannelConfig(kind=kind, snr_db=10.0, n_t=n, n_r=n, p_s=p_s)
+        _, frame, y = _stacked_cell(cfg, 20, 16, 62)
+        np.testing.assert_array_equal(lmmse_detect(y, frame).data, _csi_blind_detect(y, frame))
+
+    def test_lower_nmse_than_csi_blind_detector(self):
+        cfg = ChannelConfig(kind="rayleigh", snr_db=20.0, n_t=4, n_r=4, csi_error_var=0.05)
+        x, frame, y = _stacked_cell(cfg, 200, 64, 63)
+        aware = nmse(x, lmmse_detect(y, frame, out_shape=x.shape), stacked=True)
+        blind_blocks = _csi_blind_detect(y, frame)
+        blind = ComplexTensor(blind_blocks.swapaxes(-1, -2).reshape(x.shape))
+        blind_nmse = nmse(x, blind, stacked=True)
+        assert aware.mean() < 0.9 * blind_nmse.mean(), (aware.mean(), blind_nmse.mean())
+
+
 class TestStackedFrames:
     def test_stack_matches_single_frames(self):
         cfg = ChannelConfig(kind="rician", snr_db=5.0, n_t=2, n_r=3, csi_error_var=0.02, p_s=2.0)

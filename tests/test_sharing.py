@@ -182,6 +182,25 @@ class TestTransport:
             ).data
             np.testing.assert_array_equal(res.z_hat[u], direct)
 
+    def test_stacked_private_streams_match_per_user_stages(self):
+        # the K private streams cross the channel as one stack; each user's
+        # rows must come out as if sent alone through its own substream
+        z = _separated_semantics(RngStream(23))
+        part = partition(z, 0.5)
+        assert part.l_pub and part.l_pri
+        codecs = [ChanCodecParams.init(self.d_s, self.d_c, RngStream(24, u)) for u in range(3)]
+        noisy = ChannelConfig(kind="rician", snr_db=5.0, n_t=2, n_r=3, csi_error_var=0.02, p_s=2.0)
+        res = transport(part, codecs, self.codec, noisy, RngStream(25))
+        from semlink.chancodec import chan_decode
+
+        for u in range(3):
+            direct = chan_decode(
+                statistical_stage(Tensor(part.z_pri[u]), codecs[u], noisy,
+                                  RngStream(25).substream(100 + u)),
+                codecs[u],
+            ).data
+            np.testing.assert_array_equal(res.z_hat[u][part.private_idx], direct)
+
     def test_row_scatter_bijection(self):
         z = _separated_semantics(RngStream(16))
         part = partition(z, 0.5)
