@@ -7,7 +7,9 @@ X_hat = H_hatᴴ (H_hat H_hatᴴ + (noise_var / p_s + n_t csi_error_var) I)⁻¹
 blockwise with the estimated CSI and strips the padding.  This is the L-MMSE
 estimator for i.i.d. symbols of power p_s when H = H_hat - E with E i.i.d.
 CN(0, csi_error_var): the term E X adds p_s n_t csi_error_var to the noise
-power a detector built from H_hat sees.
+power a detector built from H_hat sees.  The identity (awgn) channel is
+known exactly, so its CSI carries no error: csi_error_var applies to the
+Rayleigh and Rician kinds only.
 
 draw_channel, transmit, lmmse_detect and transmit_detect also take a stack
 of T frames: given a sequence of T streams, draw_channel returns a frame of
@@ -81,6 +83,11 @@ class ChannelConfig:
             raise ConfigError("csi_error_var must be >= 0")
         if self.p_s <= 0:
             raise ConfigError("p_s must be > 0")
+
+    @property
+    def effective_csi_error_var(self) -> float:
+        """CSI error variance of the drawn channel (0 for the exact identity)."""
+        return 0.0 if self.kind == "awgn" else self.csi_error_var
 
 
 @dataclass
@@ -159,10 +166,11 @@ def draw_channel(cfg: ChannelConfig, rng) -> ChannelFrame:
     cfg.validate()
     h = _per_stream(rng, lambda r: _draw_h(cfg, r))
     h_hat = h
-    if cfg.csi_error_var > 0:
-        h_hat = h + _per_stream(rng, lambda r: r.complex_normal(h.shape[-2:], 0.0, cfg.csi_error_var))
+    csi_var = cfg.effective_csi_error_var
+    if csi_var > 0:
+        h_hat = h + _per_stream(rng, lambda r: r.complex_normal(h.shape[-2:], 0.0, csi_var))
     return ChannelFrame(ComplexTensor(h), ComplexTensor(h_hat), calibrate_noise(cfg), cfg.p_s,
-                        cfg.csi_error_var)
+                        csi_var)
 
 
 # -- transmission and detection -------------------------------------------------

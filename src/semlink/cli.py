@@ -24,11 +24,12 @@ from .ctensor import ComplexTensor
 from .errors import ConfigError, SemlinkError
 from .link import LinkModel, evaluate_link
 from .masking import patchify, random_mask
-from .metrics import MetricReport, nmse, psnr, region_metric, ssim
+from .metrics import MetricReport, image_report, nmse
 from .rng import RngStream
 from .snapshot import save_tensors
 from .scenes import generate_correlated_batch, generate_scene, locate, locate_any, save_scene
 from .sharing import MultiUserSemantics, bandwidth_savings, partition, synth_correlated_semantics
+from .tensor import no_grad
 from .training import sample_nonempty_mask, train_phase
 
 # stream-id salts for the independent random domains of a run
@@ -160,7 +161,8 @@ def _eval_trial(cfg: RunConfig, model: LinkModel, chan_cfg, masking: str, cell_r
     if masking == "random":
         plan = random_mask(grid, plan.keep_count, cell_rng.substream(3))
     frame = draw_channel(chan_cfg, cell_rng.substream(4))
-    res = evaluate_link(model, scene.image, plan, chan_cfg, cell_rng.substream(5), frame=frame)
+    with no_grad():
+        res = evaluate_link(model, scene.image, plan, chan_cfg, cell_rng.substream(5), frame=frame)
     if dump_dir is not None:
         dump_dir.mkdir(parents=True, exist_ok=True)
         save_tensors(dump_dir / f"trial{trial:04d}.slnk",
@@ -169,12 +171,7 @@ def _eval_trial(cfg: RunConfig, model: LinkModel, chan_cfg, masking: str, cell_r
             json.dumps({"loc": loc.sorted_indices, "patch_size": grid.patch_size,
                         "plan": json.loads(plan.to_json())})
         )
-    return MetricReport(
-        psnr_db=psnr(scene.image, res.image),
-        ssim=ssim(scene.image, res.image),
-        region_psnr_db=region_metric(scene.image, res.image, loc, grid, "psnr"),
-        region_ssim=region_metric(scene.image, res.image, loc, grid, "ssim"),
-    )
+    return image_report(scene.image, res.image, loc, grid)
 
 
 def cmd_eval(cfg: RunConfig, out_dir: Path, checkpoint: str) -> int:
@@ -349,8 +346,11 @@ def cmd_channel_bench(cfg: RunConfig, out_dir: Path) -> int:
         for snr_db in cfg["bench.snr_db_list"]:
             for csi_var in cfg["bench.csi_var_list"]:
                 chan_cfg = cfg.channel_config(kind=kind, snr_db=snr_db, csi_error_var=csi_var)
+                # keyed by the CSI error the channel has, so the awgn cells at
+                # every csi_var are one experiment with one set of draws
                 base = RngStream(cfg["seed"], _S_BENCH).substream(
-                    hash_key(kind), int(snr_db * 1000) & 0xFFFFFFFF, int(csi_var * 1e6)
+                    hash_key(kind), int(snr_db * 1000) & 0xFFFFFFFF,
+                    int(chan_cfg.effective_csi_error_var * 1e6),
                 )
 
                 vals = _bench_cell(chan_cfg, base, trials, n_sym)

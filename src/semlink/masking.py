@@ -93,14 +93,6 @@ class MaskPlan:
             }
         )
 
-    @staticmethod
-    def from_json(text: str, num_patches: int) -> "MaskPlan":
-        d = json.loads(text)
-        masked = np.ones(num_patches, dtype=bool)
-        masked[np.asarray(d["keep"], dtype=np.intp)] = False
-        return MaskPlan(masked, np.asarray(sorted(d["keep"]), dtype=np.intp),
-                        frozenset(d["object"]), float(d["p_r"]))
-
 
 def patchify(image: Tensor, grid: PatchGrid) -> Tensor:
     """[C,H,W] image -> [num_patches, patch_dim] rows in row-major grid order.

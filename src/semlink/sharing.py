@@ -23,7 +23,7 @@ from .ctensor import ComplexTensor
 from .errors import ConfigError, ContractError
 from .link import fading_stage, statistical_stage
 from .rng import RngStream
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 __all__ = [
     "MultiUserSemantics",
@@ -156,25 +156,27 @@ def transport(part: SharePartition, user_codecs: list, pub_codec: ChanCodecParam
         raise ConfigError("all channel codecs must share symbol_dim")
     d_s = user_codecs[0].feature_dim
 
-    x_pub_hat = None
-    if part.l_pub:
-        x_pub_hat = statistical_stage(Tensor(part.z_pub), pub_codec, cfg, rng.substream(0))
+    with no_grad():  # forward only: the codecs are applied, never trained here
+        x_pub_hat = None
+        if part.l_pub:
+            x_pub_hat = statistical_stage(Tensor(part.z_pub), pub_codec, cfg, rng.substream(0))
 
-    x_pri_hat = None
-    if part.l_pri:
-        x_pri = np.stack([chan_encode(Tensor(part.z_pri[u]), user_codecs[u]).data
-                          for u in range(k)])
-        x_pri_hat = fading_stage(ComplexTensor(x_pri), cfg,
-                                 [rng.substream(100 + u) for u in range(k)]).data
+        x_pri_hat = None
+        if part.l_pri:
+            x_pri = np.stack([chan_encode(Tensor(part.z_pri[u]), user_codecs[u]).data
+                              for u in range(k)])
+            x_pri_hat = fading_stage(ComplexTensor(x_pri), cfg,
+                                     [rng.substream(100 + u) for u in range(k)]).data
 
-    z_hat = []
-    for u in range(k):
-        out = np.zeros((part.length, d_s))
-        if x_pub_hat is not None:
-            out[part.shared_idx] = chan_decode(x_pub_hat, user_codecs[u]).data
-        if x_pri_hat is not None:
-            out[part.private_idx] = chan_decode(ComplexTensor(x_pri_hat[u]), user_codecs[u]).data
-        z_hat.append(out)
+        z_hat = []
+        for u in range(k):
+            out = np.zeros((part.length, d_s))
+            if x_pub_hat is not None:
+                out[part.shared_idx] = chan_decode(x_pub_hat, user_codecs[u]).data
+            if x_pri_hat is not None:
+                out[part.private_idx] = chan_decode(ComplexTensor(x_pri_hat[u]),
+                                                    user_codecs[u]).data
+            z_hat.append(out)
     rows_sent = part.l_pub + k * part.l_pri
     return TransportResult(z_hat, rows_sent, rows_sent * sym_dim)
 

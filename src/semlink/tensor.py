@@ -10,11 +10,15 @@ Construction rejects NaN/Inf, so a diverging computation raises
 NonFiniteError at the op that produced it instead of propagating garbage.
 The fused ops (layer_norm, softmax_attention) also check the intermediates
 whose overflow their later arithmetic would hide.
+
+Inside a no_grad() block (process-wide) every op returns a constant tensor,
+so forward-only callers run the same ops without building a graph.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +52,7 @@ __all__ = [
     "sinusoid_table",
     "backward",
     "zero_grad",
+    "no_grad",
 ]
 
 
@@ -86,10 +91,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def detach(self) -> "Tensor":
-        """A constant view of this tensor's values, cut from the graph."""
-        return Tensor(self.data)
 
     # -- operators -----------------------------------------------------------
 
@@ -161,8 +162,23 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
         raise NonFiniteError(f"{what} overflowed")
 
 
+_grad_enabled = True  # cleared inside no_grad()
+
+
+@contextmanager
+def no_grad():
+    """Block in which ops record no graph; the previous state comes back on
+    exit, also after an exception."""
+    global _grad_enabled
+    prev, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
+
+
 def _make(data, parents, vjp) -> Tensor:
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, _parents=tuple(parents), _vjp=vjp)
     return Tensor(data)
 

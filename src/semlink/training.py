@@ -22,7 +22,7 @@ from .link import LinkModel, _encode, codec_only_pass, surrogate_link, surrogate
 from .masking import sample_mask
 from .rng import RngStream
 from .scenes import locate_any
-from .tensor import Tensor, add, backward, mul, sub, tmean, zero_grad
+from .tensor import Tensor, add, backward, mul, no_grad, sub, tmean, zero_grad
 
 __all__ = [
     "TrainConfig",
@@ -157,8 +157,8 @@ def _sample_loss(model: LinkModel, scene, phase: str, cfg: TrainConfig, snr_db: 
         return loss_codec(scene.image, q)
     chan_cfg = ChannelConfig(kind=cfg.surrogate_kind, snr_db=snr_db)
     if phase == "channel":
-        # frozen semantic encoder: semantics enter as constants
-        z = _encode(model, scene.image, plan).values.detach()
+        with no_grad():  # frozen semantic encoder: semantics enter as constants
+            z = _encode(model, scene.image, plan).values
         return loss_channel(z, surrogate_stage(z, model.chan, chan_cfg, rng.substream(2)))
     result = surrogate_link(model, scene.image, plan, chan_cfg, rng.substream(2))
     return loss_whole(scene.image, result.image, result.z.values, result.z_hat.values)
@@ -239,7 +239,8 @@ def dataset_loss(model: LinkModel, scenes: list, cfg: TrainConfig, seed_salt: in
     """Mean phase-1 style reconstruction loss over a scene list (no updates)."""
     root = RngStream(cfg.seed, seed_salt)
     total = 0.0
-    for i, scene in enumerate(scenes):
-        loss = _sample_loss(model, scene, "codec", cfg, None, root.substream(i))
-        total += float(loss.data)
+    with no_grad():
+        for i, scene in enumerate(scenes):
+            loss = _sample_loss(model, scene, "codec", cfg, None, root.substream(i))
+            total += float(loss.data)
     return total / len(scenes)

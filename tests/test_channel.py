@@ -275,6 +275,47 @@ class TestCsiAwareDetection:
         assert aware.mean() < 0.9 * blind_nmse.mean(), (aware.mean(), blind_nmse.mean())
 
 
+class TestKnownIdentityChannel:
+    """The awgn (identity) channel is known exactly: csi_error_var leaves its
+    CSI and its detection untouched, and only corrupts the fading kinds."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_awgn_csi_is_exact(self, n):
+        cfg = ChannelConfig(kind="awgn", n_t=n, n_r=n, csi_error_var=0.05)
+        assert cfg.effective_csi_error_var == 0.0
+        for frame in (draw_channel(cfg, RngStream(70)),
+                      draw_channel(cfg, [RngStream(70), RngStream(71)])):
+            np.testing.assert_array_equal(frame.h_hat.data, frame.h.data)
+            np.testing.assert_array_equal(frame.h.data, np.broadcast_to(np.eye(n), frame.h.shape))
+            assert frame.csi_error_var == 0.0
+
+    def test_awgn_detection_same_at_every_csi_error(self):
+        x = normalize_power(ComplexTensor(RngStream(72).complex_normal((4, 16, 2), 0.0, 1.0)),
+                            1.0, stacked=True)
+        outs = []
+        for csi_var in (0.0, 0.01, 0.1):
+            cfg = ChannelConfig(kind="awgn", snr_db=5.0, n_t=2, n_r=2, csi_error_var=csi_var)
+            frame = draw_channel(cfg, [RngStream(73, t) for t in range(4)])
+            outs.append(transmit_detect(x, frame, [RngStream(74, t) for t in range(4)]).data)
+        for out in outs[1:]:
+            assert out.tobytes() == outs[0].tobytes()
+
+    @pytest.mark.parametrize("kind", ["rayleigh", "rician"])
+    def test_fading_csi_error_drawn_after_the_channel(self, kind):
+        cfg = ChannelConfig(kind=kind, n_t=2, n_r=3, rician_r=2.0, csi_error_var=0.05)
+        assert cfg.effective_csi_error_var == 0.05
+        frame = draw_channel(cfg, RngStream(75))
+        r = RngStream(75)
+        if kind == "rayleigh":
+            h = r.complex_normal((3, 2), 0.0, 1.0)
+        else:
+            h = r.complex_normal((3, 2), math.sqrt(2.0 / 3.0), 1.0 / 3.0)
+        e = r.complex_normal((3, 2), 0.0, 0.05)
+        assert frame.h.data.tobytes() == h.tobytes()
+        assert frame.h_hat.data.tobytes() == (h + e).tobytes()
+        assert frame.csi_error_var == 0.05
+
+
 class TestStackedFrames:
     def test_stack_matches_single_frames(self):
         cfg = ChannelConfig(kind="rician", snr_db=5.0, n_t=2, n_r=3, csi_error_var=0.02, p_s=2.0)

@@ -326,6 +326,16 @@ class TestChannelBench:
             looped.append(nmse(x, transmit_detect(x, frame, rng.substream(2))))
         np.testing.assert_array_equal(batched, np.asarray(looped))
 
+    def test_awgn_rows_equal_at_every_csi_error(self, tmp_path):
+        assert main(["channel-bench", "--out", str(tmp_path), "--seed", "5",
+                     "--bench.trials", "20", "--bench.kinds", "awgn,rayleigh",
+                     "--bench.snr_db_list", "0,20", "--bench.csi_var_list", "0,0.05"]) == 0
+        _, rows = read_csv(tmp_path / "channel_bench.csv")
+        cells = {(r[0], r[1], r[2]): r[3:] for r in rows}
+        for snr in ("0.0", "20.0"):
+            assert cells[("awgn", snr, "0.05")] == cells[("awgn", snr, "0.0")]
+            assert cells[("rayleigh", snr, "0.05")] != cells[("rayleigh", snr, "0.0")]
+
     def test_non_square_mimo_runs_without_awgn(self, tmp_path):
         args = ["channel-bench", "--out", str(tmp_path), "--bench.trials", "3",
                 "--bench.snr_db_list", "10", "--bench.csi_var_list", "0",

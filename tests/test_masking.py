@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semlink.errors import ContractError, ShapeError
 from semlink.masking import (
-    MaskPlan,
     PatchGrid,
     patchify,
     random_mask,
@@ -17,6 +18,41 @@ from semlink.tensor import Tensor, backward, mul, tsum
 
 def grid_for(c, h, w, p):
     return PatchGrid.for_image((c, h, w), p)
+
+
+@st.composite
+def grids(draw):
+    return PatchGrid(draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 6)),
+                     draw(st.sampled_from([1, 3])))
+
+
+def _image(grid, seed):
+    p = grid.patch_size
+    shape = (grid.channels, grid.grid_h * p, grid.grid_w * p)
+    return np.random.default_rng(seed).normal(size=shape)
+
+
+class TestPatchifyBijection:
+    @settings(max_examples=100, deadline=None)
+    @given(grids(), st.integers(0, 2**32 - 1))
+    def test_unpatchify_inverts_patchify(self, grid, seed):
+        img = _image(grid, seed)
+        np.testing.assert_array_equal(unpatchify(patchify(Tensor(img), grid), grid).data, img)
+
+    @settings(max_examples=100, deadline=None)
+    @given(grids(), st.integers(0, 2**32 - 1))
+    def test_patchify_inverts_unpatchify(self, grid, seed):
+        rows = np.random.default_rng(seed).normal(size=(grid.num_patches, grid.patch_dim))
+        np.testing.assert_array_equal(patchify(unpatchify(rows, grid), grid).data, rows)
+
+    @settings(max_examples=50, deadline=None)
+    @given(grids(), st.integers(0, 2**32 - 1), st.data())
+    def test_row_is_channel_first_patch_crop(self, grid, seed, data):
+        img = _image(grid, seed)
+        i = data.draw(st.integers(0, grid.num_patches - 1))
+        x, y, w, h = grid.patch_bbox(i)
+        np.testing.assert_array_equal(patchify(Tensor(img), grid).data[i],
+                                      img[:, y : y + h, x : x + w].reshape(-1))
 
 
 class TestPatchify:
@@ -106,14 +142,6 @@ class TestSampleMask:
     def test_bad_probability(self):
         with pytest.raises(ContractError):
             sample_mask(self.grid, self.loc, 1.5, RngStream(0))
-
-    def test_json_roundtrip(self):
-        plan = sample_mask(self.grid, self.loc, 0.3, RngStream(11))
-        back = MaskPlan.from_json(plan.to_json(), 64)
-        np.testing.assert_array_equal(back.masked, plan.masked)
-        np.testing.assert_array_equal(back.keep_indices, plan.keep_indices)
-        assert back.object_indices == plan.object_indices
-        assert back.object_mask_prob == plan.object_mask_prob
 
 
 class TestRandomMask:

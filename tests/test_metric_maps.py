@@ -1,0 +1,101 @@
+"""Property tests of the one-pass metrics (image_report and its views)."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from semlink.masking import PatchGrid
+from semlink.metrics import SSIM_WINDOW, image_report, psnr, region_metric, ssim
+from semlink.scenes import Loc
+
+from test_metrics import direct_ssim_oracle
+
+
+def direct_region_ssim_oracle(x, y, mask, max_val=1.0, win=SSIM_WINDOW):
+    """Nested-loop region SSIM: windows lying fully inside mask, else the
+    global statistics of the masked pixels."""
+    c1 = (0.01 * max_val) ** 2
+    c2 = (0.03 * max_val) ** 2
+
+    def value(xa, ya):
+        mx, my = xa.mean(), ya.mean()
+        vx, vy = ((xa - mx) ** 2).mean(), ((ya - my) ** 2).mean()
+        cov = ((xa - mx) * (ya - my)).mean()
+        return ((2 * mx * my + c1) * (2 * cov + c2)) / ((mx**2 + my**2 + c1) * (vx + vy + c2))
+
+    h, w = mask.shape
+    corners = [(r, c) for r in range(h - win + 1) for c in range(w - win + 1)
+               if mask[r : r + win, c : c + win].all()]
+    vals = []
+    for ch in range(x.shape[0]):
+        if corners:
+            vals.append(np.mean([value(x[ch, r : r + win, c : c + win],
+                                       y[ch, r : r + win, c : c + win]) for r, c in corners]))
+        else:
+            vals.append(value(x[ch][mask], y[ch][mask]))
+    return float(np.mean(vals))
+
+
+@st.composite
+def scored_pairs(draw):
+    """(original, reconstruction, grid, loc, pixel mask) with C in {1, 3},
+    H and W in 5..40 and a random non-empty patch set, sparse or dense."""
+    p = draw(st.integers(1, 5))
+    gh = draw(st.integers(-(-5 // p), 40 // p))
+    gw = draw(st.integers(-(-5 // p), 40 // p))
+    c = draw(st.sampled_from([1, 3]))
+    grid = PatchGrid(p, gh, gw, c)
+    ids = st.integers(0, gh * gw - 1)
+    if draw(st.booleans()):  # sparse: often no window fits inside
+        patches = draw(st.sets(ids, min_size=1, max_size=gh * gw))
+    else:  # dense: windows next to a few holes
+        patches = (set(range(gh * gw)) - draw(st.sets(ids, max_size=3))) or {0}
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(size=(c, gh * p, gw * p))
+    y = np.clip(x + rng.normal(0.0, draw(st.sampled_from([0.0, 0.05, 0.5])), size=x.shape), 0, 1)
+    mask = np.zeros((gh * p, gw * p), dtype=bool)
+    for i in patches:
+        px, py, w, h = grid.patch_bbox(i)
+        mask[py : py + h, px : px + w] = True
+    return x, y, grid, Loc(frozenset(patches)), mask
+
+
+@settings(max_examples=150, deadline=None)
+@given(scored_pairs())
+def test_report_equals_single_metric_views(case):
+    x, y, grid, loc, _ = case
+    rep = image_report(x, y, loc, grid)
+    assert abs(rep.psnr_db - psnr(x, y)) <= 1e-12
+    assert abs(rep.ssim - ssim(x, y)) <= 1e-12
+    assert abs(rep.region_psnr_db - region_metric(x, y, loc, grid, "psnr")) <= 1e-12
+    assert abs(rep.region_ssim - region_metric(x, y, loc, grid, "ssim")) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(scored_pairs())
+def test_report_matches_direct_oracles(case):
+    x, y, grid, loc, mask = case
+    rep = image_report(x, y, loc, grid)
+    assert abs(rep.ssim - direct_ssim_oracle(x, y)) <= 1e-10
+    assert abs(rep.region_ssim - direct_region_ssim_oracle(x, y, mask)) <= 1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@given(scored_pairs())
+def test_ssim_identity_and_symmetry_exact(case):
+    x, y, _, _, _ = case
+    assert ssim(x, x.copy()) == 1.0
+    assert ssim(x, y) == ssim(y, x)
+
+
+def test_region_without_a_fitting_window_uses_region_statistics():
+    grid = PatchGrid(4, 8, 8, 1)
+    rng = np.random.default_rng(12)
+    x, y = rng.uniform(size=(2, 1, 32, 32))
+    loc = Loc(frozenset([0, 2, 9, 27]))  # no two patches form an 8x8 block
+    mask = np.zeros((32, 32), dtype=bool)
+    for i in loc.patch_indices:
+        px, py, w, h = grid.patch_bbox(i)
+        mask[py : py + h, px : px + w] = True
+    got = image_report(x, y, loc, grid).region_ssim
+    assert abs(got - direct_region_ssim_oracle(x, y, mask)) <= 1e-12

@@ -489,3 +489,48 @@ class TestSnapshot:
 
         with pytest.raises(ParseError):
             tensor_from_bytes(b"JUNKxxxxxxxxxxxx")
+
+
+@st.composite
+def row_selections(draw):
+    """(matrix [n, d], distinct row indices in random order)."""
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 5))
+    idx = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    a = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(n, d))
+    return a, np.asarray(idx, dtype=np.intp)
+
+
+class TestGatherScatterBijection:
+    @settings(max_examples=100, deadline=None)
+    @given(row_selections())
+    def test_gather_inverts_scatter(self, case):
+        a, idx = case
+        src = a[: len(idx)]
+        back = gather_rows(scatter_rows(src, idx, a.shape[0]), idx)
+        np.testing.assert_array_equal(back.data, src)
+
+    @settings(max_examples=100, deadline=None)
+    @given(row_selections())
+    def test_scatter_of_gather_keeps_selected_rows_and_zeroes_the_rest(self, case):
+        a, idx = case
+        out = scatter_rows(gather_rows(a, idx), idx, a.shape[0]).data
+        np.testing.assert_array_equal(out[idx], a[idx])
+        rest = np.setdiff1d(np.arange(a.shape[0]), idx)
+        assert not out[rest].any()
+        if len(idx) == a.shape[0]:  # a permutation: the round trip is the identity
+            np.testing.assert_array_equal(out, a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(row_selections(), st.integers(0, 2**32 - 1))
+    def test_gradients_are_adjoint(self, case, seed):
+        a, idx = case
+        g = np.random.default_rng(seed).normal(size=a.shape)
+        src = Tensor(a[: len(idx)], requires_grad=True)
+        backward(tsum(mul(scatter_rows(src, idx, a.shape[0]), g)))
+        np.testing.assert_array_equal(src.grad, g[idx])
+        full = Tensor(a, requires_grad=True)
+        backward(tsum(mul(gather_rows(full, idx), g[: len(idx)])))
+        expected = np.zeros_like(a)
+        expected[idx] = g[: len(idx)]
+        np.testing.assert_array_equal(full.grad, expected)
