@@ -25,7 +25,6 @@ from .codec import (
     zero_fill,
 )
 from .config import RunConfig
-from .ctensor import ComplexTensor
 from .link import LinkModel, evaluate_link, surrogate_link
 from .masking import (
     MaskPlan,

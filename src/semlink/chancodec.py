@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctensor import ComplexTensor, complex_to_real_view, real_view_to_complex
+from .ctensor import complex_to_real_view, real_view_to_complex
 from .errors import ConfigError, ShapeError
 from .rng import RngStream
 from .tensor import Tensor, add, matmul
@@ -86,17 +86,20 @@ def chan_decode_real(view: Tensor, params: ChanCodecParams) -> Tensor:
     return add(matmul(view, params.dec_weight), params.dec_bias)
 
 
-def chan_encode(values: Tensor, params: ChanCodecParams) -> ComplexTensor:
+def chan_encode(values: Tensor, params: ChanCodecParams) -> np.ndarray:
     """Semantic rows [L, feature_dim] -> complex symbols [L, symbol_dim]."""
     view = chan_encode_real(values, params)
-    return ComplexTensor(real_view_to_complex(view.data))
+    return real_view_to_complex(view.data)
 
 
-def chan_decode(x_hat: ComplexTensor, params: ChanCodecParams) -> Tensor:
-    """Detected complex symbols -> semantic rows [L, feature_dim]."""
-    if x_hat.data.ndim != 2 or x_hat.shape[1] != params.symbol_dim:
+def chan_decode(x_hat: np.ndarray, params: ChanCodecParams) -> Tensor:
+    """Detected complex symbols -> semantic rows [L, feature_dim].
+
+    Non-finite symbols raise NonFiniteError (from the Tensor constructor).
+    """
+    if x_hat.ndim != 2 or x_hat.shape[1] != params.symbol_dim:
         raise ShapeError(f"symbols {x_hat.shape} vs symbol_dim {params.symbol_dim}")
-    view = Tensor(complex_to_real_view(x_hat.data))
+    view = Tensor(complex_to_real_view(x_hat))
     return chan_decode_real(view, params)
 
 

@@ -24,6 +24,13 @@ equals 10**(snr_db/10).  For unit-power fading entries that expectation is
 p_s * n_t exactly (Rayleigh and Rician alike), and p_s for the identity
 channel, so noise_var scales exactly with SNR.
 
+Signals, channel matrices and detected symbols are plain complex128
+ndarrays.  Finiteness is checked twice per pass, once each with
+np.isfinite(...).all(): on the signal where it enters transmit, and on the
+detector's output in lmmse_detect.  A NaN or Inf in H or H_hat propagates
+into that output (or makes the solve fail, which lmmse_detect then reports
+as non-finite CSI), so it raises NonFiniteError before reaching a decoder.
+
 Training never touches this statistical channel; it uses surrogate_channel,
 a differentiable per-entry gain-plus-noise map over the interleaved real
 view, with gains drawn from the matching fading component marginals and
@@ -37,8 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctensor import ComplexTensor
-from .errors import ConfigError, ContractError, NumericError, ShapeError
+from .errors import ConfigError, ContractError, NonFiniteError, NumericError, ShapeError
 from .rng import RngStream
 from .tensor import Tensor, add, mul
 
@@ -92,8 +98,8 @@ class ChannelConfig:
 
 @dataclass
 class ChannelFrame:
-    h: ComplexTensor  # true channel [n_r, n_t], or a stack [T, n_r, n_t]
-    h_hat: ComplexTensor  # estimated CSI, same shape
+    h: np.ndarray  # true channel [n_r, n_t], or a stack [T, n_r, n_t]
+    h_hat: np.ndarray  # estimated CSI, same shape
     noise_var: float
     p_s: float = 1.0  # symbol power the detector assumes
     csi_error_var: float = 0.0  # variance of the CSI error entries H_hat - H
@@ -106,21 +112,21 @@ def _per_stream(rng, draw) -> np.ndarray:
     return np.stack([draw(r) for r in rng])
 
 
-def power_scale(x: ComplexTensor, p_s: float, stacked: bool = False):
+def power_scale(x: np.ndarray, p_s: float, stacked: bool = False):
     """Scale factor bringing mean per-symbol power exactly to p_s.
 
     stacked treats the first axis of x as T independent signals and returns
     one factor per signal, shaped [T, 1, ..., 1] to broadcast against x.
     """
-    axes = tuple(range(1, x.data.ndim)) if stacked else None
-    mean_pow = np.mean(np.abs(x.data) ** 2, axis=axes, keepdims=stacked)
+    axes = tuple(range(1, x.ndim)) if stacked else None
+    mean_pow = np.mean(np.abs(x) ** 2, axis=axes, keepdims=stacked)
     if np.any(mean_pow == 0.0):
         raise ContractError("cannot normalize an all-zero signal")
     scale = np.sqrt(p_s / mean_pow)
     return scale if stacked else float(scale)
 
 
-def normalize_power(x: ComplexTensor, p_s: float, stacked: bool = False) -> ComplexTensor:
+def normalize_power(x: np.ndarray, p_s: float, stacked: bool = False) -> np.ndarray:
     """Rescale so the mean per-symbol power equals p_s exactly (per signal
     of the stack when stacked)."""
     return x * power_scale(x, p_s, stacked)
@@ -169,8 +175,7 @@ def draw_channel(cfg: ChannelConfig, rng) -> ChannelFrame:
     csi_var = cfg.effective_csi_error_var
     if csi_var > 0:
         h_hat = h + _per_stream(rng, lambda r: r.complex_normal(h.shape[-2:], 0.0, csi_var))
-    return ChannelFrame(ComplexTensor(h), ComplexTensor(h_hat), calibrate_noise(cfg), cfg.p_s,
-                        csi_var)
+    return ChannelFrame(h, h_hat, calibrate_noise(cfg), cfg.p_s, csi_var)
 
 
 # -- transmission and detection -------------------------------------------------
@@ -194,50 +199,58 @@ def _to_blocks(x: np.ndarray, lead: tuple, n_t: int) -> np.ndarray:
     return padded.reshape(*lead, m, n_t).swapaxes(-1, -2)
 
 
-def transmit(x: ComplexTensor, frame: ChannelFrame, rng) -> ComplexTensor:
+def transmit(x: np.ndarray, frame: ChannelFrame, rng) -> np.ndarray:
     """Y = H X_blocks + N with i.i.d. CN(0, noise_var) entries.
 
     For a stacked frame, x is [T, ...] and rng a sequence of T streams.
+    A non-finite signal raises NonFiniteError.
     """
+    if not np.isfinite(x).all():
+        raise NonFiniteError("transmit rejected a non-finite signal")
     lead = _check_lead(x.shape, frame, "signal")
-    y = frame.h.data @ _to_blocks(x.data, lead, frame.h.shape[-1])
+    y = frame.h @ _to_blocks(x, lead, frame.h.shape[-1])
     if frame.noise_var > 0:
         noise = _per_stream(rng, lambda r: r.complex_normal(y.shape[-2:], 0.0, frame.noise_var))
         if noise.shape != y.shape:
             raise ShapeError(f"noise streams {noise.shape[:-2]} do not match frames {lead}")
         y = y + noise
-    return ComplexTensor(y)
+    return y
 
 
-def lmmse_detect(y: ComplexTensor, frame: ChannelFrame, out_shape=None) -> ComplexTensor:
+def lmmse_detect(y: np.ndarray, frame: ChannelFrame, out_shape=None) -> np.ndarray:
     """L-MMSE detection with estimated CSI, counting its error as noise.
 
     out_shape, when given, strips the zero-padding and restores the original
     layout (including the stack axis of a stacked frame); otherwise the n_t-row
-    block matrices are returned.
+    block matrices are returned.  A non-finite output (from non-finite y,
+    H or H_hat) raises NonFiniteError.
     """
-    hh = frame.h_hat.data
-    if y.data.ndim != hh.ndim or y.shape[:-1] != hh.shape[:-1]:
+    hh = frame.h_hat
+    if y.ndim != hh.ndim or y.shape[:-1] != hh.shape[:-1]:
         raise ShapeError(f"received blocks {y.shape} do not match CSI {hh.shape}")
     hh_h = hh.conj().swapaxes(-1, -2)
     reg = max(frame.noise_var / frame.p_s + hh.shape[-1] * frame.csi_error_var, _INV_FLOOR)
     gram = hh @ hh_h + reg * np.eye(hh.shape[-2])
     try:
-        w = np.linalg.solve(gram, y.data)
+        w = np.linalg.solve(gram, y)
     except np.linalg.LinAlgError as exc:
+        if not np.isfinite(hh).all():
+            raise NonFiniteError("detection rejected non-finite CSI") from exc
         raise NumericError(f"detection system singular: {exc}") from exc
     xb = hh_h @ w
+    if not np.isfinite(xb).all():
+        raise NonFiniteError("detection produced non-finite symbols")
     if out_shape is None:
-        return ComplexTensor(xb)
+        return xb
     lead = _check_lead(out_shape, frame, "output")
     count = math.prod(out_shape[len(lead):])
     flat = xb.swapaxes(-1, -2).reshape(*lead, -1)
     if count > flat.shape[-1]:
         raise ShapeError(f"requested {count} symbols from {flat.shape[-1]} detected")
-    return ComplexTensor(flat[..., :count].reshape(out_shape))
+    return flat[..., :count].reshape(out_shape)
 
 
-def transmit_detect(x: ComplexTensor, frame: ChannelFrame, rng) -> ComplexTensor:
+def transmit_detect(x: np.ndarray, frame: ChannelFrame, rng) -> np.ndarray:
     """Round trip preserving the input layout exactly."""
     y = transmit(x, frame, rng)
     return lmmse_detect(y, frame, out_shape=x.shape)

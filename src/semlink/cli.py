@@ -20,7 +20,6 @@ import numpy as np
 
 from .channel import draw_channel, normalize_power, transmit_detect
 from .config import RunConfig
-from .ctensor import ComplexTensor
 from .errors import ConfigError, SemlinkError
 from .link import LinkModel, evaluate_link
 from .masking import patchify, random_mask
@@ -330,7 +329,7 @@ def _bench_cell(chan_cfg, base: RngStream, trials: int, n_sym: int) -> np.ndarra
     """
     streams = [base.substream(t) for t in range(trials)]
     x = normalize_power(
-        ComplexTensor(np.stack([r.complex_normal((n_sym, 1), 0.0, 1.0) for r in streams])),
+        np.stack([r.complex_normal((n_sym, 1), 0.0, 1.0) for r in streams]),
         chan_cfg.p_s, stacked=True,
     )
     frame = draw_channel(chan_cfg, [r.substream(1) for r in streams])

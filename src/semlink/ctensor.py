@@ -1,75 +1,18 @@
-"""Complex128 tensors for the physical-channel path.
+"""Conversions between complex128 symbol arrays and their interleaved real view.
 
 The channel simulation (fading draws, transmit, detection) is evaluation-only
-and never differentiated, so ComplexTensor is a plain validated array wrapper
-without graph machinery.  Training goes through the real-valued surrogate in
-the channel module instead.
+and never differentiated, so it works on plain complex128 ndarrays.  The
+channel codec and the differentiable training surrogate work on the real view
+instead: each complex symbol becomes an adjacent (re, im) pair of reals.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeError
+from .errors import ShapeError
 
-__all__ = ["ComplexTensor", "as_complex", "real_view_to_complex", "complex_to_real_view"]
-
-
-class ComplexTensor:
-    __slots__ = ("data",)
-
-    def __init__(self, data):
-        arr = np.asarray(data, dtype=np.complex128)
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-            raise NonFiniteError("complex tensor construction rejected non-finite values")
-        self.data = arr
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
-
-    def __repr__(self):
-        return f"ComplexTensor(shape={self.data.shape})"
-
-    def conj_t(self) -> "ComplexTensor":
-        """Conjugate transpose (2-D only)."""
-        if self.data.ndim != 2:
-            raise ShapeError("conj_t expects a 2-D tensor")
-        return ComplexTensor(self.data.conj().T)
-
-    def __add__(self, other):
-        return ComplexTensor(self.data + as_complex(other).data)
-
-    def __sub__(self, other):
-        return ComplexTensor(self.data - as_complex(other).data)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return ComplexTensor(self.data * other)
-        return ComplexTensor(self.data * as_complex(other).data)
-
-    def __rmul__(self, other):
-        return self * other
-
-    def __matmul__(self, other):
-        other = as_complex(other)
-        if self.data.ndim != 2 or other.data.ndim != 2:
-            raise ShapeError("matmul expects 2-D operands")
-        if self.shape[1] != other.shape[0]:
-            raise ShapeError(f"matmul inner dimensions disagree: {self.shape} @ {other.shape}")
-        return ComplexTensor(self.data @ other.data)
-
-    def mean_power(self) -> float:
-        """Mean squared magnitude per entry."""
-        return float(np.mean(np.abs(self.data) ** 2))
-
-
-def as_complex(x) -> ComplexTensor:
-    return x if isinstance(x, ComplexTensor) else ComplexTensor(np.asarray(x, dtype=np.complex128))
+__all__ = ["real_view_to_complex", "complex_to_real_view"]
 
 
 def real_view_to_complex(view: np.ndarray) -> np.ndarray:

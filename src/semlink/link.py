@@ -23,7 +23,6 @@ import numpy as np
 from .chancodec import ChanCodecParams, chan_decode, chan_encode, chan_decode_real, chan_encode_real
 from .channel import ChannelConfig, draw_channel, power_scale, surrogate_channel, transmit_detect
 from .codec import CodecConfig, CodecParams, SemanticTensor, decode, encode, zero_fill
-from .ctensor import ComplexTensor
 from .errors import ContractError, ParseError
 from .masking import MaskPlan, PatchGrid, patchify, unpatchify
 from .rng import RngStream
@@ -101,6 +100,8 @@ class LinkModel:
         if set(stored) != set(slots):
             raise ParseError(f"checkpoint {path} does not match manifest structure")
         for name, slot in slots.items():
+            if not isinstance(stored[name], Tensor):
+                raise ParseError(f"checkpoint tensor {name} is complex; parameters are real")
             if stored[name].data.shape != slot.data.shape:
                 raise ParseError(f"checkpoint tensor {name} has shape {stored[name].data.shape}")
             slot.data[...] = stored[name].data
@@ -149,13 +150,13 @@ def surrogate_stage(values: Tensor, chan: ChanCodecParams, chan_cfg: ChannelConf
 
 
 def statistical_stage(values: Tensor, chan: ChanCodecParams, chan_cfg: ChannelConfig,
-                      rng: RngStream, frame=None) -> ComplexTensor:
+                      rng: RngStream, frame=None) -> np.ndarray:
     """Statistical channel stage: semantic rows -> detected symbols, scaled
     back to the encoder's power (see fading_stage)."""
     return fading_stage(chan_encode(values, chan), chan_cfg, rng, frame)
 
 
-def fading_stage(x: ComplexTensor, chan_cfg: ChannelConfig, rng, frame=None) -> ComplexTensor:
+def fading_stage(x: np.ndarray, chan_cfg: ChannelConfig, rng, frame=None) -> np.ndarray:
     """Symbols -> power normalization, fading, L-MMSE detection -> symbols at
     their original power.  The channel is drawn from rng.substream(1) unless
     a frame is given; the noise comes from rng.substream(2).

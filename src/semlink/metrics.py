@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctensor import ComplexTensor
 from .errors import ContractError, ShapeError
 from .masking import PatchGrid
 from .tensor import Tensor
@@ -178,7 +177,7 @@ def region_metric(a, b, loc, grid: PatchGrid, which: str, max_val: float = 1.0) 
     return _ssim_mean(x, y, _ssim_map(x, y, max_val), max_val, mask)
 
 
-def nmse(x: ComplexTensor, x_hat: ComplexTensor, stacked: bool = False):
+def nmse(x: np.ndarray, x_hat: np.ndarray, stacked: bool = False):
     """||x_hat - x||^2 / ||x||^2 over complex symbol tensors.
 
     stacked treats the first axis as T independent signals and returns the
@@ -186,9 +185,9 @@ def nmse(x: ComplexTensor, x_hat: ComplexTensor, stacked: bool = False):
     """
     if x.shape != x_hat.shape:
         raise ShapeError(f"nmse shape mismatch {x.shape} vs {x_hat.shape}")
-    axes = tuple(range(1, x.data.ndim)) if stacked else None
-    ref = np.sum(np.abs(x.data) ** 2, axis=axes)
+    axes = tuple(range(1, x.ndim)) if stacked else None
+    ref = np.sum(np.abs(x) ** 2, axis=axes)
     if np.any(ref == 0.0):
         raise ContractError("nmse undefined for a zero reference")
-    err = np.sum(np.abs(x_hat.data - x.data) ** 2, axis=axes)
+    err = np.sum(np.abs(x_hat - x) ** 2, axis=axes)
     return err / ref if stacked else float(err) / float(ref)

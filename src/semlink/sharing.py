@@ -19,7 +19,6 @@ import numpy as np
 
 from .chancodec import ChanCodecParams, chan_decode, chan_encode
 from .channel import ChannelConfig
-from .ctensor import ComplexTensor
 from .errors import ConfigError, ContractError
 from .link import fading_stage, statistical_stage
 from .rng import RngStream
@@ -110,13 +109,10 @@ def divergence(sigma2: np.ndarray, all_pairs: bool = False) -> np.ndarray:
         raise ContractError("divergence needs K >= 2 users")
     if not all_pairs:
         return np.abs(np.diff(sigma2, axis=0)).mean(axis=0)
-    total = np.zeros(sigma2.shape[1])
-    count = 0
-    for a in range(k):
-        for b in range(a + 1, k):
-            total += np.abs(sigma2[a] - sigma2[b])
-            count += 1
-    return total / count
+    a, b = np.triu_indices(k, 1)
+    # cumsum adds the pairs in (a, b) order, so the sum is the same to the bit
+    # as accumulating them one pair at a time
+    return np.cumsum(np.abs(sigma2[a] - sigma2[b]), axis=0)[-1] / len(a)
 
 
 def partition(z: MultiUserSemantics, epsilon: float, all_pairs: bool = False) -> SharePartition:
@@ -163,10 +159,9 @@ def transport(part: SharePartition, user_codecs: list, pub_codec: ChanCodecParam
 
         x_pri_hat = None
         if part.l_pri:
-            x_pri = np.stack([chan_encode(Tensor(part.z_pri[u]), user_codecs[u]).data
+            x_pri = np.stack([chan_encode(Tensor(part.z_pri[u]), user_codecs[u])
                               for u in range(k)])
-            x_pri_hat = fading_stage(ComplexTensor(x_pri), cfg,
-                                     [rng.substream(100 + u) for u in range(k)]).data
+            x_pri_hat = fading_stage(x_pri, cfg, [rng.substream(100 + u) for u in range(k)])
 
         z_hat = []
         for u in range(k):
@@ -174,8 +169,7 @@ def transport(part: SharePartition, user_codecs: list, pub_codec: ChanCodecParam
             if x_pub_hat is not None:
                 out[part.shared_idx] = chan_decode(x_pub_hat, user_codecs[u]).data
             if x_pri_hat is not None:
-                out[part.private_idx] = chan_decode(ComplexTensor(x_pri_hat[u]),
-                                                    user_codecs[u]).data
+                out[part.private_idx] = chan_decode(x_pri_hat[u], user_codecs[u]).data
             z_hat.append(out)
     rows_sent = part.l_pub + k * part.l_pri
     return TransportResult(z_hat, rows_sent, rows_sent * sym_dim)

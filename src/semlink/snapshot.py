@@ -8,8 +8,10 @@ Single-tensor block layout (little-endian throughout):
     dims    rank * u64
     data    raw little-endian scalars, row-major
 
-A checkpoint file is a sequence of (name, block) records preceded by a
-count, so model parameters round-trip byte-identically.
+A float64 block holds a Tensor, a complex128 block a plain complex128
+ndarray; both must be finite.  A checkpoint file is a sequence of (name,
+block) records preceded by a count, so model parameters round-trip
+byte-identically.
 """
 
 from __future__ import annotations
@@ -20,22 +22,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .ctensor import ComplexTensor
-from .errors import ParseError
+from .errors import NonFiniteError, ParseError
 from .tensor import Tensor
 
 _MAGIC = b"SLNK"
 _CKPT_MAGIC = b"SLNKCKPT"
 _DTYPE_REAL = 0
 _DTYPE_COMPLEX = 1
-_DTYPES = {_DTYPE_REAL: ("<f8", Tensor), _DTYPE_COMPLEX: ("<c16", ComplexTensor)}
+_DTYPES = {_DTYPE_REAL: "<f8", _DTYPE_COMPLEX: "<c16"}
 
 
 def tensor_to_bytes(t) -> bytes:
     if isinstance(t, Tensor):
-        tag, arr = _DTYPE_REAL, np.ascontiguousarray(t.data, dtype="<f8")
-    elif isinstance(t, ComplexTensor):
-        tag, arr = _DTYPE_COMPLEX, np.ascontiguousarray(t.data, dtype="<c16")
+        tag, arr = _DTYPE_REAL, np.asarray(t.data, dtype="<f8", order="C")
+    elif isinstance(t, np.ndarray) and t.dtype == np.complex128:
+        tag, arr = _DTYPE_COMPLEX, np.asarray(t, dtype="<c16", order="C")
     else:
         raise TypeError(f"cannot snapshot {type(t).__name__}")
     head = _MAGIC + struct.pack("<BB", tag, arr.ndim)
@@ -46,7 +47,8 @@ def tensor_to_bytes(t) -> bytes:
 def tensor_from_bytes(buf: bytes, offset: int = 0):
     """Decode one snapshot block; returns (tensor, next_offset).
 
-    A block cut short anywhere raises ParseError.
+    A block cut short anywhere, or whose dims numpy cannot hold, raises
+    ParseError; non-finite data raises NonFiniteError.
     """
     if buf[offset : offset + 4] != _MAGIC:
         raise ParseError("bad tensor snapshot magic")
@@ -57,14 +59,21 @@ def tensor_from_bytes(buf: bytes, offset: int = 0):
         raise ParseError(f"truncated tensor snapshot header ({exc})") from exc
     if tag not in _DTYPES:
         raise ParseError(f"unknown snapshot dtype tag {tag}")
-    dtype, wrap = _DTYPES[tag]
+    dtype = _DTYPES[tag]
     pos = offset + 6 + 8 * rank
     count = math.prod(dims)
     end = pos + np.dtype(dtype).itemsize * count
     if end > len(buf):
         raise ParseError(f"truncated tensor snapshot data: needs {end} bytes, has {len(buf)}")
-    arr = np.frombuffer(buf, dtype=dtype, count=count, offset=pos).reshape(dims)
-    return wrap(arr.copy()), end
+    try:
+        arr = np.frombuffer(buf, dtype=dtype, count=count, offset=pos).reshape(dims).copy()
+    except (ValueError, OverflowError) as exc:
+        raise ParseError(f"tensor snapshot dims no array can hold ({exc})") from exc
+    if tag == _DTYPE_REAL:
+        return Tensor(arr), end
+    if not np.isfinite(arr).all():
+        raise NonFiniteError("complex snapshot holds non-finite values")
+    return arr, end
 
 
 def save_tensors(path, tensors: dict) -> None:

@@ -10,7 +10,7 @@ from semlink.chancodec import (
     chan_encode_real,
     inverse_params,
 )
-from semlink.errors import ShapeError
+from semlink.errors import NonFiniteError, ShapeError
 from semlink.rng import RngStream
 from semlink.tensor import Tensor, add, matmul, mul, sub, tmean
 from semlink.training import Adam
@@ -25,7 +25,7 @@ class TestEncodeDecode:
     def test_zero_weights_zero_symbols(self):
         params = zero_params(6, 2)
         x = chan_encode(Tensor(np.random.default_rng(0).normal(size=(4, 6))), params)
-        np.testing.assert_array_equal(x.data, np.zeros((4, 2), dtype=complex))
+        np.testing.assert_array_equal(x, np.zeros((4, 2), dtype=complex))
 
     def test_interleave_convention(self):
         # identity weights on feature_dim == 2*symbol_dim: row -> re/im pairs
@@ -34,7 +34,7 @@ class TestEncodeDecode:
         params.enc_weight.data[...] = np.eye(d_s)
         rows = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
         x = chan_encode(Tensor(rows), params)
-        np.testing.assert_array_equal(x.data, [[1 + 2j, 3 + 4j], [5 + 6j, 7 + 8j]])
+        np.testing.assert_array_equal(x, [[1 + 2j, 3 + 4j], [5 + 6j, 7 + 8j]])
 
     def test_output_shape(self):
         params = ChanCodecParams.init(16, 4, RngStream(1))
@@ -45,10 +45,16 @@ class TestEncodeDecode:
     def test_zero_input_gives_decoder_bias(self):
         params = ChanCodecParams.init(8, 4, RngStream(2))
         params.dec_bias.data[...] = np.arange(8, dtype=float)
-        from semlink.ctensor import ComplexTensor
-
-        out = chan_decode(ComplexTensor(np.zeros((3, 4), dtype=complex)), params)
+        out = chan_decode(np.zeros((3, 4), dtype=complex), params)
         np.testing.assert_array_equal(out.data, np.tile(np.arange(8.0), (3, 1)))
+
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf), -np.inf])
+    def test_non_finite_symbols_rejected(self, bad):
+        params = ChanCodecParams.init(8, 4, RngStream(2))
+        x_hat = np.ones((3, 4), dtype=complex)
+        x_hat[1, 2] = bad
+        with pytest.raises(NonFiniteError):
+            chan_decode(x_hat, params)
 
     def test_pseudo_inverse_roundtrip(self):
         # exact recovery when 2*symbol_dim >= feature_dim

@@ -8,7 +8,6 @@ import pytest
 from semlink.channel import ChannelConfig, draw_channel, normalize_power, transmit_detect
 from semlink.cli import _bench_cell, main
 from semlink.config import RunConfig
-from semlink.ctensor import ComplexTensor
 from semlink.errors import ConfigError
 from semlink.metrics import nmse
 from semlink.rng import RngStream
@@ -226,6 +225,19 @@ class TestTruncatedCheckpoint:
             err = capsys.readouterr().err
             assert err.startswith("error:") and err.count("\n") == 1, err
 
+    def test_eval_exits_3_on_complex_parameter(self, tmp_path, trained_checkpoint, capsys):
+        from semlink.snapshot import load_tensors, save_tensors
+
+        tensors = load_tensors(trained_checkpoint)
+        tensors["chan.enc_bias"] = np.zeros(tensors["chan.enc_bias"].shape) + 1j
+        ckpt = tmp_path / "complex.ckpt"
+        save_tensors(ckpt, tensors)
+        Path(str(ckpt) + ".json").write_bytes(Path(trained_checkpoint + ".json").read_bytes())
+        assert main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "chan.enc_bias" in err
+
 
 class TestSweepPr:
     def test_grid_coverage_and_summary(self, tmp_path, trained_checkpoint):
@@ -321,7 +333,7 @@ class TestChannelBench:
         looped = []
         for t in range(25):
             rng = base.substream(t)
-            x = normalize_power(ComplexTensor(rng.complex_normal((n_sym, 1), 0.0, 1.0)), p_s)
+            x = normalize_power(rng.complex_normal((n_sym, 1), 0.0, 1.0), p_s)
             frame = draw_channel(chan_cfg, rng.substream(1))
             looped.append(nmse(x, transmit_detect(x, frame, rng.substream(2))))
         np.testing.assert_array_equal(batched, np.asarray(looped))

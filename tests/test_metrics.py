@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from semlink.ctensor import ComplexTensor
 from semlink.errors import ContractError, ShapeError
 from semlink.masking import PatchGrid
 from semlink.metrics import PSNR_CAP_DB, SSIM_WINDOW, nmse, psnr, region_metric, ssim
@@ -160,18 +159,18 @@ class TestRegionMetric:
 
 class TestNmse:
     def test_zero_for_equal(self):
-        x = ComplexTensor(np.random.default_rng(9).normal(size=(4, 4)).astype(complex))
-        assert nmse(x, ComplexTensor(x.data.copy())) == 0.0
+        x = np.random.default_rng(9).normal(size=(4, 4)).astype(complex)
+        assert nmse(x, x.copy()) == 0.0
 
     def test_one_for_zero_estimate(self):
-        x = ComplexTensor((np.random.default_rng(10).normal(size=(3, 3)) + 1j).astype(complex))
-        assert abs(nmse(x, ComplexTensor(np.zeros((3, 3), dtype=complex))) - 1.0) < 1e-12
+        x = (np.random.default_rng(10).normal(size=(3, 3)) + 1j).astype(complex)
+        assert abs(nmse(x, np.zeros((3, 3), dtype=complex)) - 1.0) < 1e-12
 
     def test_double_estimate(self):
-        x = ComplexTensor((np.random.default_rng(11).normal(size=(5,)) + 0.5j).astype(complex))
+        x = (np.random.default_rng(11).normal(size=(5,)) + 0.5j).astype(complex)
         assert abs(nmse(x, x * 2.0) - 1.0) < 1e-12
 
     def test_zero_reference_rejected(self):
-        z = ComplexTensor(np.zeros((2, 2), dtype=complex))
+        z = np.zeros((2, 2), dtype=complex)
         with pytest.raises(ContractError):
             nmse(z, z)

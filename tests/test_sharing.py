@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semlink.chancodec import ChanCodecParams, inverse_params
 from semlink.channel import ChannelConfig
@@ -87,6 +89,24 @@ class TestDivergence:
         sig = np.array([[1.0], [2.0], [4.0]])
         # pairs: |1-2|, |1-4|, |2-4| -> mean 2
         assert divergence(sig, all_pairs=True)[0] == 2.0
+
+    @given(st.integers(2, 11), st.integers(1, 39), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_all_pairs_matches_pair_loop_bitwise(self, k, length, seed):
+        sig = np.random.default_rng(seed).uniform(0.0, 3.0, size=(k, length))
+        assert divergence(sig, all_pairs=True).tobytes() == _all_pairs_loop(sig).tobytes()
+
+
+def _all_pairs_loop(sigma2):
+    """Oracle: accumulate |sigma2[a] - sigma2[b]| one unordered pair at a time."""
+    k = sigma2.shape[0]
+    total = np.zeros(sigma2.shape[1])
+    count = 0
+    for a in range(k):
+        for b in range(a + 1, k):
+            total += np.abs(sigma2[a] - sigma2[b])
+            count += 1
+    return total / count
 
 
 class TestPartition:

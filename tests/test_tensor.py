@@ -1,15 +1,16 @@
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gradcheck import check_grads, fd_grad, rel_err
-from semlink.errors import ConfigError, ContractError, NonFiniteError, ShapeError
+from semlink.errors import ConfigError, ContractError, NonFiniteError, ParseError, ShapeError
 from semlink.rng import RngStream
 from semlink.snapshot import load_tensors, save_tensors, tensor_from_bytes, tensor_to_bytes
-from semlink.ctensor import ComplexTensor
 from semlink.tensor import (
     AttentionParams,
     Tensor,
@@ -455,10 +456,22 @@ class TestSnapshot:
         np.testing.assert_array_equal(back.data, t.data)
 
     def test_complex_roundtrip(self):
-        z = ComplexTensor(np.random.default_rng(1).normal(size=(2, 3))
-                          + 1j * np.random.default_rng(2).normal(size=(2, 3)))
+        z = (np.random.default_rng(1).normal(size=(2, 3))
+             + 1j * np.random.default_rng(2).normal(size=(2, 3)))
         back, _ = tensor_from_bytes(tensor_to_bytes(z))
-        np.testing.assert_array_equal(back.data, z.data)
+        np.testing.assert_array_equal(back, z)
+
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(1.0, np.inf)])
+    def test_non_finite_complex_rejected_on_load(self, bad):
+        z = np.zeros((2, 2), dtype=complex)
+        z[1, 0] = bad
+        with pytest.raises(NonFiniteError):
+            tensor_from_bytes(tensor_to_bytes(z))
+
+    def test_only_tensors_and_complex_arrays_are_written(self):
+        for value in (np.zeros(3), [1.0 + 0j], 1j):
+            with pytest.raises(TypeError):
+                tensor_to_bytes(value)
 
     def test_checkpoint_roundtrip_and_stability(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -477,7 +490,7 @@ class TestSnapshot:
         rng = np.random.default_rng(4)
         path = tmp_path / "full.ckpt"
         save_tensors(path, {"w": Tensor(rng.normal(size=(2, 3))),
-                            "z": ComplexTensor(rng.normal(size=2) + 1j)})
+                            "z": rng.normal(size=2) + 1j})
         buf = path.read_bytes()
         for cut in range(len(buf)):
             path.write_bytes(buf[:cut])
@@ -489,6 +502,55 @@ class TestSnapshot:
 
         with pytest.raises(ParseError):
             tensor_from_bytes(b"JUNKxxxxxxxxxxxx")
+
+    @pytest.mark.parametrize("dims", [(0, 2**64 - 1), (2**63, 0), (0,) * 70])
+    def test_dims_no_array_can_hold_raise_parse_error(self, dims):
+        block = b"SLNK" + struct.pack(f"<BB{len(dims)}Q", 0, len(dims), *dims)
+        with pytest.raises(ParseError):
+            tensor_from_bytes(block)
+
+    _SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+
+    @given(hnp.arrays(np.float64, _SHAPES, elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @settings(max_examples=60, deadline=None)
+    def test_real_arrays_roundtrip_bitwise(self, arr):
+        back, end = tensor_from_bytes(tensor_to_bytes(Tensor(arr)))
+        assert isinstance(back, Tensor)
+        assert back.shape == arr.shape and back.data.tobytes() == arr.tobytes()
+        assert end == len(tensor_to_bytes(Tensor(arr)))
+
+    @given(hnp.arrays(np.complex128, _SHAPES,
+                      elements=st.complex_numbers(allow_nan=False, allow_infinity=False)))
+    @settings(max_examples=60, deadline=None)
+    def test_complex_arrays_roundtrip_bitwise(self, arr):
+        back, _ = tensor_from_bytes(tensor_to_bytes(arr))
+        assert back.dtype == np.complex128
+        assert back.shape == arr.shape and back.tobytes() == arr.tobytes()
+
+    @given(st.lists(st.tuples(st.sampled_from(["cut", "flip", "insert"]),
+                              st.integers(0, 10**6), st.binary(min_size=1, max_size=9)),
+                    min_size=1, max_size=4))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_corrupted_checkpoint_parses_or_raises_parse_or_non_finite(self, tmp_path, edits):
+        path = tmp_path / "fuzz.ckpt"
+        save_tensors(path, {"w": Tensor(np.arange(6.0).reshape(2, 3)),
+                            "z": np.array([1.0 + 2j, -3.0 - 0.5j])})
+        buf = bytearray(path.read_bytes())
+        for op, pos, raw in edits:
+            pos %= len(buf) + 1
+            if op == "cut":
+                del buf[pos:]
+            elif op == "flip" and pos < len(buf):
+                buf[pos] ^= raw[0]
+            elif op == "insert":
+                buf[pos:pos] = raw
+        path.write_bytes(bytes(buf))  # the same file is rewritten for every example
+        try:
+            out = load_tensors(path)
+        except (ParseError, NonFiniteError):
+            return
+        assert isinstance(out, dict)
 
 
 @st.composite
