@@ -171,10 +171,11 @@ def draw_channel(cfg: ChannelConfig, rng) -> ChannelFrame:
     """
     cfg.validate()
     h = _per_stream(rng, lambda r: _draw_h(cfg, r))
-    h_hat = h
     csi_var = cfg.effective_csi_error_var
     if csi_var > 0:
         h_hat = h + _per_stream(rng, lambda r: r.complex_normal(h.shape[-2:], 0.0, csi_var))
+    else:
+        h_hat = h.copy()  # exact CSI, in its own array
     return ChannelFrame(h, h_hat, calibrate_noise(cfg), cfg.p_s, csi_var)
 
 

@@ -14,11 +14,13 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .channel import draw_channel, normalize_power, transmit_detect
+from .codec import CodecConfig
 from .config import RunConfig
 from .errors import ConfigError, SemlinkError
 from .link import LinkModel, evaluate_link
@@ -107,12 +109,8 @@ def _training_scenes(cfg: RunConfig):
 
 def _new_model(cfg: RunConfig) -> LinkModel:
     """Freshly initialized model for the run's grid, codec settings and seed."""
-    return LinkModel.init(
-        cfg.scene_config().grid(), RngStream(cfg["seed"], _S_MODEL),
-        feature_dim=cfg["codec.feature_dim"], enc_layers=cfg["codec.enc_layers"],
-        dec_layers=cfg["codec.dec_layers"], num_heads=cfg["codec.num_heads"],
-        symbol_dim=cfg["codec.symbol_dim"],
-    )
+    return LinkModel.init(cfg.scene_config().grid(), RngStream(cfg["seed"], _S_MODEL),
+                          symbol_dim=cfg["codec.symbol_dim"], **cfg.section(CodecConfig))
 
 
 def cmd_train(cfg: RunConfig, out_dir: Path, phase: str, checkpoint: str | None) -> int:
@@ -152,11 +150,11 @@ def cmd_train(cfg: RunConfig, out_dir: Path, phase: str, checkpoint: str | None)
     return 0
 
 
-def _eval_trial(cfg: RunConfig, model: LinkModel, chan_cfg, masking: str, cell_rng,
-                dump_dir: Path | None = None, trial: int | None = None) -> MetricReport:
+def _eval_trial(cfg: RunConfig, model: LinkModel, chan_cfg, masking: str, mask_prob: float,
+                cell_rng, dump_dir: Path | None = None, trial: int | None = None) -> MetricReport:
     grid = model.grid
     scene, loc = _fresh_scene_with_loc(cfg, cell_rng.substream(1), grid)
-    plan = sample_nonempty_mask(grid, loc, cfg["eval.mask_prob"], cell_rng.substream(2))
+    plan = sample_nonempty_mask(grid, loc, mask_prob, cell_rng.substream(2))
     if masking == "random":
         plan = random_mask(grid, plan.keep_count, cell_rng.substream(3))
     frame = draw_channel(chan_cfg, cell_rng.substream(4))
@@ -190,7 +188,7 @@ def cmd_eval(cfg: RunConfig, out_dir: Path, checkpoint: str) -> int:
                 )
                 reports = run_trials(
                     trials,
-                    lambda t: _eval_trial(cfg, model, chan_cfg, masking,
+                    lambda t: _eval_trial(cfg, model, chan_cfg, masking, cfg["eval.mask_prob"],
                                           base.substream(t), dump_dir, t),
                 )
                 vals = np.asarray(
@@ -234,14 +232,12 @@ def cmd_sweep_pr(cfg: RunConfig, out_dir: Path, checkpoint: str | None) -> int:
                 model = shared_model
             else:
                 model = _train_for_pr(cfg, p_r)
-            cell_cfg = RunConfig(dict(cfg.values))
-            cell_cfg.values["eval.mask_prob"] = p_r
             base = RngStream(cfg["seed"], _S_SWEEP).substream(
                 hash_key(kind), int(round(p_r * 1000))
             )
             reports = run_trials(
                 trials,
-                lambda t: _eval_trial(cell_cfg, model, chan_cfg, "adaptive", base.substream(t)),
+                lambda t: _eval_trial(cfg, model, chan_cfg, "adaptive", p_r, base.substream(t)),
             )
             vals = np.asarray([[r.region_psnr_db, r.region_ssim] for r in reports])
             mean, std = vals.mean(axis=0), vals.std(axis=0)
@@ -264,12 +260,10 @@ def cmd_sweep_pr(cfg: RunConfig, out_dir: Path, checkpoint: str | None) -> int:
 
 
 def _train_for_pr(cfg: RunConfig, p_r: float) -> LinkModel:
-    sub = RunConfig(dict(cfg.values))
-    sub.values["train.mask_prob"] = p_r
-    model = _new_model(sub)
-    scenes = _training_scenes(sub)
+    model = _new_model(cfg)
+    scenes = _training_scenes(cfg)
     for ph in ("codec", "channel", "whole"):
-        train_phase(model, scenes, sub.train_config(ph))
+        train_phase(model, scenes, replace(cfg.train_config(ph), mask_prob=p_r))
     return model
 
 
@@ -277,8 +271,7 @@ def _users_semantics(cfg: RunConfig, k: int, rng) -> MultiUserSemantics:
     if cfg["users.source"] == "synthetic":
         ccfg = cfg.correlated_config()
         return synth_correlated_semantics(
-            rng, k, cfg["users.length"], cfg["users.dim"],
-            ccfg.shared_fraction(k), cfg["users.jitter"],
+            rng, k, cfg["users.length"], cfg["users.dim"], ccfg.shared_fraction(k), ccfg.jitter,
         )
     batch = generate_correlated_batch(rng, k, cfg.correlated_config())
     grid = cfg.scene_config().grid()

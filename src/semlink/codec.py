@@ -56,14 +56,14 @@ class CodecConfig:
     num_patches: int = 64
 
     def validate(self):
+        if min(self.feature_dim, self.num_heads, self.patch_dim, self.num_patches) < 1:
+            raise ConfigError("feature_dim, num_heads, patch_dim and num_patches must be >= 1")
         if self.feature_dim % self.num_heads:
             raise ConfigError(
                 f"feature_dim {self.feature_dim} not divisible by {self.num_heads} heads"
             )
         if self.enc_layers < 1 or self.dec_layers < 1:
             raise ConfigError("encoder and decoder need at least one layer")
-        if self.patch_dim < 1 or self.num_patches < 1:
-            raise ConfigError("patch_dim and num_patches must be positive")
 
     @staticmethod
     def for_grid(grid: PatchGrid, feature_dim=64, enc_layers=4, dec_layers=2,

@@ -8,50 +8,47 @@ any computation starts.  Lists are comma-separated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .channel import ChannelConfig
+from .codec import CodecConfig
 from .errors import ConfigError
 from .scenes import VOCABULARY, CorrelatedConfig, SceneConfig
 from .training import TrainConfig
 
 __all__ = ["SCHEMA", "RunConfig"]
 
+# The section classes own their settings: each field not listed in _SUPPLIED
+# is the key "<section>.<field>", typed by its default and defaulting to it.
+_SECTIONS = {SceneConfig: "scene", CodecConfig: "codec", ChannelConfig: "channel",
+             TrainConfig: "train", CorrelatedConfig: "users"}
+# fields another key supplies: the command's phase, the run seed, the scene
+# section, the grid the scene implies and each command's channel-kind list
+_SUPPLIED = {"phase", "seed", "scene", "patch_dim", "num_patches", "kind"}
+_TAGS = {bool: "bool", int: "int", float: "float", str: "str"}
+
+
+def _section_fields(cls) -> list:
+    return [f for f in fields(cls) if f.name not in _SUPPLIED]
+
+
+def _section_keys(cls) -> dict:
+    return {f"{_SECTIONS[cls]}.{f.name}": (_TAGS[type(f.default)], f.default)
+            for f in _section_fields(cls)}
+
+
 # key -> (type tag, default).  Type tags: int, float, str, bool,
-# ints/floats/strs (comma lists).
+# floats/strs (comma lists).
 SCHEMA = {
     "seed": ("int", 0),
-    "scene.height": ("int", 32),
-    "scene.width": ("int", 32),
-    "scene.channels": ("int", 1),
-    "scene.patch_size": ("int", 4),
-    "scene.min_objects": ("int", 1),
-    "scene.max_objects": ("int", 2),
-    "scene.min_obj_size": ("int", 6),
-    "scene.max_obj_size": ("int", 12),
-    "scene.background": ("str", "mixed"),
+    **_section_keys(SceneConfig),
     "scene.target_label": ("str", "any"),
-    "codec.feature_dim": ("int", 64),
-    "codec.enc_layers": ("int", 4),
-    "codec.dec_layers": ("int", 2),
-    "codec.num_heads": ("int", 4),
+    **_section_keys(CodecConfig),
     "codec.symbol_dim": ("int", 8),
-    "channel.kind": ("str", "awgn"),
-    "channel.snr_db": ("float", 10.0),
-    "channel.n_t": ("int", 1),
-    "channel.n_r": ("int", 1),
-    "channel.rician_r": ("float", 1.0),
-    "channel.csi_error_var": ("float", 0.0),
-    "channel.p_s": ("float", 1.0),
-    "train.lr": ("float", 2e-4),
-    "train.epochs": ("int", 10),
-    "train.batch_size": ("int", 8),
+    **_section_keys(ChannelConfig),
+    **_section_keys(TrainConfig),
     "train.scenes": ("int", 128),
-    "train.mask_prob": ("float", 0.3),
-    "train.snr_lo_db": ("float", 0.0),
-    "train.snr_hi_db": ("float", 20.0),
-    "train.surrogate_kind": ("str", "awgn"),
     "eval.trials": ("int", 200),
     "eval.snr_db_list": ("floats", (0.0, 10.0, 20.0)),
     "eval.kinds": ("strs", ("awgn", "rayleigh")),
@@ -68,9 +65,7 @@ SCHEMA = {
     "users.source": ("str", "synthetic"),  # synthetic | scenes
     "users.length": ("int", 32),
     "users.dim": ("int", 48),
-    "users.jitter": ("float", 0.4),
-    "users.share_base": ("float", 0.9),
-    "users.share_decay": ("float", 0.93),
+    **_section_keys(CorrelatedConfig),
     "users.all_pairs": ("bool", False),
     "users.count_side_info": ("bool", False),
     "bench.kinds": ("strs", ("awgn", "rayleigh", "rician")),
@@ -111,8 +106,6 @@ def _coerce(key: str, raw, tag: str):
         if tag == "str":
             return text
         parts = [p.strip() for p in text.split(",") if p.strip()]
-        if tag == "ints":
-            return tuple(int(p) for p in parts)
         if tag == "floats":
             return tuple(_finite_float(p) for p in parts)
         if tag == "strs":
@@ -159,16 +152,17 @@ class RunConfig:
     def validate(self, command: str | None = None) -> None:
         """Check every value.  command, when given, limits the check that a
         channel kind fits the antenna counts to the kinds that command draws;
-        None checks every kind key and channel.kind."""
+        None checks every kind key."""
         v = self.values
         self.scene_config().validate()
-        chan = self.channel_config()
-        chan.validate(geometry=command is None)
+        CodecConfig.for_grid(self.scene_config().grid(), **self.section(CodecConfig))
+        self.channel_config().validate(geometry=False)
         for key in _COMMAND_KINDS.values():
             geometry = command is None or _COMMAND_KINDS.get(command) == key
             for kind in v[key]:
-                replace(chan, kind=kind).validate(geometry)
+                self.channel_config(kind).validate(geometry)
         self.train_config("codec").validate()
+        self.correlated_config().validate()
         if not 0.0 <= v["eval.mask_prob"] <= 1.0:
             raise ConfigError("eval.mask_prob outside [0, 1]")
         if any(not 0.0 <= p <= 1.0 for p in v["sweep.pr_list"]):
@@ -181,63 +175,30 @@ class RunConfig:
             raise ConfigError("users.source must be synthetic or scenes")
         if v["scene.target_label"] != "any" and v["scene.target_label"] not in VOCABULARY:
             raise ConfigError(f"scene.target_label must be 'any' or one of {VOCABULARY}")
-        if v["codec.feature_dim"] % v["codec.num_heads"]:
-            raise ConfigError("codec.feature_dim must be divisible by codec.num_heads")
-        for key in ("eval.trials", "sweep.trials", "users.trials", "bench.trials",
-                    "bench.symbols", "gen.count", "train.scenes"):
+        for key in ("codec.symbol_dim", "eval.trials", "sweep.trials", "users.trials",
+                    "users.length", "users.dim", "bench.trials", "bench.symbols", "gen.count",
+                    "train.scenes"):
             if v[key] < 1:
                 raise ConfigError(f"{key} must be >= 1")
 
     # -- typed sub-configs -------------------------------------------------
 
+    def section(self, cls) -> dict:
+        """The values of the keys generated from cls's fields, by field name."""
+        return {f.name: self.values[f"{_SECTIONS[cls]}.{f.name}"] for f in _section_fields(cls)}
+
     def scene_config(self) -> SceneConfig:
-        v = self.values
-        return SceneConfig(
-            height=v["scene.height"],
-            width=v["scene.width"],
-            channels=v["scene.channels"],
-            patch_size=v["scene.patch_size"],
-            min_objects=v["scene.min_objects"],
-            max_objects=v["scene.max_objects"],
-            min_obj_size=v["scene.min_obj_size"],
-            max_obj_size=v["scene.max_obj_size"],
-            background=v["scene.background"],
-        )
+        return SceneConfig(**self.section(SceneConfig))
 
     def correlated_config(self) -> CorrelatedConfig:
-        v = self.values
-        return CorrelatedConfig(
-            scene=self.scene_config(),
-            share_base=v["users.share_base"],
-            share_decay=v["users.share_decay"],
-            jitter=v["users.jitter"],
-        )
+        return CorrelatedConfig(self.scene_config(), **self.section(CorrelatedConfig))
 
-    def channel_config(self, kind=None, snr_db=None, csi_error_var=None) -> ChannelConfig:
-        v = self.values
-        return ChannelConfig(
-            kind=v["channel.kind"] if kind is None else kind,
-            snr_db=v["channel.snr_db"] if snr_db is None else snr_db,
-            n_t=v["channel.n_t"],
-            n_r=v["channel.n_r"],
-            rician_r=v["channel.rician_r"],
-            csi_error_var=v["channel.csi_error_var"] if csi_error_var is None else csi_error_var,
-            p_s=v["channel.p_s"],
-        )
+    def channel_config(self, kind: str = "awgn", **given) -> ChannelConfig:
+        """The channel section for one kind; given overrides named fields."""
+        return ChannelConfig(kind, **{**self.section(ChannelConfig), **given})
 
     def train_config(self, phase: str) -> TrainConfig:
-        v = self.values
-        return TrainConfig(
-            phase=phase,
-            lr=v["train.lr"],
-            epochs=v["train.epochs"],
-            batch_size=v["train.batch_size"],
-            seed=v["seed"],
-            mask_prob=v["train.mask_prob"],
-            snr_lo_db=v["train.snr_lo_db"],
-            snr_hi_db=v["train.snr_hi_db"],
-            surrogate_kind=v["train.surrogate_kind"],
-        )
+        return TrainConfig(phase, seed=self.values["seed"], **self.section(TrainConfig))
 
     def to_dict(self) -> dict:
         return {k: (list(v) if isinstance(v, tuple) else v) for k, v in sorted(self.values.items())}

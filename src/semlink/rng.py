@@ -38,21 +38,16 @@ def _mix64(a: int, b: int) -> int:
 
 
 class RngStream:
-    """One independent random stream addressed by (seed, stream_id).
-
-    The counter tracks how many scalar draws were consumed; it is
-    bookkeeping only (for logs), not part of the generator key.
-    """
+    """One independent random stream addressed by (seed, stream_id)."""
 
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = int(seed) & _MASK64
         self.stream_id = int(stream_id) & _MASK64
-        self.counter = 0
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
     def __repr__(self):
-        return f"RngStream(seed={self.seed}, stream_id={self.stream_id}, counter={self.counter})"
+        return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
     def substream(self, *ids: int) -> "RngStream":
         """Derive an independent child stream from this stream's identity."""
@@ -63,30 +58,22 @@ class RngStream:
 
     # -- draws ------------------------------------------------------------
 
-    def _count(self, shape) -> int:
-        return int(shape) if isinstance(shape, (int, np.integer)) else math.prod(shape)
-
     def normal(self, shape=(), mean: float = 0.0, std: float = 1.0) -> np.ndarray:
         if std < 0:
             raise ValueError("std must be >= 0")
-        self.counter += self._count(shape)
         return self._gen.normal(loc=mean, scale=std, size=shape)
 
     def uniform(self, shape=(), low: float = 0.0, high: float = 1.0) -> np.ndarray:
-        self.counter += self._count(shape)
         return self._gen.uniform(low=low, high=high, size=shape)
 
     def integers(self, low: int, high: int, shape=()) -> np.ndarray:
         """Uniform integers in [low, high)."""
-        self.counter += self._count(shape)
         return self._gen.integers(low, high, size=shape)
 
     def choice(self, n: int, size: int, replace: bool = False, p=None) -> np.ndarray:
-        self.counter += size
         return self._gen.choice(n, size=size, replace=replace, p=p)
 
     def permutation(self, n: int) -> np.ndarray:
-        self.counter += n
         return self._gen.permutation(n)
 
     def complex_normal(self, shape=(), mean: complex = 0.0, var: float = 1.0) -> np.ndarray:
@@ -95,7 +82,6 @@ class RngStream:
             raise ValueError("var must be >= 0")
         if isinstance(shape, (int, np.integer)):
             shape = (shape,)
-        self.counter += 2 * self._count(shape)
         # one call draws the real parts then the imaginary parts, the same
         # sequence as two normal(shape) calls
         re, im = self._gen.standard_normal((2, *shape)) * math.sqrt(var / 2.0)

@@ -97,6 +97,8 @@ class SceneConfig:
     background: str = "mixed"  # family name or "mixed" for a per-scene draw
 
     def validate(self):
+        if min(self.height, self.width, self.patch_size) < 1:
+            raise ConfigError("height, width and patch_size must be >= 1")
         if self.height % self.patch_size or self.width % self.patch_size:
             raise ConfigError(
                 f"image {self.height}x{self.width} not divisible by patch {self.patch_size}"
@@ -197,22 +199,21 @@ class CorrelatedConfig:
     """Settings for a batch of K scenes with a controlled shared fraction.
 
     The shared-content fraction for a batch of K users is
-    clip(share_base * share_decay**(K - 2), 0, 1); share_fraction, when set,
-    overrides it with a constant.  jitter is the amplitude of per-user noise
-    added to the shared region.
+    clip(share_base * share_decay**(K - 2), 0, 1).  jitter is the amplitude
+    of per-user noise added to the shared region.
     """
 
     scene: SceneConfig = field(default_factory=SceneConfig)
-    share_base: float = 0.85
+    share_base: float = 0.9
     share_decay: float = 0.93
-    share_fraction: float | None = None
-    jitter: float = 0.0
+    jitter: float = 0.4
+
+    def validate(self):
+        if self.jitter < 0:
+            raise ConfigError("jitter must be >= 0")
 
     def shared_fraction(self, k: int) -> float:
-        if self.share_fraction is not None:
-            f = self.share_fraction
-        else:
-            f = self.share_base * self.share_decay ** (k - 2)
+        f = self.share_base * self.share_decay ** (k - 2)
         return float(min(1.0, max(0.0, f)))
 
 
@@ -366,9 +367,12 @@ def _read_pnm(path: Path) -> np.ndarray:
     if maxval != 255:
         raise ParseError(f"{path.name}: only 8-bit images supported")
     c = 1 if magic == b"P5" else 3
-    body = np.frombuffer(raw, dtype=np.uint8, count=c * h * w, offset=pos)
-    if body.size != c * h * w:
+    # slice before converting: a short slice is truncated data, whatever the
+    # header claims, and a size no array can have never reaches numpy
+    data = raw[pos : pos + c * h * w]
+    if len(data) != c * h * w:
         raise ParseError(f"{path.name}: truncated pixel data")
+    body = np.frombuffer(data, dtype=np.uint8)
     if c == 1:
         img = body.reshape(1, h, w)
     else:

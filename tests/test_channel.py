@@ -372,13 +372,19 @@ class TestStackedFrames:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     @pytest.mark.parametrize("which", ["h", "h_hat"])
     def test_non_finite_channel_caught_before_decoding(self, bad, which):
-        cfg = ChannelConfig(kind="rayleigh", n_t=2, n_r=2, csi_error_var=0.01)  # h_hat is not h
         streams = [RngStream(55, t) for t in range(3)]
-        frame = draw_channel(cfg, [s.substream(1) for s in streams])
-        getattr(frame, which)[2, 1, 0] = bad
         x = RngStream(56).complex_normal((3, 4, 2), 0.0, 1.0)
-        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
-            transmit_detect(x, frame, [s.substream(2) for s in streams])
+        other = "h_hat" if which == "h" else "h"
+        # noisy CSI, then exact CSI (awgn, and rayleigh at csi_error_var 0)
+        for cfg in (ChannelConfig(kind="rayleigh", n_t=2, n_r=2, csi_error_var=0.01),
+                    ChannelConfig(kind="awgn", n_t=2, n_r=2),
+                    ChannelConfig(kind="rayleigh", n_t=2, n_r=2)):
+            frame = draw_channel(cfg, [s.substream(1) for s in streams])
+            kept = getattr(frame, other).copy()
+            getattr(frame, which)[2, 1, 0] = bad
+            np.testing.assert_array_equal(getattr(frame, other), kept)
+            with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
+                transmit_detect(x, frame, [s.substream(2) for s in streams])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_non_finite_signal_rejected_by_transmit(self, bad):

@@ -4,14 +4,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semlink.channel import ChannelConfig, draw_channel, normalize_power, transmit_detect
 from semlink.cli import _bench_cell, main
-from semlink.config import RunConfig
+from semlink.codec import CodecConfig
+from semlink.config import SCHEMA, RunConfig
 from semlink.errors import ConfigError
 from semlink.metrics import nmse
 from semlink.rng import RngStream
 from semlink.scenes import load_annotated
+from semlink.training import PHASES
 
 FAST_TRAIN = [
     "--train.scenes", "8", "--train.epochs", "1", "--train.lr", "0.001",
@@ -41,12 +45,12 @@ class TestConfig:
         f = tmp_path / "run.cfg"
         f.write_text(
             "# a comment\n"
-            "channel.kind = rayleigh\n"
+            "eval.kinds = rayleigh\n"
             "train.epochs = 3   # inline comment\n"
             "users.eps_list = 0.1, 0.2\n"
         )
         cfg = RunConfig.load(f, {"train.epochs": "5"})
-        assert cfg["channel.kind"] == "rayleigh"
+        assert cfg["eval.kinds"] == ("rayleigh",)
         assert cfg["train.epochs"] == 5
         assert cfg["users.eps_list"] == (0.1, 0.2)
 
@@ -70,11 +74,42 @@ class TestConfig:
 
     def test_bad_channel_kind_rejected(self):
         with pytest.raises(ConfigError):
-            RunConfig.load(None, {"channel.kind": "freespace"})
+            RunConfig.load(None, {"eval.kinds": "awgn, freespace"})
 
     def test_type_coercion_failure(self):
         with pytest.raises(ConfigError):
             RunConfig.load(None, {"train.epochs": "many"})
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        overrides=st.dictionaries(
+            st.sampled_from(sorted(SCHEMA)),
+            st.one_of(
+                st.integers(-10**6, 10**6).map(str),
+                st.floats().map(repr),
+                st.sampled_from(["0", "-1", "nan", "inf", "-inf", "", " ", ",", "1,", "0, nan",
+                                 "0.5,-2", "true", "awgn", "rician, rayleigh", "1e999"]),
+                st.text(max_size=10),
+            ),
+            max_size=3,
+        ),
+        command=st.sampled_from([None, "gen-scenes", "train", "eval", "sweep-pr",
+                                 "sweep-users", "channel-bench"]),
+    )
+    def test_fuzzed_values_load_or_config_error(self, overrides, command):
+        try:
+            cfg = RunConfig.load(None, overrides, command)
+        except ConfigError:
+            return
+        # every section class builds from what load accepted
+        grid = cfg.scene_config().grid()
+        CodecConfig.for_grid(grid, **cfg.section(CodecConfig))
+        for key in ("eval.kinds", "sweep.kinds", "bench.kinds"):
+            for kind in cfg[key]:
+                cfg.channel_config(kind).validate(geometry=False)
+        for phase in PHASES:
+            cfg.train_config(phase).validate()
+        cfg.correlated_config().validate()
 
 
 class TestExitCodes:
@@ -91,6 +126,23 @@ class TestExitCodes:
 
     def test_dangling_override_exits_2(self, tmp_path):
         assert main(["gen-scenes", "--out", str(tmp_path), "--gen.count"]) == 2
+
+    @pytest.mark.parametrize("command,key,value", [
+        *[(command, key, "0") for key in ("codec.num_heads", "scene.patch_size")
+          for command in ("gen-scenes", "train", "eval", "sweep-pr", "sweep-users",
+                          "channel-bench")],
+        ("train", "codec.feature_dim", "0"),
+        ("train", "codec.feature_dim", "-4"),
+        ("train", "codec.num_heads", "-1"),
+        ("train", "scene.patch_size", "-4"),
+        ("sweep-users", "codec.symbol_dim", "0"),
+        ("sweep-users", "users.jitter", "-1"),
+        ("sweep-users", "users.length", "-1"),
+    ])
+    def test_bad_size_exits_2(self, tmp_path, capsys, command, key, value):
+        assert main([command, "--out", str(tmp_path), f"--{key}", value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("key,value", [("--channel.p_s", "nan"),
                                            ("--bench.snr_db_list", "0,inf")])

@@ -1,7 +1,12 @@
 import json
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semlink.errors import ConfigError, ParseError, VocabularyError
 from semlink.masking import PatchGrid
@@ -208,12 +213,58 @@ class TestSceneIO:
         with pytest.raises(ParseError, match=scene.id):
             load_annotated(tmp_path)
 
+    @pytest.mark.parametrize("raw", [
+        b"P5\n8 8\n255\n" + bytes(63),  # one pixel short
+        b"P5\n2 2\n255",  # header ends right after maxval
+        b"P5\n99999999999 99999999999\n255\n",  # no array has this size
+    ], ids=["one-pixel-short", "no-pixel-data", "huge-size"])
+    def test_short_pixel_data_named_in_error(self, tmp_path, raw):
+        scene = generate_scene(RngStream(9, 9), SceneConfig(channels=1))
+        save_scene(scene, tmp_path)
+        (tmp_path / f"{scene.id}.pgm").write_bytes(raw)
+        with pytest.raises(ParseError, match=f"{scene.id}.pgm: truncated pixel data"):
+            load_annotated(tmp_path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        channels=st.sampled_from([1, 3]),
+        edits=st.lists(st.tuples(
+            st.sampled_from(["cut", "flip", "insert"]),
+            st.integers(0, 1 << 16),
+            st.one_of(st.binary(min_size=1, max_size=4),
+                      st.sampled_from([b" ", b"\n", b"#", b"-", b"0", b"9", b"99999999999 "])),
+        ), min_size=1, max_size=3),
+    )
+    def test_fuzzed_pnm_gives_scenes_or_parse_error(self, channels, edits):
+        """Cuts, byte flips and insertions of a valid PGM or PPM."""
+        with tempfile.TemporaryDirectory() as d:
+            scene = generate_scene(RngStream(10, channels), _SMALL_SCENE[channels])
+            path = save_scene(scene, d)
+            raw = path.read_bytes()
+            for op, at, data in edits:
+                at %= len(raw) + 1
+                if op == "cut":
+                    raw = raw[:at]
+                elif op == "flip" and at < len(raw):
+                    raw = raw[:at] + bytes([raw[at] ^ (data[0] or 1)]) + raw[at + 1 :]
+                elif op == "insert":
+                    raw = raw[:at] + data + raw[at:]
+            Path(path).write_bytes(raw)
+            try:
+                assert isinstance(load_annotated(d), list)
+            except ParseError:
+                pass
+
     def test_missing_sidecar(self, tmp_path):
         scene = generate_scene(RngStream(8, 8), SceneConfig())
         save_scene(scene, tmp_path)
         (tmp_path / f"{scene.id}.json").unlink()
         with pytest.raises(ParseError, match="sidecar"):
             load_annotated(tmp_path)
+
+
+_SMALL_SCENE = {c: SceneConfig(height=8, width=8, channels=c, max_objects=1, min_obj_size=3,
+                                max_obj_size=6) for c in (1, 3)}
 
 
 def _patch_equal_count(scenes, grid):
@@ -228,7 +279,7 @@ def _patch_equal_count(scenes, grid):
 
 class TestCorrelatedBatch:
     def test_jitter_zero_shared_patches_bitwise_equal(self):
-        cfg = CorrelatedConfig(scene=SceneConfig(), share_fraction=0.7, jitter=0.0)
+        cfg = CorrelatedConfig(scene=SceneConfig(), share_base=0.7, share_decay=1.0, jitter=0.0)
         grid = cfg.scene.grid()
         batch = generate_correlated_batch(RngStream(3), 3, cfg)
         covered = set()
@@ -238,13 +289,13 @@ class TestCorrelatedBatch:
         assert _patch_equal_count(batch, grid) == grid.num_patches - zone
 
     def test_constant_zero_share_is_fully_private(self):
-        cfg = CorrelatedConfig(scene=SceneConfig(), share_fraction=0.0, jitter=0.0)
+        cfg = CorrelatedConfig(scene=SceneConfig(), share_base=0.0, share_decay=1.0, jitter=0.0)
         grid = cfg.scene.grid()
         batch = generate_correlated_batch(RngStream(4), 2, cfg)
         assert _patch_equal_count(batch, grid) == 0
 
     def test_full_background_sharing_pixel_diff_oracle(self):
-        cfg = CorrelatedConfig(scene=SceneConfig(), share_fraction=1.0, jitter=0.0)
+        cfg = CorrelatedConfig(scene=SceneConfig(), share_base=1.0, share_decay=1.0, jitter=0.0)
         grid = cfg.scene.grid()
         batch = generate_correlated_batch(RngStream(5), 2, cfg)
         private = set()
@@ -258,7 +309,7 @@ class TestCorrelatedBatch:
             np.testing.assert_array_equal(a[:, y : y + h, x : x + w], b[:, y : y + h, x : x + w])
 
     def test_each_scene_has_private_object(self):
-        cfg = CorrelatedConfig(scene=SceneConfig())
+        cfg = CorrelatedConfig(scene=SceneConfig(), share_base=0.85, jitter=0.0)
         batch = generate_correlated_batch(RngStream(6), 4, cfg)
         for s in batch:
             assert len(s.objects) == 1
@@ -273,7 +324,7 @@ class TestCorrelatedBatch:
             generate_correlated_batch(RngStream(0), 1, CorrelatedConfig())
 
     def test_deterministic(self):
-        cfg = CorrelatedConfig(scene=SceneConfig(), jitter=0.1)
+        cfg = CorrelatedConfig(scene=SceneConfig(), share_base=0.85, jitter=0.1)
         a = generate_correlated_batch(RngStream(11), 3, cfg)
         b = generate_correlated_batch(RngStream(11), 3, cfg)
         for sa, sb in zip(a, b):
