@@ -1,8 +1,12 @@
 """Physical downlink: power normalization, MIMO fading, L-MMSE detection.
 
-Symbols are serialized row-major from the [L, symbol_dim] signal, zero-padded
-to a multiple of n_t, and reshaped into n_t-row blocks with one block-fading
-channel matrix per frame.  Detection applies
+Every call takes a stack of T frames: signals are [T, ...], a ChannelFrame
+holds [T, n_r, n_t] matrices, and frame t draws its channel and its noise
+from stream t of a sequence of T streams, so a frame gives bit-identical
+results alone or inside a stack.  One frame is the stack T = 1.  Each
+signal's symbols are serialized row-major, zero-padded to a multiple of n_t,
+and reshaped into n_t-row blocks under its frame's block-fading channel
+matrix.  Detection applies
 X_hat = H_hatᴴ (H_hat H_hatᴴ + (noise_var / p_s + n_t csi_error_var) I)⁻¹ Y
 blockwise with the estimated CSI and strips the padding.  This is the L-MMSE
 estimator for i.i.d. symbols of power p_s when H = H_hat - E with E i.i.d.
@@ -10,13 +14,6 @@ CN(0, csi_error_var): the term E X adds p_s n_t csi_error_var to the noise
 power a detector built from H_hat sees.  The identity (awgn) channel is
 known exactly, so its CSI carries no error: csi_error_var applies to the
 Rayleigh and Rician kinds only.
-
-draw_channel, transmit, lmmse_detect and transmit_detect also take a stack
-of T frames: given a sequence of T streams, draw_channel returns a frame of
-[T, n_r, n_t] matrices, signals are [T, L, S], and frame t draws its noise
-from stream t (power_scale, normalize_power and metrics.nmse take
-stacked=True for such signals).  A frame gives bit-identical results alone or
-inside a stack.
 
 SNR is calibrated per configuration: noise_var is set so the expected
 received per-symbol signal power over channel draws divided by noise_var
@@ -98,44 +95,31 @@ class ChannelConfig:
 
 @dataclass
 class ChannelFrame:
-    h: np.ndarray  # true channel [n_r, n_t], or a stack [T, n_r, n_t]
-    h_hat: np.ndarray  # estimated CSI, same shape
+    h: np.ndarray  # true channels [T, n_r, n_t]
+    h_hat: np.ndarray  # estimated CSI [T, n_r, n_t]
     noise_var: float
     p_s: float = 1.0  # symbol power the detector assumes
     csi_error_var: float = 0.0  # variance of the CSI error entries H_hat - H
 
 
-def _per_stream(rng, draw) -> np.ndarray:
-    """draw(rng) for one stream; stacked draw(r) over a sequence of streams."""
-    if isinstance(rng, RngStream):
-        return draw(rng)
-    return np.stack([draw(r) for r in rng])
-
-
-def power_scale(x: np.ndarray, p_s: float, stacked: bool = False):
-    """Scale factor bringing mean per-symbol power exactly to p_s.
-
-    stacked treats the first axis of x as T independent signals and returns
-    one factor per signal, shaped [T, 1, ..., 1] to broadcast against x.
-    """
-    axes = tuple(range(1, x.ndim)) if stacked else None
-    mean_pow = np.mean(np.abs(x) ** 2, axis=axes, keepdims=stacked)
+def power_scale(x: np.ndarray, p_s: float) -> np.ndarray:
+    """Per-signal factors bringing the mean per-symbol power of each signal
+    of the stack x [T, ...] exactly to p_s, shaped [T, 1, ..., 1]."""
+    mean_pow = np.mean(np.abs(x) ** 2, axis=tuple(range(1, x.ndim)), keepdims=True)
     if np.any(mean_pow == 0.0):
         raise ContractError("cannot normalize an all-zero signal")
-    scale = np.sqrt(p_s / mean_pow)
-    return scale if stacked else float(scale)
+    return np.sqrt(p_s / mean_pow)
 
 
-def normalize_power(x: np.ndarray, p_s: float, stacked: bool = False) -> np.ndarray:
-    """Rescale so the mean per-symbol power equals p_s exactly (per signal
-    of the stack when stacked)."""
-    return x * power_scale(x, p_s, stacked)
+def normalize_power(x: np.ndarray, p_s: float) -> np.ndarray:
+    """Rescale each signal of the stack x so its mean per-symbol power is p_s."""
+    return x * power_scale(x, p_s)
 
 
 # -- calibration --------------------------------------------------------------
 
 
-def calibrate_noise(cfg: ChannelConfig, signal_power: float | None = None) -> float:
+def calibrate_noise(cfg: ChannelConfig) -> float:
     """Noise variance hitting the configured SNR for p_s-power inputs.
 
     The mean per-receive-symbol gain E||H||_F^2 / n_r is n_t for Rayleigh and
@@ -143,10 +127,9 @@ def calibrate_noise(cfg: ChannelConfig, signal_power: float | None = None) -> fl
     identity channel.
     """
     cfg.validate()
-    p = cfg.p_s if signal_power is None else signal_power
     gain = 1.0 if cfg.kind == "awgn" else float(cfg.n_t)
     snr_lin = 10.0 ** (cfg.snr_db / 10.0)
-    return p * gain / snr_lin
+    return cfg.p_s * gain / snr_lin
 
 
 # -- channel draws -------------------------------------------------------------
@@ -163,17 +146,14 @@ def _draw_h(cfg: ChannelConfig, rng: RngStream) -> np.ndarray:
     return rng.complex_normal(shape, mu, var)
 
 
-def draw_channel(cfg: ChannelConfig, rng) -> ChannelFrame:
-    """One block-fading realization plus its (possibly corrupted) CSI.
-
-    Given a sequence of streams instead of one, draws one realization from
-    each and returns them as a stacked frame.
-    """
+def draw_channel(cfg: ChannelConfig, rngs) -> ChannelFrame:
+    """One block-fading realization plus its (possibly corrupted) CSI from
+    each of T streams, as a frame of [T, n_r, n_t] matrices."""
     cfg.validate()
-    h = _per_stream(rng, lambda r: _draw_h(cfg, r))
+    h = np.stack([_draw_h(cfg, r) for r in rngs])
     csi_var = cfg.effective_csi_error_var
     if csi_var > 0:
-        h_hat = h + _per_stream(rng, lambda r: r.complex_normal(h.shape[-2:], 0.0, csi_var))
+        h_hat = h + np.stack([r.complex_normal(h.shape[1:], 0.0, csi_var) for r in rngs])
     else:
         h_hat = h.copy()  # exact CSI, in its own array
     return ChannelFrame(h, h_hat, calibrate_noise(cfg), cfg.p_s, csi_var)
@@ -182,49 +162,48 @@ def draw_channel(cfg: ChannelConfig, rng) -> ChannelFrame:
 # -- transmission and detection -------------------------------------------------
 
 
-def _check_lead(shape: tuple, frame: ChannelFrame, what: str) -> tuple:
-    """Stack axes of frame (() for one frame); shape must start with them."""
-    lead = frame.h.shape[:-2]
-    if tuple(shape[:len(lead)]) != lead:
-        raise ShapeError(f"{what} {shape} does not match a stack of {lead} frames")
-    return lead
+def _check_stack(shape: tuple, frame: ChannelFrame, what: str) -> int:
+    """Number T of frames; shape must start with it."""
+    t = len(frame.h)
+    if tuple(shape[:1]) != (t,):
+        raise ShapeError(f"{what} {shape} does not match a stack of {t} frames")
+    return t
 
 
-def _to_blocks(x: np.ndarray, lead: tuple, n_t: int) -> np.ndarray:
-    """[*lead, n_t, m] blocks filled column-wise, zero-padded to m * n_t."""
-    flat = x.reshape(*lead, -1)
+def _to_blocks(x: np.ndarray, t: int, n_t: int) -> np.ndarray:
+    """[T, n_t, m] blocks filled column-wise, zero-padded to m * n_t."""
+    flat = x.reshape(t, -1)
     count = flat.shape[-1]
     m = -(-count // n_t)  # ceil
-    padded = np.zeros((*lead, m * n_t), dtype=np.complex128)
-    padded[..., :count] = flat
-    return padded.reshape(*lead, m, n_t).swapaxes(-1, -2)
+    padded = np.zeros((t, m * n_t), dtype=np.complex128)
+    padded[:, :count] = flat
+    return padded.reshape(t, m, n_t).swapaxes(-1, -2)
 
 
-def transmit(x: np.ndarray, frame: ChannelFrame, rng) -> np.ndarray:
-    """Y = H X_blocks + N with i.i.d. CN(0, noise_var) entries.
+def transmit(x: np.ndarray, frame: ChannelFrame, rngs) -> np.ndarray:
+    """Y = H X_blocks + N with i.i.d. CN(0, noise_var) entries, the noise of
+    frame t drawn from rngs[t].
 
-    For a stacked frame, x is [T, ...] and rng a sequence of T streams.
     A non-finite signal raises NonFiniteError.
     """
     if not np.isfinite(x).all():
         raise NonFiniteError("transmit rejected a non-finite signal")
-    lead = _check_lead(x.shape, frame, "signal")
-    y = frame.h @ _to_blocks(x, lead, frame.h.shape[-1])
+    t = _check_stack(x.shape, frame, "signal")
+    y = frame.h @ _to_blocks(x, t, frame.h.shape[-1])
     if frame.noise_var > 0:
-        noise = _per_stream(rng, lambda r: r.complex_normal(y.shape[-2:], 0.0, frame.noise_var))
+        noise = np.stack([r.complex_normal(y.shape[1:], 0.0, frame.noise_var) for r in rngs])
         if noise.shape != y.shape:
-            raise ShapeError(f"noise streams {noise.shape[:-2]} do not match frames {lead}")
+            raise ShapeError(f"{len(noise)} noise streams do not match {t} frames")
         y = y + noise
     return y
 
 
-def lmmse_detect(y: np.ndarray, frame: ChannelFrame, out_shape=None) -> np.ndarray:
+def lmmse_detect(y: np.ndarray, frame: ChannelFrame, out_shape: tuple) -> np.ndarray:
     """L-MMSE detection with estimated CSI, counting its error as noise.
 
-    out_shape, when given, strips the zero-padding and restores the original
-    layout (including the stack axis of a stacked frame); otherwise the n_t-row
-    block matrices are returned.  A non-finite output (from non-finite y,
-    H or H_hat) raises NonFiniteError.
+    Strips the zero-padding and returns the symbols in the [T, ...] layout
+    out_shape.  A non-finite output (from non-finite y, H or H_hat) raises
+    NonFiniteError.
     """
     hh = frame.h_hat
     if y.ndim != hh.ndim or y.shape[:-1] != hh.shape[:-1]:
@@ -241,19 +220,17 @@ def lmmse_detect(y: np.ndarray, frame: ChannelFrame, out_shape=None) -> np.ndarr
     xb = hh_h @ w
     if not np.isfinite(xb).all():
         raise NonFiniteError("detection produced non-finite symbols")
-    if out_shape is None:
-        return xb
-    lead = _check_lead(out_shape, frame, "output")
-    count = math.prod(out_shape[len(lead):])
-    flat = xb.swapaxes(-1, -2).reshape(*lead, -1)
+    t = _check_stack(out_shape, frame, "output")
+    count = math.prod(out_shape[1:])
+    flat = xb.swapaxes(-1, -2).reshape(t, -1)
     if count > flat.shape[-1]:
         raise ShapeError(f"requested {count} symbols from {flat.shape[-1]} detected")
     return flat[..., :count].reshape(out_shape)
 
 
-def transmit_detect(x: np.ndarray, frame: ChannelFrame, rng) -> np.ndarray:
+def transmit_detect(x: np.ndarray, frame: ChannelFrame, rngs) -> np.ndarray:
     """Round trip preserving the input layout exactly."""
-    y = transmit(x, frame, rng)
+    y = transmit(x, frame, rngs)
     return lmmse_detect(y, frame, out_shape=x.shape)
 
 
@@ -278,8 +255,7 @@ def surrogate_gains(cfg: ChannelConfig, shape, rng: RngStream) -> np.ndarray:
     return w
 
 
-def surrogate_channel(x: Tensor, cfg: ChannelConfig, rng: RngStream,
-                      return_gain: bool = False):
+def surrogate_channel(x: Tensor, cfg: ChannelConfig, rng: RngStream) -> Tensor:
     """Differentiable stand-in for the downlink: y = w * x + b.
 
     w (fading gains) and b (noise, variance noise_var/2 per real slot) are
@@ -292,7 +268,4 @@ def surrogate_channel(x: Tensor, cfg: ChannelConfig, rng: RngStream,
     w = surrogate_gains(cfg, x.shape, rng)
     noise_var = calibrate_noise(cfg)
     b = rng.normal(x.shape, 0.0, math.sqrt(noise_var / 2.0)) if noise_var > 0 else np.zeros(x.shape)
-    out = add(mul(x, Tensor(w)), Tensor(b))
-    if return_gain:
-        return out, w
-    return out
+    return add(mul(x, Tensor(w)), Tensor(b))

@@ -157,7 +157,7 @@ def _eval_trial(cfg: RunConfig, model: LinkModel, chan_cfg, masking: str, mask_p
     plan = sample_nonempty_mask(grid, loc, mask_prob, cell_rng.substream(2))
     if masking == "random":
         plan = random_mask(grid, plan.keep_count, cell_rng.substream(3))
-    frame = draw_channel(chan_cfg, cell_rng.substream(4))
+    frame = draw_channel(chan_cfg, [cell_rng.substream(4)])
     with no_grad():
         res = evaluate_link(model, scene.image, plan, chan_cfg, cell_rng.substream(5), frame=frame)
     if dump_dir is not None:
@@ -322,12 +322,10 @@ def _bench_cell(chan_cfg, base: RngStream, trials: int, n_sym: int) -> np.ndarra
     """
     streams = [base.substream(t) for t in range(trials)]
     x = normalize_power(
-        np.stack([r.complex_normal((n_sym, 1), 0.0, 1.0) for r in streams]),
-        chan_cfg.p_s, stacked=True,
-    )
+        np.stack([r.complex_normal((n_sym, 1), 0.0, 1.0) for r in streams]), chan_cfg.p_s)
     frame = draw_channel(chan_cfg, [r.substream(1) for r in streams])
     x_hat = transmit_detect(x, frame, [r.substream(2) for r in streams])
-    return nmse(x, x_hat, stacked=True)
+    return nmse(x, x_hat)
 
 
 def cmd_channel_bench(cfg: RunConfig, out_dir: Path) -> int:

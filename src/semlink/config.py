@@ -2,7 +2,8 @@
 
 Format: one `key = value` per line, `#` starts a comment.  Every key must be
 in the schema; values are coerced to the declared type and validated before
-any computation starts.  Lists are comma-separated.
+any computation starts.  Lists are comma-separated and hold at least one
+entry.
 """
 
 from __future__ import annotations
@@ -106,6 +107,8 @@ def _coerce(key: str, raw, tag: str):
         if tag == "str":
             return text
         parts = [p.strip() for p in text.split(",") if p.strip()]
+        if not parts:
+            raise ValueError(text)
         if tag == "floats":
             return tuple(_finite_float(p) for p in parts)
         if tag == "strs":
@@ -173,10 +176,15 @@ class RunConfig:
             raise ConfigError("user counts need 2 <= k_lo <= k_hi")
         if v["users.source"] not in ("synthetic", "scenes"):
             raise ConfigError("users.source must be synthetic or scenes")
+        # sharing compares per-row feature variances, which need two features
+        if v["users.dim"] < 2:
+            raise ConfigError("users.dim must be >= 2")
+        if v["users.source"] == "scenes" and self.scene_config().grid().patch_dim < 2:
+            raise ConfigError("users.source scenes needs scene.channels * scene.patch_size**2 >= 2")
         if v["scene.target_label"] != "any" and v["scene.target_label"] not in VOCABULARY:
             raise ConfigError(f"scene.target_label must be 'any' or one of {VOCABULARY}")
         for key in ("codec.symbol_dim", "eval.trials", "sweep.trials", "users.trials",
-                    "users.length", "users.dim", "bench.trials", "bench.symbols", "gen.count",
+                    "users.length", "bench.trials", "bench.symbols", "gen.count",
                     "train.scenes"):
             if v[key] < 1:
                 raise ConfigError(f"{key} must be >= 1")

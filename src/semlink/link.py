@@ -100,8 +100,6 @@ class LinkModel:
         if set(stored) != set(slots):
             raise ParseError(f"checkpoint {path} does not match manifest structure")
         for name, slot in slots.items():
-            if not isinstance(stored[name], Tensor):
-                raise ParseError(f"checkpoint tensor {name} is complex; parameters are real")
             if stored[name].data.shape != slot.data.shape:
                 raise ParseError(f"checkpoint tensor {name} has shape {stored[name].data.shape}")
             slot.data[...] = stored[name].data
@@ -152,28 +150,23 @@ def surrogate_stage(values: Tensor, chan: ChanCodecParams, chan_cfg: ChannelConf
 def statistical_stage(values: Tensor, chan: ChanCodecParams, chan_cfg: ChannelConfig,
                       rng: RngStream, frame=None) -> np.ndarray:
     """Statistical channel stage: semantic rows -> detected symbols, scaled
-    back to the encoder's power (see fading_stage)."""
-    return fading_stage(chan_encode(values, chan), chan_cfg, rng, frame)
+    back to the encoder's power; fading_stage of a stack of one signal, with
+    frame, when given, a one-frame stack."""
+    return fading_stage(chan_encode(values, chan)[None], chan_cfg, [rng], frame)[0]
 
 
-def fading_stage(x: np.ndarray, chan_cfg: ChannelConfig, rng, frame=None) -> np.ndarray:
-    """Symbols -> power normalization, fading, L-MMSE detection -> symbols at
-    their original power.  The channel is drawn from rng.substream(1) unless
-    a frame is given; the noise comes from rng.substream(2).
+def fading_stage(x: np.ndarray, chan_cfg: ChannelConfig, rngs, frame=None) -> np.ndarray:
+    """Stack of T signals [T, ...] -> power normalization, fading, L-MMSE
+    detection -> symbols at their original power.
 
-    Given a sequence of T streams, x is a stack of T signals [T, ...], each
-    normalized on its own and sent through the frame drawn from its stream,
-    with the same result as sending it alone.
+    Signal t is normalized on its own and crosses the channel drawn from
+    rngs[t].substream(1) (or frame t of a given frame) with noise from
+    rngs[t].substream(2), with the same result as sending it alone.
     """
-    if isinstance(rng, RngStream):
-        s = power_scale(x, chan_cfg.p_s)
-        chan_rng, noise_rng = rng.substream(1), rng.substream(2)
-    else:
-        s = power_scale(x, chan_cfg.p_s, stacked=True)
-        chan_rng, noise_rng = [r.substream(1) for r in rng], [r.substream(2) for r in rng]
+    s = power_scale(x, chan_cfg.p_s)
     if frame is None:
-        frame = draw_channel(chan_cfg, chan_rng)
-    return transmit_detect(x * s, frame, noise_rng) * (1.0 / s)
+        frame = draw_channel(chan_cfg, [r.substream(1) for r in rngs])
+    return transmit_detect(x * s, frame, [r.substream(2) for r in rngs]) * (1.0 / s)
 
 
 def codec_only_pass(model: LinkModel, image: Tensor, plan: MaskPlan):
@@ -195,8 +188,8 @@ def evaluate_link(model: LinkModel, image: Tensor, plan: MaskPlan,
                   frame=None) -> LinkResult:
     """Statistical-channel pass: fading draw, transmit, L-MMSE detect.
 
-    A pre-drawn frame can be passed to pair arms of a comparison on the same
-    channel realization.
+    A pre-drawn one-frame stack can be passed to pair arms of a comparison on
+    the same channel realization.
     """
     z = _encode(model, image, plan)
     x_hat = statistical_stage(z.values, model.chan, chan_cfg, rng, frame)

@@ -177,17 +177,13 @@ def region_metric(a, b, loc, grid: PatchGrid, which: str, max_val: float = 1.0) 
     return _ssim_mean(x, y, _ssim_map(x, y, max_val), max_val, mask)
 
 
-def nmse(x: np.ndarray, x_hat: np.ndarray, stacked: bool = False):
-    """||x_hat - x||^2 / ||x||^2 over complex symbol tensors.
-
-    stacked treats the first axis as T independent signals and returns the
-    [T] array of their NMSEs.
-    """
+def nmse(x: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
+    """||x_hat - x||^2 / ||x||^2 of each signal of the complex stacks
+    x, x_hat [T, ...]; returns the [T] array of NMSEs."""
     if x.shape != x_hat.shape:
         raise ShapeError(f"nmse shape mismatch {x.shape} vs {x_hat.shape}")
-    axes = tuple(range(1, x.ndim)) if stacked else None
+    axes = tuple(range(1, x.ndim))
     ref = np.sum(np.abs(x) ** 2, axis=axes)
     if np.any(ref == 0.0):
         raise ContractError("nmse undefined for a zero reference")
-    err = np.sum(np.abs(x_hat - x) ** 2, axis=axes)
-    return err / ref if stacked else float(err) / float(ref)
+    return np.sum(np.abs(x_hat - x) ** 2, axis=axes) / ref

@@ -3,15 +3,14 @@
 Single-tensor block layout (little-endian throughout):
 
     magic   4 bytes  b"SLNK"
-    dtype   u8       0 = float64, 1 = complex128
+    dtype   u8       0 = float64 (the only tag)
     rank    u8
     dims    rank * u64
     data    raw little-endian scalars, row-major
 
-A float64 block holds a Tensor, a complex128 block a plain complex128
-ndarray; both must be finite.  A checkpoint file is a sequence of (name,
-block) records preceded by a count, so model parameters round-trip
-byte-identically.
+A block holds one Tensor, so its data must be finite.  A checkpoint file is
+a sequence of (name, block) records preceded by a count, so model parameters
+round-trip byte-identically.
 """
 
 from __future__ import annotations
@@ -28,24 +27,19 @@ from .tensor import Tensor
 _MAGIC = b"SLNK"
 _CKPT_MAGIC = b"SLNKCKPT"
 _DTYPE_REAL = 0
-_DTYPE_COMPLEX = 1
-_DTYPES = {_DTYPE_REAL: "<f8", _DTYPE_COMPLEX: "<c16"}
 
 
-def tensor_to_bytes(t) -> bytes:
-    if isinstance(t, Tensor):
-        tag, arr = _DTYPE_REAL, np.asarray(t.data, dtype="<f8", order="C")
-    elif isinstance(t, np.ndarray) and t.dtype == np.complex128:
-        tag, arr = _DTYPE_COMPLEX, np.asarray(t, dtype="<c16", order="C")
-    else:
+def tensor_to_bytes(t: Tensor) -> bytes:
+    if not isinstance(t, Tensor):
         raise TypeError(f"cannot snapshot {type(t).__name__}")
-    head = _MAGIC + struct.pack("<BB", tag, arr.ndim)
+    arr = np.asarray(t.data, dtype="<f8", order="C")
+    head = _MAGIC + struct.pack("<BB", _DTYPE_REAL, arr.ndim)
     dims = struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b""
     return head + dims + arr.tobytes()
 
 
 def tensor_from_bytes(buf: bytes, offset: int = 0):
-    """Decode one snapshot block; returns (tensor, next_offset).
+    """Decode one snapshot block; returns (Tensor, next_offset).
 
     A block cut short anywhere, or whose dims numpy cannot hold, raises
     ParseError; non-finite data raises NonFiniteError.
@@ -57,23 +51,18 @@ def tensor_from_bytes(buf: bytes, offset: int = 0):
         dims = struct.unpack_from(f"<{rank}Q", buf, offset + 6)
     except struct.error as exc:
         raise ParseError(f"truncated tensor snapshot header ({exc})") from exc
-    if tag not in _DTYPES:
+    if tag != _DTYPE_REAL:
         raise ParseError(f"unknown snapshot dtype tag {tag}")
-    dtype = _DTYPES[tag]
     pos = offset + 6 + 8 * rank
     count = math.prod(dims)
-    end = pos + np.dtype(dtype).itemsize * count
+    end = pos + 8 * count
     if end > len(buf):
         raise ParseError(f"truncated tensor snapshot data: needs {end} bytes, has {len(buf)}")
     try:
-        arr = np.frombuffer(buf, dtype=dtype, count=count, offset=pos).reshape(dims).copy()
+        arr = np.frombuffer(buf, dtype="<f8", count=count, offset=pos).reshape(dims).copy()
     except (ValueError, OverflowError) as exc:
         raise ParseError(f"tensor snapshot dims no array can hold ({exc})") from exc
-    if tag == _DTYPE_REAL:
-        return Tensor(arr), end
-    if not np.isfinite(arr).all():
-        raise NonFiniteError("complex snapshot holds non-finite values")
-    return arr, end
+    return Tensor(arr), end
 
 
 def save_tensors(path, tensors: dict) -> None:
@@ -89,7 +78,8 @@ def save_tensors(path, tensors: dict) -> None:
 
 
 def load_tensors(path) -> dict:
-    """Read a checkpoint file; a truncated or corrupt file raises ParseError."""
+    """Read a checkpoint file; a truncated or corrupt file raises ParseError
+    (NonFiniteError for non-finite data), naming the tensor whose block failed."""
     buf = Path(path).read_bytes()
     if buf[:8] != _CKPT_MAGIC:
         raise ParseError(f"{path}: not a checkpoint file")
@@ -102,8 +92,10 @@ def load_tensors(path) -> dict:
             pos += 2
             name = buf[pos : pos + nlen].decode("utf-8")
             pos += nlen
-            tensor, pos = tensor_from_bytes(buf, pos)
-            out[name] = tensor
+            try:
+                out[name], pos = tensor_from_bytes(buf, pos)
+            except (ParseError, NonFiniteError) as exc:
+                raise type(exc)(f"{path}: tensor {name}: {exc}") from exc
     except (struct.error, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: truncated or corrupt checkpoint ({exc})") from exc
     return out

@@ -476,8 +476,7 @@ class AttentionParams:
         }
 
 
-def softmax_attention(q, k, v, params: AttentionParams, num_heads: int,
-                      return_weights: bool = False):
+def softmax_attention(q, k, v, params: AttentionParams, num_heads: int) -> Tensor:
     """Multi-head scaled dot-product attention with learned projections.
 
     q, k, v are [L x d] sequences sharing d; heads split d evenly and each
@@ -486,9 +485,6 @@ def softmax_attention(q, k, v, params: AttentionParams, num_heads: int,
     stacks, and the whole layer is one graph node whose VJP returns the
     gradients of q, k, v and the eight projection tensors.  Scores that
     overflow raise NonFiniteError (the softmax would otherwise hide a -inf).
-
-    With return_weights, also returns one constant [L x L] weight tensor per
-    head.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
@@ -537,10 +533,7 @@ def softmax_attention(q, k, v, params: AttentionParams, num_heads: int,
         )
 
     parents = (q, k, v, p.wq, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo)
-    out = _make(out, parents, vjp)
-    if return_weights:
-        return out, [Tensor(w) for w in attn]
-    return out
+    return _make(out, parents, vjp)
 
 
 def sinusoid_table(num_positions: int, dim: int) -> np.ndarray:

@@ -184,8 +184,8 @@ def test_criterion_3_lmmse_analytics():
         h = complex(rng_np.normal(), rng_np.normal())
         var = float(rng_np.uniform(0.01, 3.0))
         y = complex(rng_np.normal(), rng_np.normal())
-        frame = ChannelFrame(np.array([[h]]), np.array([[h]]), var)
-        got = lmmse_detect(np.array([[y]]), frame)[0, 0]
+        frame = ChannelFrame(np.array([[[h]]]), np.array([[[h]]]), var)
+        got = lmmse_detect(np.array([[[y]]]), frame, (1, 1))[0, 0]
         expected = np.conj(h) * y / (abs(h) ** 2 + var)
         assert abs(got - expected) < 1e-12
 
@@ -196,10 +196,10 @@ def test_criterion_3_lmmse_analytics():
     total = 0.0
     trials = 100_000
     for _ in range(trials):
-        frame = draw_channel(cfg, stream)
+        frame = draw_channel(cfg, [stream])
         x = stream.complex_normal((1, 1), 0.0, 1.0)
-        y = transmit(x, frame, stream)
-        x_hat = lmmse_detect(y, frame, out_shape=(1, 1))
+        y = transmit(x[None], frame, [stream])
+        x_hat = lmmse_detect(y, frame, out_shape=(1, 1, 1))[0]
         total += abs(x_hat[0, 0] - x[0, 0]) ** 2
     empirical = total / trials
     analytic = quad(lambda t: var / (t + var) * math.exp(-t), 0.0, np.inf)[0]
@@ -212,9 +212,9 @@ def test_criterion_3_lmmse_analytics():
         r = RngStream(32, int(snr_db * 100) + int(csi_var * 10_000))
         tot = 0.0
         for _ in range(trials):
-            frame = draw_channel(c, r)
-            x = normalize_power(r.complex_normal((8, 1), 0.0, 1.0), 1.0)
-            tot += nmse(x, transmit_detect(x, frame, r))
+            frame = draw_channel(c, [r])
+            x = normalize_power(r.complex_normal((8, 1), 0.0, 1.0)[None], 1.0)
+            tot += nmse(x, transmit_detect(x, frame, [r]))[0]
         return tot / trials
 
     by_snr = [mc_nmse(s, 0.0) for s in (0.0, 10.0, 20.0)]
@@ -359,7 +359,7 @@ def test_criterion_7_masking_advantage(trained_model):
             loc = locate_any(scene, GRID)
             plan_adaptive = sample_nonempty_mask(GRID, loc, 0.3, r.substream(1))
             plan_random = random_mask(GRID, plan_adaptive.keep_count, r.substream(2))
-            frame = draw_channel(chan, r.substream(3))  # paired realization
+            frame = draw_channel(chan, [r.substream(3)])  # paired realization
             res_a = evaluate_link(model, scene.image, plan_adaptive, chan, r.substream(4), frame=frame)
             res_r = evaluate_link(model, scene.image, plan_random, chan, r.substream(5), frame=frame)
             pa = region_metric(scene.image, res_a.image, loc, GRID, "psnr")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradcheck import fd_grad
 from semlink.channel import (
@@ -18,6 +20,7 @@ from semlink.channel import (
     transmit_detect,
 )
 from semlink.errors import ConfigError, ContractError, NonFiniteError, NumericError, ShapeError
+from semlink.link import fading_stage
 from semlink.metrics import nmse
 from semlink.rng import RngStream
 from semlink.tensor import Tensor
@@ -27,14 +30,14 @@ class TestNormalizePower:
     def test_analytic_scale(self):
         x = np.array([[2.0 + 0j, 2.0j], [-2.0, 2.0]])
         assert np.mean(np.abs(x) ** 2) == 4.0
-        scaled = normalize_power(x, 1.0)
+        scaled = normalize_power(x[None], 1.0)[0]
         np.testing.assert_allclose(scaled, x * 0.5)
         assert abs(np.mean(np.abs(scaled) ** 2) - 1.0) < 1e-10
 
     def test_idempotent(self):
         x = (np.random.default_rng(0).normal(size=(3, 4))
              + 1j * np.random.default_rng(1).normal(size=(3, 4)))
-        once = normalize_power(x, 2.0)
+        once = normalize_power(x[None], 2.0)
         twice = normalize_power(once, 2.0)
         np.testing.assert_allclose(twice, once, atol=1e-12)
 
@@ -43,11 +46,11 @@ class TestNormalizePower:
         for _ in range(20):
             x = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
             p = float(rng.uniform(0.1, 5.0))
-            assert abs(np.mean(np.abs(normalize_power(x, p)) ** 2) - p) < 1e-10 * p
+            assert abs(np.mean(np.abs(normalize_power(x[None], p)) ** 2) - p) < 1e-10 * p
 
     def test_zero_signal_rejected(self):
         with pytest.raises(ContractError):
-            normalize_power(np.zeros((2, 2), dtype=complex), 1.0)
+            normalize_power(np.zeros((1, 2, 2), dtype=complex), 1.0)
 
 
 class TestDrawChannel:
@@ -55,19 +58,19 @@ class TestDrawChannel:
         n = 100_000
         cfg = ChannelConfig(kind="rician", rician_r=0.0, n_t=1, n_r=1)
         rng = RngStream(5)
-        h = np.array([draw_channel(cfg, rng).h[0, 0] for _ in range(2000)])
+        h = np.array([draw_channel(cfg, [rng]).h[0, 0, 0] for _ in range(2000)])
         # moment test: CN(0,1) has zero mean, unit second moment
         assert abs(h.mean()) < 4 / math.sqrt(2000)
         assert abs(np.mean(np.abs(h) ** 2) - 1.0) < 0.1
 
     def test_rician_large_factor_is_los(self):
         cfg = ChannelConfig(kind="rician", rician_r=1e9, n_t=2, n_r=2)
-        frame = draw_channel(cfg, RngStream(6))
+        frame = draw_channel(cfg, [RngStream(6)])
         assert np.abs(frame.h - 1.0).max() < 1e-3
 
     def test_perfect_csi_bitwise(self):
         cfg = ChannelConfig(kind="rayleigh", csi_error_var=0.0)
-        frame = draw_channel(cfg, RngStream(7))
+        frame = draw_channel(cfg, [RngStream(7)])
         assert np.array_equal(frame.h, frame.h_hat)
 
     def test_csi_error_variance(self):
@@ -75,13 +78,13 @@ class TestDrawChannel:
         rng = RngStream(8)
         errs = []
         for _ in range(5000):
-            frame = draw_channel(cfg, rng)
-            errs.append(abs(frame.h_hat[0, 0] - frame.h[0, 0]) ** 2)
+            frame = draw_channel(cfg, [rng])
+            errs.append(abs(frame.h_hat[0, 0, 0] - frame.h[0, 0, 0]) ** 2)
         assert abs(np.mean(errs) - 0.05) < 0.005
 
     def test_awgn_identity(self):
-        frame = draw_channel(ChannelConfig(kind="awgn", n_t=2, n_r=2), RngStream(9))
-        np.testing.assert_array_equal(frame.h, np.eye(2))
+        frame = draw_channel(ChannelConfig(kind="awgn", n_t=2, n_r=2), [RngStream(9)])
+        np.testing.assert_array_equal(frame.h[0], np.eye(2))
 
     def test_awgn_rectangular_rejected(self):
         with pytest.raises(ConfigError):
@@ -90,40 +93,40 @@ class TestDrawChannel:
 
 class TestTransmit:
     def test_identity_noiseless(self):
-        frame = ChannelFrame(np.eye(1, dtype=complex), np.eye(1, dtype=complex), 0.0)
+        frame = ChannelFrame(np.eye(1, dtype=complex)[None], np.eye(1, dtype=complex)[None], 0.0)
         x = (np.random.default_rng(3).normal(size=(4, 3))
              + 1j * np.random.default_rng(4).normal(size=(4, 3)))
-        y = transmit(x, frame, RngStream(10))
+        y = transmit(x[None], frame, [RngStream(10)])
         np.testing.assert_array_equal(y.reshape(-1), x.reshape(-1))
 
     def test_hand_2x2_product(self):
         h = np.array([[1.0 + 1j, 0.5], [0.0, 2.0 - 1j]])
-        frame = ChannelFrame(h, h, 0.0)
+        frame = ChannelFrame(h[None], h[None], 0.0)
         x = np.array([[1.0 + 0j, 2.0, 3.0, 4.0]])  # 4 symbols -> 2 blocks
-        y = transmit(x, frame, RngStream(11))
+        y = transmit(x[None], frame, [RngStream(11)])
         blocks = np.array([[1.0, 3.0], [2.0, 4.0]], dtype=complex)  # column-wise fill
-        np.testing.assert_allclose(y, h @ blocks, atol=1e-14)
+        np.testing.assert_allclose(y[0], h @ blocks, atol=1e-14)
 
     def test_noise_power_matches_variance(self):
         var = 0.37
-        frame = ChannelFrame(np.eye(1, dtype=complex), np.eye(1, dtype=complex), var)
+        frame = ChannelFrame(np.eye(1, dtype=complex)[None], np.eye(1, dtype=complex)[None], var)
         x = np.zeros((1000, 100), dtype=complex)
-        y = transmit(x, frame, RngStream(12))
+        y = transmit(x[None], frame, [RngStream(12)])
         measured = np.mean(np.abs(y) ** 2)
         assert abs(measured - var) / var < 0.02
 
     def test_padding_roundtrip_preserves_shape(self):
         cfg = ChannelConfig(kind="rayleigh", snr_db=30.0, n_t=2, n_r=2)
-        frame = draw_channel(cfg, RngStream(13))
+        frame = draw_channel(cfg, [RngStream(13)])
         x = np.random.default_rng(5).normal(size=(3, 3)).astype(complex)  # 9 % 2 != 0
-        x_hat = transmit_detect(x, frame, RngStream(14))
+        x_hat = transmit_detect(x[None], frame, [RngStream(14)])[0]
         assert x_hat.shape == x.shape
 
 
 class TestLmmse:
     def test_scalar_closed_form(self):
-        frame = ChannelFrame(np.eye(1, dtype=complex), np.eye(1, dtype=complex), 1.0)
-        out = lmmse_detect(np.array([[2.0 + 0j]]), frame)
+        frame = ChannelFrame(np.eye(1, dtype=complex)[None], np.eye(1, dtype=complex)[None], 1.0)
+        out = lmmse_detect(np.array([[[2.0 + 0j]]]), frame, (1, 1))
         assert abs(out[0, 0] - 1.0) < 1e-12
 
     def test_scalar_closed_form_random(self):
@@ -132,18 +135,18 @@ class TestLmmse:
             h = complex(rng.normal(), rng.normal())
             var = float(rng.uniform(0.01, 2.0))
             y = complex(rng.normal(), rng.normal())
-            frame = ChannelFrame(np.array([[h]]), np.array([[h]]), var)
-            got = lmmse_detect(np.array([[y]]), frame)[0, 0]
+            frame = ChannelFrame(np.array([[[h]]]), np.array([[[h]]]), var)
+            got = lmmse_detect(np.array([[[y]]]), frame, (1, 1))[0, 0]
             expected = np.conj(h) * y / (abs(h) ** 2 + var)
             assert abs(got - expected) < 1e-12
 
     def test_near_zero_forcing_limit(self):
         rng = np.random.default_rng(7)
         h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        frame = ChannelFrame(h, h, 1e-12)
+        frame = ChannelFrame(h[None], h[None], 1e-12)
         x = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
-        y = transmit(x, frame, RngStream(15))
-        x_hat = lmmse_detect(y, frame, out_shape=x.shape)
+        y = transmit(x[None], frame, [RngStream(15)])
+        x_hat = lmmse_detect(y, frame, out_shape=(1, *x.shape))[0]
         rel = np.linalg.norm(x_hat - x) / np.linalg.norm(x)
         assert rel < 1e-4
 
@@ -153,13 +156,13 @@ class TestLmmse:
         x = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
         errors = []
         for exp in range(2, 11):  # noise_var 1e-2 ... 1e-10
-            frame = ChannelFrame(h, h, 10.0 ** (-exp))
-            y = transmit(x, frame, RngStream(16))  # noise_var applies in detection too
+            frame = ChannelFrame(h[None], h[None], 10.0 ** (-exp))
+            y = transmit(x[None], frame, [RngStream(16)])  # noise_var applies in detection too
             # noiseless receive: use zero-noise transmit for the limit study
-            frame0 = ChannelFrame(h, h, 0.0)
-            y0 = transmit(x, frame0, RngStream(17))
-            x_hat = lmmse_detect(y0, ChannelFrame(h, h, 10.0 ** (-exp)),
-                                 out_shape=x.shape)
+            frame0 = ChannelFrame(h[None], h[None], 0.0)
+            y0 = transmit(x[None], frame0, [RngStream(17)])
+            x_hat = lmmse_detect(y0, ChannelFrame(h[None], h[None], 10.0 ** (-exp)),
+                                 out_shape=(1, *x.shape))[0]
             errors.append(np.linalg.norm(x_hat - x))
         assert all(a > b for a, b in zip(errors, errors[1:]))
         assert errors[-1] < 1e-8
@@ -174,10 +177,10 @@ class TestLmmse:
         cfg = ChannelConfig(kind="rayleigh", snr_db=10.0 * math.log10(1.0 / var))
         total = 0.0
         for _ in range(trials):
-            frame = draw_channel(cfg, rng)
+            frame = draw_channel(cfg, [rng])
             x = rng.complex_normal((1, 1), 0.0, 1.0)
-            y = transmit(x, frame, rng)
-            x_hat = lmmse_detect(y, frame, out_shape=(1, 1))
+            y = transmit(x[None], frame, [rng])
+            x_hat = lmmse_detect(y, frame, out_shape=(1, 1, 1))[0]
             total += abs(x_hat[0, 0] - x[0, 0]) ** 2
         empirical = total / trials
         analytic = quad(lambda t: var / (t + var) * math.exp(-t), 0.0, np.inf)[0]
@@ -191,10 +194,10 @@ class TestLmmse:
             total = 0.0
             n = 3000
             for _ in range(n):
-                frame = draw_channel(cfg, rng)
-                x = normalize_power(rng.complex_normal((8, 1), 0.0, 1.0), 1.0)
-                x_hat = transmit_detect(x, frame, rng)
-                total += nmse(x, x_hat)
+                frame = draw_channel(cfg, [rng])
+                x = normalize_power(rng.complex_normal((8, 1), 0.0, 1.0)[None], 1.0)
+                x_hat = transmit_detect(x, frame, [rng])
+                total += nmse(x, x_hat)[0]
             vals.append(total / n)
         assert all(b >= a * 0.98 for a, b in zip(vals, vals[1:])), vals
         assert vals[-1] > vals[0]
@@ -212,35 +215,34 @@ class TestPowerInvariance:
         for p_s in (1.0, 4.0, 0.25):
             cfg = ChannelConfig(kind=kind, snr_db=10.0, n_t=n, n_r=n,
                                 csi_error_var=csi_var, p_s=p_s)
-            x = normalize_power(x0, p_s)
-            frame = draw_channel(cfg, RngStream(41))
+            x = normalize_power(x0[None], p_s)
+            frame = draw_channel(cfg, [RngStream(41)])
             assert frame.p_s == p_s
-            vals.append(nmse(x, transmit_detect(x, frame, RngStream(42))))
+            vals.append(nmse(x, transmit_detect(x, frame, [RngStream(42)]))[0])
         np.testing.assert_allclose(vals[1:], vals[0], rtol=1e-12, atol=0)
 
     def test_awgn_nmse_near_lmmse_optimum_at_p_s_4(self):
         # scalar LMMSE over AWGN at SNR 10: E|x_hat - x|^2 / p_s = 1 / (1 + 10)
         cfg = ChannelConfig(kind="awgn", snr_db=10.0, p_s=4.0)
-        x = normalize_power(RngStream(43).complex_normal((20_000, 1), 0.0, 1.0), 4.0)
-        val = nmse(x, transmit_detect(x, draw_channel(cfg, RngStream(44)), RngStream(45)))
+        x = normalize_power(RngStream(43).complex_normal((20_000, 1), 0.0, 1.0)[None], 4.0)
+        val = nmse(x, transmit_detect(x, draw_channel(cfg, [RngStream(44)]), [RngStream(45)]))[0]
         assert abs(val - 1.0 / 11.0) < 0.003
 
 
-def _csi_blind_detect(y, frame):
+def _csi_blind_detect(y, frame, out_shape):
     """The detector that treats the estimated CSI as exact: regularizer
-    noise_var / p_s, whatever the CSI error."""
+    noise_var / p_s, whatever the CSI error (out_shape without padding)."""
     hh = frame.h_hat
     hh_h = hh.conj().swapaxes(-1, -2)
     reg = max(frame.noise_var / frame.p_s, 1e-12)
-    return hh_h @ np.linalg.solve(hh @ hh_h + reg * np.eye(hh.shape[-2]), y)
+    blocks = hh_h @ np.linalg.solve(hh @ hh_h + reg * np.eye(hh.shape[-2]), y)
+    return blocks.swapaxes(-1, -2).reshape(out_shape)
 
 
 def _stacked_cell(cfg, trials, n_sym, seed):
     streams = [RngStream(seed, t) for t in range(trials)]
     x = normalize_power(
-        np.stack([r.complex_normal((n_sym, 1), 0.0, 1.0) for r in streams]),
-        cfg.p_s, stacked=True,
-    )
+        np.stack([r.complex_normal((n_sym, 1), 0.0, 1.0) for r in streams]), cfg.p_s)
     frame = draw_channel(cfg, [r.substream(1) for r in streams])
     return x, frame, transmit(x, frame, [r.substream(2) for r in streams])
 
@@ -252,23 +254,22 @@ class TestCsiAwareDetection:
     def test_frame_carries_csi_error_var(self):
         for var in (0.0, 0.05):
             cfg = ChannelConfig(kind="rayleigh", n_t=2, n_r=2, csi_error_var=var)
-            assert draw_channel(cfg, RngStream(60)).csi_error_var == var
+            assert draw_channel(cfg, [RngStream(60)]).csi_error_var == var
             assert draw_channel(cfg, [RngStream(60), RngStream(61)]).csi_error_var == var
 
     @pytest.mark.parametrize("kind,n,p_s", [("awgn", 1, 1.0), ("rayleigh", 4, 4.0),
                                             ("rician", 2, 0.5)])
     def test_perfect_csi_matches_csi_blind_detector_bitwise(self, kind, n, p_s):
         cfg = ChannelConfig(kind=kind, snr_db=10.0, n_t=n, n_r=n, p_s=p_s)
-        _, frame, y = _stacked_cell(cfg, 20, 16, 62)
-        np.testing.assert_array_equal(lmmse_detect(y, frame), _csi_blind_detect(y, frame))
+        x, frame, y = _stacked_cell(cfg, 20, 16, 62)
+        np.testing.assert_array_equal(lmmse_detect(y, frame, x.shape),
+                                      _csi_blind_detect(y, frame, x.shape))
 
     def test_lower_nmse_than_csi_blind_detector(self):
         cfg = ChannelConfig(kind="rayleigh", snr_db=20.0, n_t=4, n_r=4, csi_error_var=0.05)
         x, frame, y = _stacked_cell(cfg, 200, 64, 63)
-        aware = nmse(x, lmmse_detect(y, frame, out_shape=x.shape), stacked=True)
-        blind_blocks = _csi_blind_detect(y, frame)
-        blind = blind_blocks.swapaxes(-1, -2).reshape(x.shape)
-        blind_nmse = nmse(x, blind, stacked=True)
+        aware = nmse(x, lmmse_detect(y, frame, out_shape=x.shape))
+        blind_nmse = nmse(x, _csi_blind_detect(y, frame, x.shape))
         assert aware.mean() < 0.9 * blind_nmse.mean(), (aware.mean(), blind_nmse.mean())
 
 
@@ -280,15 +281,14 @@ class TestKnownIdentityChannel:
     def test_awgn_csi_is_exact(self, n):
         cfg = ChannelConfig(kind="awgn", n_t=n, n_r=n, csi_error_var=0.05)
         assert cfg.effective_csi_error_var == 0.0
-        for frame in (draw_channel(cfg, RngStream(70)),
+        for frame in (draw_channel(cfg, [RngStream(70)]),
                       draw_channel(cfg, [RngStream(70), RngStream(71)])):
             np.testing.assert_array_equal(frame.h_hat, frame.h)
             np.testing.assert_array_equal(frame.h, np.broadcast_to(np.eye(n), frame.h.shape))
             assert frame.csi_error_var == 0.0
 
     def test_awgn_detection_same_at_every_csi_error(self):
-        x = normalize_power(RngStream(72).complex_normal((4, 16, 2), 0.0, 1.0),
-                            1.0, stacked=True)
+        x = normalize_power(RngStream(72).complex_normal((4, 16, 2), 0.0, 1.0), 1.0)
         outs = []
         for csi_var in (0.0, 0.01, 0.1):
             cfg = ChannelConfig(kind="awgn", snr_db=5.0, n_t=2, n_r=2, csi_error_var=csi_var)
@@ -301,15 +301,15 @@ class TestKnownIdentityChannel:
     def test_fading_csi_error_drawn_after_the_channel(self, kind):
         cfg = ChannelConfig(kind=kind, n_t=2, n_r=3, rician_r=2.0, csi_error_var=0.05)
         assert cfg.effective_csi_error_var == 0.05
-        frame = draw_channel(cfg, RngStream(75))
+        frame = draw_channel(cfg, [RngStream(75)])
         r = RngStream(75)
         if kind == "rayleigh":
             h = r.complex_normal((3, 2), 0.0, 1.0)
         else:
             h = r.complex_normal((3, 2), math.sqrt(2.0 / 3.0), 1.0 / 3.0)
         e = r.complex_normal((3, 2), 0.0, 0.05)
-        assert frame.h.tobytes() == h.tobytes()
-        assert frame.h_hat.tobytes() == (h + e).tobytes()
+        assert frame.h[0].tobytes() == h.tobytes()
+        assert frame.h_hat[0].tobytes() == (h + e).tobytes()
         assert frame.csi_error_var == 0.05
 
 
@@ -323,28 +323,28 @@ class TestStackedFrames:
         x_hat = transmit_detect(x, stacked, [s.substream(2) for s in streams])
         assert x_hat.shape == x.shape
         for t, s in enumerate(streams):
-            frame = draw_channel(cfg, s.substream(1))
-            np.testing.assert_array_equal(stacked.h_hat[t], frame.h_hat)
-            single = transmit_detect(x[t], frame, s.substream(2))
+            frame = draw_channel(cfg, [s.substream(1)])
+            np.testing.assert_array_equal(stacked.h_hat[t], frame.h_hat[0])
+            single = transmit_detect(x[t][None], frame, [s.substream(2)])[0]
             np.testing.assert_array_equal(x_hat[t], single)
 
     def test_stacked_power_and_nmse_per_signal(self):
         x = RngStream(52).complex_normal((3, 5, 2), 0.0, 1.0)
-        scaled = normalize_power(x, 2.0, stacked=True)
+        scaled = normalize_power(x, 2.0)
         for t in range(3):
             assert abs(np.mean(np.abs(scaled[t]) ** 2) - 2.0) < 1e-12
-        vals = nmse(x, scaled, stacked=True)
+        vals = nmse(x, scaled)
         assert vals.shape == (3,)
         for t in range(3):
-            assert vals[t] == nmse(x[t], scaled[t])
+            assert vals[t] == nmse(x[t][None], scaled[t][None])[0]
 
     def test_zero_signal_in_stack_rejected(self):
         x = np.ones((2, 3, 1), dtype=complex)
         x[1] = 0.0
         with pytest.raises(ContractError):
-            normalize_power(x, 1.0, stacked=True)
+            normalize_power(x, 1.0)
         with pytest.raises(ContractError):
-            nmse(x, x, stacked=True)
+            nmse(x, x)
 
     def test_stack_size_mismatch_rejected(self):
         cfg = ChannelConfig(kind="rayleigh", n_t=2, n_r=2)
@@ -353,12 +353,11 @@ class TestStackedFrames:
         with pytest.raises(ShapeError):
             transmit(x, frame, [RngStream(54, t) for t in range(2)])
         x3 = np.ones((3, 4, 1), dtype=complex)
-        for streams in (RngStream(54), [RngStream(54, t) for t in range(2)]):
-            with pytest.raises(ShapeError):
-                transmit(x3, frame, streams)
+        with pytest.raises(ShapeError):
+            transmit(x3, frame, [RngStream(54, t) for t in range(2)])
         y = transmit(x3, frame, [RngStream(54, t) for t in range(3)])
         with pytest.raises(ShapeError):
-            lmmse_detect(y[:2], frame)
+            lmmse_detect(y[:2], frame, (2, 4, 1))
         with pytest.raises(ShapeError):
             lmmse_detect(y, frame, out_shape=(2, 4, 1))
 
@@ -367,7 +366,7 @@ class TestStackedFrames:
         h[1, 0, 0] = np.nan
         y = np.ones((2, 1, 3), dtype=complex)
         with pytest.raises(NonFiniteError):
-            lmmse_detect(y, ChannelFrame(np.ones((2, 1, 1), dtype=complex), h, 0.1))
+            lmmse_detect(y, ChannelFrame(np.ones((2, 1, 1), dtype=complex), h, 0.1), (2, 3))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     @pytest.mark.parametrize("which", ["h", "h_hat"])
@@ -388,11 +387,11 @@ class TestStackedFrames:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_non_finite_signal_rejected_by_transmit(self, bad):
-        single = draw_channel(ChannelConfig(kind="rayleigh", n_t=2, n_r=2), RngStream(57))
+        single = draw_channel(ChannelConfig(kind="rayleigh", n_t=2, n_r=2), [RngStream(57)])
         x = RngStream(58).complex_normal((4, 2), 0.0, 1.0)
         x[3, 1] = bad
         with pytest.raises(NonFiniteError):
-            transmit(x, single, RngStream(59))
+            transmit(x[None], single, [RngStream(59)])
         stacked = draw_channel(ChannelConfig(kind="awgn"), [RngStream(57, t) for t in range(2)])
         xs = np.ones((2, 4, 1), dtype=complex)
         xs[1, 0, 0] = bad
@@ -406,7 +405,37 @@ class TestStackedFrames:
         frame = ChannelFrame(h, h, 0.0)
         y = np.ones((2, 2, 3), dtype=complex)
         with pytest.raises(NumericError):
-            lmmse_detect(y, frame)
+            lmmse_detect(y, frame, (2, 6))
+
+
+@st.composite
+def stack_cases(draw):
+    """(channel config, stack shape [T, L, S], seed); awgn is square only."""
+    kind = draw(st.sampled_from(["awgn", "rayleigh", "rician"]))
+    n_t = draw(st.integers(1, 4))
+    n_r = n_t if kind == "awgn" else draw(st.integers(1, 4))
+    cfg = ChannelConfig(kind=kind, snr_db=10.0, n_t=n_t, n_r=n_r,
+                        csi_error_var=draw(st.sampled_from([0.0, 0.02])),
+                        p_s=draw(st.floats(0.25, 4.0)))
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 6)), draw(st.integers(1, 4)))
+    return cfg, shape, draw(st.integers(0, 2**32 - 1))
+
+
+class TestStackConvention:
+    """One frame is the stack T = 1: each signal of a stack comes out of
+    fading_stage exactly as when sent alone with its own stream."""
+
+    @given(stack_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_stack_equals_each_slice_sent_alone(self, case):
+        cfg, shape, seed = case
+        x = RngStream(seed).complex_normal(shape, 0.0, 1.0)
+        streams = [RngStream(seed, 1 + t) for t in range(shape[0])]
+        out = fading_stage(x, cfg, streams)
+        assert out.shape == x.shape
+        for t in range(shape[0]):
+            alone = fading_stage(x[t:t + 1], cfg, [streams[t]])
+            assert alone.tobytes() == out[t:t + 1].tobytes()
 
 
 class TestCalibration:
@@ -425,9 +454,9 @@ class TestCalibration:
         sig_power = 0.0
         n = 4000
         for _ in range(n):
-            frame = draw_channel(cfg, rng)
-            x = normalize_power(rng.complex_normal((10, 2), 0.0, 1.0), cfg.p_s)
-            y = transmit(x, ChannelFrame(frame.h, frame.h_hat, 0.0), rng)
+            frame = draw_channel(cfg, [rng])
+            x = normalize_power(rng.complex_normal((10, 2), 0.0, 1.0)[None], cfg.p_s)
+            y = transmit(x, ChannelFrame(frame.h, frame.h_hat, 0.0), [rng])
             sig_power += np.mean(np.abs(y) ** 2)
         snr = (sig_power / n) / noise_var
         target = 10.0 ** 0.7
@@ -455,15 +484,16 @@ class TestSurrogate:
     def test_identity_when_clean(self):
         cfg = ChannelConfig(kind="awgn", snr_db=math.inf)
         x = Tensor(np.random.default_rng(9).normal(size=(3, 8)))
-        y, w = surrogate_channel(x, cfg, RngStream(21), return_gain=True)
+        y = surrogate_channel(x, cfg, RngStream(21))
+        w = surrogate_gains(cfg, x.shape, RngStream(21))
         np.testing.assert_array_equal(y.data, x.data)
         np.testing.assert_array_equal(w, np.ones((3, 8)))
 
     def test_jacobian_equals_gains(self):
         cfg = ChannelConfig(kind="rayleigh", snr_db=10.0)
         x0 = np.random.default_rng(10).normal(size=(2, 6))
-        rng_draw = RngStream(22)
-        y, w = surrogate_channel(Tensor(x0), cfg, rng_draw, return_gain=True)
+        y = surrogate_channel(Tensor(x0), cfg, RngStream(22))
+        w = surrogate_gains(cfg, x0.shape, RngStream(22))  # the call's first draw
         b = y.data - w * x0  # recover the noise constant
 
         def value(arrs):

@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +152,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("args", [
+        *[pytest.param([f"--{key}", raw], id=f"{key}={raw!r}")
+          for key, (tag, _) in SCHEMA.items() if tag in ("floats", "strs") for raw in (",", "")],
+        # sharing needs two features a row to compare variances
+        pytest.param(["--users.dim", "1"], id="users.dim=1"),
+        pytest.param(["--users.source", "scenes", "--scene.patch_size", "1",
+                      "--scene.channels", "1"], id="scenes-patch_dim=1"),
+    ])
+    def test_empty_list_or_single_feature_exits_2(self, tmp_path, capsys, args):
+        run = ["sweep-users", "--out", str(tmp_path), "--users.trials", "1", "--users.k_hi", "2"]
+        assert main([*run, *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+
 
 class TestGenScenes:
     def test_roundtrip_via_loader(self, tmp_path):
@@ -278,12 +293,21 @@ class TestTruncatedCheckpoint:
             assert err.startswith("error:") and err.count("\n") == 1, err
 
     def test_eval_exits_3_on_complex_parameter(self, tmp_path, trained_checkpoint, capsys):
-        from semlink.snapshot import load_tensors, save_tensors
+        from semlink.snapshot import load_tensors, tensor_to_bytes
 
+        # a complex128 block (dtype tag 1), written by hand: snapshots hold Tensors only
         tensors = load_tensors(trained_checkpoint)
-        tensors["chan.enc_bias"] = np.zeros(tensors["chan.enc_bias"].shape) + 1j
+        parts = [b"SLNKCKPT", struct.pack("<I", len(tensors))]
+        for name in sorted(tensors):
+            parts += [struct.pack("<H", len(name)), name.encode()]
+            if name == "chan.enc_bias":
+                z = np.zeros(tensors[name].shape) + 1j
+                parts += [b"SLNK", struct.pack(f"<BB{z.ndim}Q", 1, z.ndim, *z.shape),
+                          z.astype("<c16").tobytes()]
+            else:
+                parts.append(tensor_to_bytes(tensors[name]))
         ckpt = tmp_path / "complex.ckpt"
-        save_tensors(ckpt, tensors)
+        ckpt.write_bytes(b"".join(parts))
         Path(str(ckpt) + ".json").write_bytes(Path(trained_checkpoint + ".json").read_bytes())
         assert main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
@@ -385,9 +409,9 @@ class TestChannelBench:
         looped = []
         for t in range(25):
             rng = base.substream(t)
-            x = normalize_power(rng.complex_normal((n_sym, 1), 0.0, 1.0), p_s)
-            frame = draw_channel(chan_cfg, rng.substream(1))
-            looped.append(nmse(x, transmit_detect(x, frame, rng.substream(2))))
+            x = normalize_power(rng.complex_normal((n_sym, 1), 0.0, 1.0)[None], p_s)
+            frame = draw_channel(chan_cfg, [rng.substream(1)])
+            looped.append(nmse(x, transmit_detect(x, frame, [rng.substream(2)]))[0])
         np.testing.assert_array_equal(batched, np.asarray(looped))
 
     def test_awgn_rows_equal_at_every_csi_error(self, tmp_path):

@@ -160,17 +160,17 @@ class TestRegionMetric:
 class TestNmse:
     def test_zero_for_equal(self):
         x = np.random.default_rng(9).normal(size=(4, 4)).astype(complex)
-        assert nmse(x, x.copy()) == 0.0
+        assert nmse(x[None], x.copy()[None])[0] == 0.0
 
     def test_one_for_zero_estimate(self):
         x = (np.random.default_rng(10).normal(size=(3, 3)) + 1j).astype(complex)
-        assert abs(nmse(x, np.zeros((3, 3), dtype=complex)) - 1.0) < 1e-12
+        assert abs(nmse(x[None], np.zeros((1, 3, 3), dtype=complex))[0] - 1.0) < 1e-12
 
     def test_double_estimate(self):
         x = (np.random.default_rng(11).normal(size=(5,)) + 0.5j).astype(complex)
-        assert abs(nmse(x, x * 2.0) - 1.0) < 1e-12
+        assert abs(nmse(x[None], x[None] * 2.0)[0] - 1.0) < 1e-12
 
     def test_zero_reference_rejected(self):
-        z = np.zeros((2, 2), dtype=complex)
+        z = np.zeros((1, 2, 2), dtype=complex)
         with pytest.raises(ContractError):
             nmse(z, z)

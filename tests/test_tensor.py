@@ -153,9 +153,11 @@ class TestAttention:
         k = Tensor(np.tile(rng.normal(size=(1, dim)), (5, 1)))
         q = Tensor(rng.normal(size=(5, dim)))
         v = Tensor(rng.normal(size=(5, dim)))
-        _, weights = softmax_attention(q, k, v, params, 2, return_weights=True)
-        for w in weights:
-            np.testing.assert_allclose(w.data, np.full((5, 5), 0.2), atol=1e-12)
+        out = softmax_attention(q, k, v, params, 2)
+        # uniform weights: every row gets the mean value projection
+        vp = v.data @ params.wv.data + params.bv.data
+        expected = vp.mean(axis=0) @ params.wo.data + params.bo.data
+        np.testing.assert_allclose(out.data, np.tile(expected, (5, 1)), atol=1e-12)
 
     def test_two_token_hand_oracle(self):
         self._check_hand_oracle(length=2, dim=4, heads=2)
@@ -189,9 +191,12 @@ class TestAttention:
         params = self._params(dim, 9)
         rng = np.random.default_rng(10)
         x = Tensor(rng.normal(size=(7, dim)))
-        _, weights = softmax_attention(x, x, x, params, 3, return_weights=True)
-        for w in weights:
-            np.testing.assert_allclose(w.data.sum(axis=1), np.ones(7), atol=1e-6)
+        v = Tensor(np.tile(rng.normal(size=(1, dim)), (7, 1)))
+        out = softmax_attention(x, x, v, params, 3)
+        # identical value rows: each output row is that row's projection
+        # exactly when its weights sum to one
+        expected = (v.data[0] @ params.wv.data + params.bv.data) @ params.wo.data + params.bo.data
+        np.testing.assert_allclose(out.data, np.tile(expected, (7, 1)), atol=1e-6)
 
     def test_score_overflow_raises(self):
         # one score overflows to -inf while its row maximum stays finite, so
@@ -446,21 +451,8 @@ class TestSnapshot:
         back, _ = tensor_from_bytes(tensor_to_bytes(t))
         np.testing.assert_array_equal(back.data, t.data)
 
-    def test_complex_roundtrip(self):
-        z = (np.random.default_rng(1).normal(size=(2, 3))
-             + 1j * np.random.default_rng(2).normal(size=(2, 3)))
-        back, _ = tensor_from_bytes(tensor_to_bytes(z))
-        np.testing.assert_array_equal(back, z)
-
-    @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(1.0, np.inf)])
-    def test_non_finite_complex_rejected_on_load(self, bad):
-        z = np.zeros((2, 2), dtype=complex)
-        z[1, 0] = bad
-        with pytest.raises(NonFiniteError):
-            tensor_from_bytes(tensor_to_bytes(z))
-
-    def test_only_tensors_and_complex_arrays_are_written(self):
-        for value in (np.zeros(3), [1.0 + 0j], 1j):
+    def test_only_tensors_are_written(self):
+        for value in (np.zeros(3), np.zeros(3, dtype=complex), [1.0 + 0j], 1j):
             with pytest.raises(TypeError):
                 tensor_to_bytes(value)
 
@@ -481,7 +473,7 @@ class TestSnapshot:
         rng = np.random.default_rng(4)
         path = tmp_path / "full.ckpt"
         save_tensors(path, {"w": Tensor(rng.normal(size=(2, 3))),
-                            "z": rng.normal(size=2) + 1j})
+                            "z": Tensor(rng.normal(size=2))})
         buf = path.read_bytes()
         for cut in range(len(buf)):
             path.write_bytes(buf[:cut])
@@ -510,14 +502,6 @@ class TestSnapshot:
         assert back.shape == arr.shape and back.data.tobytes() == arr.tobytes()
         assert end == len(tensor_to_bytes(Tensor(arr)))
 
-    @given(hnp.arrays(np.complex128, _SHAPES,
-                      elements=st.complex_numbers(allow_nan=False, allow_infinity=False)))
-    @settings(max_examples=60, deadline=None)
-    def test_complex_arrays_roundtrip_bitwise(self, arr):
-        back, _ = tensor_from_bytes(tensor_to_bytes(arr))
-        assert back.dtype == np.complex128
-        assert back.shape == arr.shape and back.tobytes() == arr.tobytes()
-
     @given(st.lists(st.tuples(st.sampled_from(["cut", "flip", "insert"]),
                               st.integers(0, 10**6), st.binary(min_size=1, max_size=9)),
                     min_size=1, max_size=4))
@@ -526,7 +510,7 @@ class TestSnapshot:
     def test_corrupted_checkpoint_parses_or_raises_parse_or_non_finite(self, tmp_path, edits):
         path = tmp_path / "fuzz.ckpt"
         save_tensors(path, {"w": Tensor(np.arange(6.0).reshape(2, 3)),
-                            "z": np.array([1.0 + 2j, -3.0 - 0.5j])})
+                            "z": Tensor(np.array([1.0, -3.0]))})
         buf = bytearray(path.read_bytes())
         for op, pos, raw in edits:
             pos %= len(buf) + 1
