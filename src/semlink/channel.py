@@ -148,8 +148,10 @@ def _draw_h(cfg: ChannelConfig, rng: RngStream) -> np.ndarray:
 
 def draw_channel(cfg: ChannelConfig, rngs) -> ChannelFrame:
     """One block-fading realization plus its (possibly corrupted) CSI from
-    each of T streams, as a frame of [T, n_r, n_t] matrices."""
+    each of T >= 1 streams, as a frame of [T, n_r, n_t] matrices."""
     cfg.validate()
+    if len(rngs) < 1:
+        raise ShapeError("a channel draw needs at least one stream")
     h = np.stack([_draw_h(cfg, r) for r in rngs])
     csi_var = cfg.effective_csi_error_var
     if csi_var > 0:
@@ -184,17 +186,17 @@ def transmit(x: np.ndarray, frame: ChannelFrame, rngs) -> np.ndarray:
     """Y = H X_blocks + N with i.i.d. CN(0, noise_var) entries, the noise of
     frame t drawn from rngs[t].
 
-    A non-finite signal raises NonFiniteError.
+    A non-finite signal raises NonFiniteError; a number of streams other
+    than T raises ShapeError, also when the frame is noiseless.
     """
     if not np.isfinite(x).all():
         raise NonFiniteError("transmit rejected a non-finite signal")
     t = _check_stack(x.shape, frame, "signal")
+    if len(rngs) != t:
+        raise ShapeError(f"{len(rngs)} noise streams do not match {t} frames")
     y = frame.h @ _to_blocks(x, t, frame.h.shape[-1])
     if frame.noise_var > 0:
-        noise = np.stack([r.complex_normal(y.shape[1:], 0.0, frame.noise_var) for r in rngs])
-        if noise.shape != y.shape:
-            raise ShapeError(f"{len(noise)} noise streams do not match {t} frames")
-        y = y + noise
+        y = y + np.stack([r.complex_normal(y.shape[1:], 0.0, frame.noise_var) for r in rngs])
     return y
 
 

@@ -77,16 +77,19 @@ def _scene_loc(cfg: RunConfig, scene, grid):
     return locate_any(scene, grid) if label == "any" else locate(scene, label, grid)
 
 
-def _fresh_scene_with_loc(cfg: RunConfig, rng, grid, max_tries: int = 50):
+_SCENE_TRIES = 50
+
+
+def _fresh_scene_with_loc(cfg: RunConfig, rng, grid):
     """Scene whose located region is non-empty (matters for label targeting)."""
     scene_cfg = cfg.scene_config()
-    for _ in range(max_tries):
+    for _ in range(_SCENE_TRIES):
         scene = generate_scene(rng.substream(1), scene_cfg)
         loc = _scene_loc(cfg, scene, grid)
         if len(loc):
             return scene, loc
         rng = rng.substream(2)
-    raise SemlinkError(f"no scene with label {cfg['scene.target_label']!r} in {max_tries} draws")
+    raise SemlinkError(f"no scene with label {cfg['scene.target_label']!r} in {_SCENE_TRIES} draws")
 
 
 # -- commands -----------------------------------------------------------------

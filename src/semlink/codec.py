@@ -13,7 +13,7 @@ encoding at the transmitter, light decoding at the receiver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -66,22 +66,14 @@ class CodecConfig:
             raise ConfigError("encoder and decoder need at least one layer")
 
     @staticmethod
-    def for_grid(grid: PatchGrid, feature_dim=64, enc_layers=4, dec_layers=2,
-                 num_heads=4) -> "CodecConfig":
-        cfg = CodecConfig(feature_dim, enc_layers, dec_layers, num_heads,
-                          grid.patch_dim, grid.num_patches)
+    def for_grid(grid: PatchGrid, **fields) -> "CodecConfig":
+        """The config for grid's patches; fields override the other defaults."""
+        cfg = CodecConfig(**fields, patch_dim=grid.patch_dim, num_patches=grid.num_patches)
         cfg.validate()
         return cfg
 
     def to_dict(self) -> dict:
-        return {
-            "feature_dim": self.feature_dim,
-            "enc_layers": self.enc_layers,
-            "dec_layers": self.dec_layers,
-            "num_heads": self.num_heads,
-            "patch_dim": self.patch_dim,
-            "num_patches": self.num_patches,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "CodecConfig":

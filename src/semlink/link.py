@@ -41,9 +41,9 @@ class LinkModel:
     chan: ChanCodecParams
 
     @staticmethod
-    def init(grid: PatchGrid, rng: RngStream, feature_dim=64, enc_layers=4,
-             dec_layers=2, num_heads=4, symbol_dim=8) -> "LinkModel":
-        cfg = CodecConfig.for_grid(grid, feature_dim, enc_layers, dec_layers, num_heads)
+    def init(grid: PatchGrid, rng: RngStream, symbol_dim=8, **codec_fields) -> "LinkModel":
+        """Fresh model; codec_fields override the CodecConfig defaults."""
+        cfg = CodecConfig.for_grid(grid, **codec_fields)
         return LinkModel(
             grid=grid,
             codec_cfg=cfg,
@@ -78,23 +78,22 @@ class LinkModel:
         manifest_path = path.with_suffix(path.suffix + ".json")
         if not path.exists() or not manifest_path.exists():
             raise ParseError(f"checkpoint {path} or its manifest is missing")
-        try:
+        try:  # ConfigError is a ValueError: invalid sizes are a malformed manifest too
             manifest = json.loads(manifest_path.read_text())
             cfg = CodecConfig.from_dict(manifest["codec"])
             g = manifest["grid"]
             grid = PatchGrid(g["patch_size"], g["grid_h"], g["grid_w"], g["channels"])
-            symbol_dim = int(manifest["symbol_dim"])
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+            model = LinkModel.init(
+                grid,
+                RngStream(0),
+                symbol_dim=int(manifest["symbol_dim"]),
+                feature_dim=cfg.feature_dim,
+                enc_layers=cfg.enc_layers,
+                dec_layers=cfg.dec_layers,
+                num_heads=cfg.num_heads,
+            )
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{manifest_path}: malformed checkpoint manifest ({exc})") from exc
-        model = LinkModel.init(
-            grid,
-            RngStream(0),
-            feature_dim=cfg.feature_dim,
-            enc_layers=cfg.enc_layers,
-            dec_layers=cfg.dec_layers,
-            num_heads=cfg.num_heads,
-            symbol_dim=symbol_dim,
-        )
         stored = load_tensors(path)
         slots = model.all_tensors()
         if set(stored) != set(slots):
@@ -111,7 +110,6 @@ class LinkResult:
     image: Tensor  # reconstructed C x H x W
     z: SemanticTensor  # transmitted semantics
     z_hat: SemanticTensor  # received semantics
-    plan: MaskPlan
 
 
 def _encode(model: LinkModel, image: Tensor, plan: MaskPlan) -> SemanticTensor:
@@ -180,7 +178,7 @@ def surrogate_link(model: LinkModel, image: Tensor, plan: MaskPlan,
     """Differentiable end-to-end pass used by training phase 3."""
     z = _encode(model, image, plan)
     z_hat = z.with_values(surrogate_stage(z.values, model.chan, chan_cfg, rng))
-    return LinkResult(_decode(model, z_hat), z, z_hat, plan)
+    return LinkResult(_decode(model, z_hat), z, z_hat)
 
 
 def evaluate_link(model: LinkModel, image: Tensor, plan: MaskPlan,
@@ -194,4 +192,4 @@ def evaluate_link(model: LinkModel, image: Tensor, plan: MaskPlan,
     z = _encode(model, image, plan)
     x_hat = statistical_stage(z.values, model.chan, chan_cfg, rng, frame)
     z_hat = z.with_values(chan_decode(x_hat, model.chan))
-    return LinkResult(_decode(model, z_hat), z, z_hat, plan)
+    return LinkResult(_decode(model, z_hat), z, z_hat)

@@ -65,16 +65,13 @@ class MaskPlan:
     """Per-patch keep/mask decisions plus the index bookkeeping."""
 
     masked: np.ndarray  # bool per patch
-    keep_indices: np.ndarray  # sorted kept (unmasked) patch indices
     object_indices: frozenset = field(default_factory=frozenset)  # the set R
     object_mask_prob: float = 0.0  # p applied to R; 1 - p to the rest
+    keep_indices: np.ndarray = field(init=False)  # sorted kept (unmasked) patch indices
 
     def __post_init__(self):
         self.masked = np.asarray(self.masked, dtype=bool)
-        self.keep_indices = np.asarray(self.keep_indices, dtype=np.intp)
-        kept = np.flatnonzero(~self.masked)
-        if not np.array_equal(kept, self.keep_indices):
-            raise ContractError("keep_indices disagree with the masked flags")
+        self.keep_indices = np.flatnonzero(~self.masked)
 
     @property
     def num_patches(self) -> int:
@@ -122,11 +119,6 @@ def unpatchify(rows, grid: PatchGrid) -> Tensor:
     )
 
 
-def _plan_from_masked(masked: np.ndarray, object_indices, p: float) -> MaskPlan:
-    keep = np.flatnonzero(~masked)
-    return MaskPlan(masked, keep, frozenset(int(i) for i in object_indices), float(p))
-
-
 def sample_mask(grid: PatchGrid, loc, p: float, rng: RngStream) -> MaskPlan:
     """Independent Bernoulli mask: patch i is masked with probability p when
     i is an object patch (i in loc) and 1 - p otherwise."""
@@ -137,7 +129,7 @@ def sample_mask(grid: PatchGrid, loc, p: float, rng: RngStream) -> MaskPlan:
     obj = np.asarray(sorted(loc.patch_indices), dtype=np.intp)
     probs[obj] = p
     u = rng.uniform((n,))
-    return _plan_from_masked(u < probs, obj, p)
+    return MaskPlan(u < probs, frozenset(int(i) for i in obj), float(p))
 
 
 def random_mask(grid: PatchGrid, keep_count: int, rng: RngStream) -> MaskPlan:
@@ -149,4 +141,4 @@ def random_mask(grid: PatchGrid, keep_count: int, rng: RngStream) -> MaskPlan:
     kept = rng.choice(n, keep_count, replace=False) if keep_count else np.empty(0, dtype=np.intp)
     masked = np.ones(n, dtype=bool)
     masked[kept] = False
-    return _plan_from_masked(masked, (), 0.0)
+    return MaskPlan(masked)

@@ -68,10 +68,9 @@ class Scene:
 
 @dataclass(frozen=True)
 class Loc:
-    """Patch indices of located semantic objects plus the contributing boxes."""
+    """Patch indices of located semantic objects."""
 
     patch_indices: frozenset
-    source_bboxes: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "patch_indices", frozenset(int(i) for i in self.patch_indices))
@@ -288,6 +287,14 @@ def _patches_overlapping_bbox(bbox, grid: PatchGrid) -> set:
     }
 
 
+def _union_loc(bboxes, grid: PatchGrid) -> Loc:
+    """Patches overlapping any of the boxes."""
+    hits = set()
+    for bbox in bboxes:
+        hits.update(_patches_overlapping_bbox(bbox, grid))
+    return Loc(frozenset(hits))
+
+
 def locate(scene: Scene, label: str, grid: PatchGrid) -> Loc:
     """All patch indices whose rectangle overlaps any bbox with this label.
 
@@ -296,24 +303,12 @@ def locate(scene: Scene, label: str, grid: PatchGrid) -> Loc:
     """
     if label not in VOCABULARY:
         raise VocabularyError(f"unknown label {label!r}; vocabulary is {VOCABULARY}")
-    hits = set()
-    boxes = []
-    for obj_label, bbox in scene.objects:
-        if obj_label != label:
-            continue
-        boxes.append(bbox)
-        hits.update(_patches_overlapping_bbox(bbox, grid))
-    return Loc(frozenset(hits), tuple(boxes))
+    return _union_loc((bbox for obj_label, bbox in scene.objects if obj_label == label), grid)
 
 
 def locate_any(scene: Scene, grid: PatchGrid) -> Loc:
     """Union of located patches over every label present in the scene."""
-    hits = set()
-    boxes = []
-    for _, bbox in scene.objects:
-        boxes.append(bbox)
-        hits.update(_patches_overlapping_bbox(bbox, grid))
-    return Loc(frozenset(hits), tuple(boxes))
+    return _union_loc((bbox for _, bbox in scene.objects), grid)
 
 
 # -- on-disk format -----------------------------------------------------------

@@ -71,7 +71,6 @@ class SharePartition:
     private_idx: np.ndarray  # complement, sorted
     z_pub: np.ndarray  # [L_pub, d_s], user-mean of shared rows
     z_pri: np.ndarray  # [K, L_pri, d_s]
-    epsilon: float
 
     @property
     def num_users(self) -> int:
@@ -124,7 +123,7 @@ def partition(z: MultiUserSemantics, epsilon: float, all_pairs: bool = False) ->
     private = np.flatnonzero(d >= epsilon)
     z_pub = z.values[:, shared, :].mean(axis=0) if len(shared) else np.zeros((0, z.feature_dim))
     z_pri = z.values[:, private, :]
-    return SharePartition(shared, private, z_pub, z_pri, float(epsilon))
+    return SharePartition(shared, private, z_pub, z_pri)
 
 
 @dataclass
@@ -175,9 +174,9 @@ def transport(part: SharePartition, user_codecs: list, pub_codec: ChanCodecParam
     return TransportResult(z_hat, rows_sent, rows_sent * sym_dim)
 
 
-def bandwidth_savings(part: SharePartition, k: int | None = None) -> float:
+def bandwidth_savings(part: SharePartition) -> float:
     """Fraction of baseline rows eliminated: (K-1) * L_pub / (K * L_s)."""
-    k = part.num_users if k is None else k
+    k = part.num_users
     if k < 2:
         raise ContractError("savings defined for K >= 2")
     if part.length == 0:

@@ -35,17 +35,13 @@ __all__ = [
     "div",
     "power",
     "matmul",
-    "transpose",
     "permute_axes",
     "reshape",
-    "concat",
-    "slice_cols",
     "gather_rows",
     "scatter_rows",
     "tsum",
     "tmean",
     "gelu",
-    "softmax",
     "layer_norm",
     "AttentionParams",
     "softmax_attention",
@@ -86,56 +82,8 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # -- operators -----------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __pow__(self, p):
-        return power(self, p)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    @property
-    def T(self):
-        return transpose(self)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
 
 def as_tensor(x) -> Tensor:
@@ -257,18 +205,6 @@ def matmul(a, b) -> Tensor:
     return _make(out, (a, b), vjp)
 
 
-def transpose(a) -> Tensor:
-    a = as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"transpose expects a 2-D tensor, got {a.shape}")
-    out = a.data.T.copy()
-
-    def vjp(g):
-        return (g.T,)
-
-    return _make(out, (a,), vjp)
-
-
 def permute_axes(a, axes) -> Tensor:
     a = as_tensor(a)
     axes = tuple(axes)
@@ -287,32 +223,6 @@ def reshape(a, shape) -> Tensor:
 
     def vjp(g):
         return (g.reshape(a.shape),)
-
-    return _make(out, (a,), vjp)
-
-
-def concat(tensors, axis: int = 0) -> Tensor:
-    ts = [as_tensor(t) for t in tensors]
-    out = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.shape[axis] for t in ts]
-    splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.array_split(g, splits, axis=axis))
-
-    return _make(out, tuple(ts), vjp)
-
-
-def slice_cols(a, start: int, stop: int) -> Tensor:
-    a = as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError("slice_cols expects a 2-D tensor")
-    out = a.data[:, start:stop].copy()
-
-    def vjp(g):
-        full = np.zeros_like(a.data)
-        full[:, start:stop] = g
-        return (full,)
 
     return _make(out, (a,), vjp)
 
@@ -404,20 +314,6 @@ def gelu(a) -> Tensor:
     return _make(out, (a,), vjp)
 
 
-def softmax(a) -> Tensor:
-    """Row-stabilized softmax over the last axis."""
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot),)
-
-    return _make(out, (a,), vjp)
-
-
 def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
     """Normalize each row of x to zero mean / unit variance, then scale+shift.
 
@@ -461,8 +357,8 @@ class AttentionParams:
     bo: Tensor
 
     @staticmethod
-    def init(dim: int, rng: RngStream, scale: float | None = None) -> "AttentionParams":
-        s = scale if scale is not None else 1.0 / math.sqrt(dim)
+    def init(dim: int, rng: RngStream) -> "AttentionParams":
+        s = 1.0 / math.sqrt(dim)
         mats = {}
         for name in ("wq", "wk", "wv", "wo"):
             mats[name] = Tensor(rng.normal((dim, dim), std=s), requires_grad=True)

@@ -78,20 +78,21 @@ class LossRecord:
 # -- losses ---------------------------------------------------------------------
 
 
+def _mse(target: Tensor, estimate: Tensor) -> Tensor:
+    if target.shape != estimate.shape:
+        raise ContractError(f"loss shapes differ: {target.shape} vs {estimate.shape}")
+    d = sub(estimate, target)
+    return tmean(mul(d, d))
+
+
 def loss_codec(original: Tensor, reconstructed: Tensor) -> Tensor:
     """Pixel MSE between source and reconstructed image."""
-    if original.shape != reconstructed.shape:
-        raise ContractError(f"loss shapes differ: {original.shape} vs {reconstructed.shape}")
-    d = sub(reconstructed, original)
-    return tmean(mul(d, d))
+    return _mse(original, reconstructed)
 
 
 def loss_channel(z: Tensor, z_hat: Tensor) -> Tensor:
     """Semantic MSE between transmitted and recovered semantics."""
-    if z.shape != z_hat.shape:
-        raise ContractError(f"loss shapes differ: {z.shape} vs {z_hat.shape}")
-    d = sub(z_hat, z)
-    return tmean(mul(d, d))
+    return _mse(z, z_hat)
 
 
 def loss_whole(original, reconstructed, z, z_hat) -> Tensor:
@@ -105,18 +106,18 @@ def loss_whole(original, reconstructed, z, z_hat) -> Tensor:
 class Adam:
     """Adam with bias correction; lr == 0 leaves parameters bit-identical."""
 
-    def __init__(self, params: list, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list, lr: float):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self, grad_scale: float = 1.0) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         c1 = 1.0 - b1**self.t
         c2 = 1.0 - b2**self.t
         for i, p in enumerate(self.params):
@@ -126,7 +127,7 @@ class Adam:
             self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
             self.v[i] = b2 * self.v[i] + (1.0 - b2) * (g * g)
             if self.lr != 0.0:
-                update = self.lr * (self.m[i] / c1) / (np.sqrt(self.v[i] / c2) + self.eps)
+                update = self.lr * (self.m[i] / c1) / (np.sqrt(self.v[i] / c2) + self.EPS)
                 if not np.all(np.isfinite(update)):
                     raise NonFiniteError("optimizer update is non-finite")
                 p.data -= update
@@ -138,13 +139,16 @@ class Adam:
 # -- phase forwards ---------------------------------------------------------------
 
 
-def sample_nonempty_mask(grid, loc, p: float, rng: RngStream, max_tries: int = 100):
+_MASK_TRIES = 100
+
+
+def sample_nonempty_mask(grid, loc, p: float, rng: RngStream):
     """Bernoulli mask resampled until at least one patch is kept."""
-    for _ in range(max_tries):
+    for _ in range(_MASK_TRIES):
         plan = sample_mask(grid, loc, p, rng)
         if plan.keep_count > 0:
             return plan
-    raise ContractError(f"no non-empty mask after {max_tries} draws (p={p})")
+    raise ContractError(f"no non-empty mask after {_MASK_TRIES} draws (p={p})")
 
 
 def _sample_loss(model: LinkModel, scene, phase: str, cfg: TrainConfig, snr_db: float | None,
@@ -235,9 +239,9 @@ def mean_epoch_loss(records: list, epoch: int) -> float:
     return float(np.mean(vals))
 
 
-def dataset_loss(model: LinkModel, scenes: list, cfg: TrainConfig, seed_salt: int = 999) -> float:
+def dataset_loss(model: LinkModel, scenes: list, cfg: TrainConfig) -> float:
     """Mean phase-1 style reconstruction loss over a scene list (no updates)."""
-    root = RngStream(cfg.seed, seed_salt)
+    root = RngStream(cfg.seed, 999)
     total = 0.0
     with no_grad():
         for i, scene in enumerate(scenes):

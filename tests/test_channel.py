@@ -361,6 +361,18 @@ class TestStackedFrames:
         with pytest.raises(ShapeError):
             lmmse_detect(y, frame, out_shape=(2, 4, 1))
 
+    @pytest.mark.parametrize("snr_db,count", [(10.0, 0), (math.inf, 0), (math.inf, 5)])
+    def test_stream_count_checked_with_or_without_noise(self, snr_db, count):
+        cfg = ChannelConfig(kind="rayleigh", snr_db=snr_db, n_t=2, n_r=2)
+        frame = draw_channel(cfg, [RngStream(56, t) for t in range(2)])
+        x = np.ones((2, 4, 1), dtype=complex)
+        with pytest.raises(ShapeError):
+            transmit(x, frame, [RngStream(57, t) for t in range(count)])
+
+    def test_draw_needs_a_stream(self):
+        with pytest.raises(ShapeError):
+            draw_channel(ChannelConfig(kind="rayleigh"), [])
+
     def test_non_finite_stack_rejected(self):
         h = np.ones((2, 1, 1), dtype=complex)
         h[1, 0, 0] = np.nan

@@ -314,6 +314,21 @@ class TestTruncatedCheckpoint:
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert "chan.enc_bias" in err
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("grid", "patch_size", "4"), ("grid", "patch_size", 4.0),
+        (None, "symbol_dim", 0), ("grid", "grid_h", -8),
+    ])
+    def test_eval_exits_3_on_malformed_manifest(self, tmp_path, trained_checkpoint, capsys,
+                                                section, key, value):
+        manifest = json.loads(Path(trained_checkpoint + ".json").read_text())
+        (manifest[section] if section else manifest)[key] = value
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(Path(trained_checkpoint).read_bytes())
+        Path(str(ckpt) + ".json").write_text(json.dumps(manifest))
+        assert main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
 
 class TestSweepPr:
     def test_grid_coverage_and_summary(self, tmp_path, trained_checkpoint):

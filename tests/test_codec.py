@@ -18,7 +18,7 @@ from semlink.link import LinkModel, codec_only_pass
 from semlink.masking import PatchGrid, patchify, sample_mask, unpatchify
 from semlink.rng import RngStream
 from semlink.scenes import Loc, SceneConfig, generate_scene, locate_any
-from semlink.tensor import Tensor, layer_norm, mul, sinusoid_table, tmean
+from semlink.tensor import Tensor, layer_norm, mul, sinusoid_table, sub, tmean
 from semlink.training import TrainConfig, _sample_loss
 
 
@@ -258,7 +258,7 @@ class TestCodecGradients:
         def loss_fn():
             z = encode(Tensor(patches.data[keep]), keep, params, cfg)
             q = decode(zero_fill(z), params, cfg)
-            d = q - target
+            d = sub(q, target)
             return tmean(mul(d, d))
 
         worst = sampled_param_check(loss_fn, params.tensors(), RngStream(19),

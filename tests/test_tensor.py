@@ -16,7 +16,6 @@ from semlink.tensor import (
     Tensor,
     add,
     backward,
-    concat,
     div,
     gather_rows,
     gelu,
@@ -28,12 +27,9 @@ from semlink.tensor import (
     reshape,
     scatter_rows,
     sinusoid_table,
-    slice_cols,
-    softmax,
     softmax_attention,
     sub,
     tmean,
-    transpose,
     tsum,
     zero_grad,
 )
@@ -288,14 +284,9 @@ class TestFiniteDifferences:
         cases = [
             (lambda ts: tsum(mul(matmul(ts[0], ts[1]), matmul(ts[0], ts[1]))),
              [_rand(rng, (3, 4)), _rand(rng, (4, 2))]),
-            (lambda ts: tsum(mul(transpose(ts[0]), transpose(ts[0]))), [_rand(rng, (3, 5))]),
             (lambda ts: tsum(mul(reshape(ts[0], (2, 6)), reshape(ts[0], (2, 6)))),
              [_rand(rng, (3, 4))]),
             (lambda ts: tsum(mul(permute_axes(ts[0], (1, 2, 0)), 2.0)), [_rand(rng, (2, 3, 4))]),
-            (lambda ts: tsum(mul(concat([ts[0], ts[1]], axis=1), concat([ts[1], ts[0]], axis=1))),
-             [_rand(rng, (3, 2)), _rand(rng, (3, 2))]),
-            (lambda ts: tsum(mul(slice_cols(ts[0], 1, 3), slice_cols(ts[0], 2, 4))),
-             [_rand(rng, (4, 5))]),
             (lambda ts: tsum(mul(gather_rows(ts[0], idx), gather_rows(ts[0], idx))),
              [_rand(rng, (5, 3))]),
             (lambda ts: tsum(mul(scatter_rows(ts[0], idx, 6), 3.0)), [_rand(rng, (3, 4))]),
@@ -307,8 +298,6 @@ class TestFiniteDifferences:
         rng = np.random.default_rng(44)
         cases = [
             (lambda ts: tsum(mul(gelu(ts[0]), ts[0])), [_rand(rng, (4, 4))]),
-            (lambda ts: tsum(mul(softmax(ts[0]), ts[1])),
-             [_rand(rng, (3, 5)), _rand(rng, (3, 5))]),
             (lambda ts: tsum(mul(layer_norm(ts[0], ts[1], ts[2]), ts[0])),
              [_rand(rng, (3, 6)), _rand(rng, (6,)), _rand(rng, (6,))]),
         ]
@@ -368,8 +357,7 @@ class TestFiniteDifferences:
 
             def fn(ts):
                 m = matmul(ts[0], ts[1])
-                n = softmax(m)
-                return tmean(mul(gelu(m), add(n, 0.5)))
+                return tmean(mul(gelu(m), add(m, 0.5)))
 
             check_grads(fn, [a, b])
 
