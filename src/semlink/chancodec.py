@@ -3,8 +3,9 @@
 One affine layer per direction: the encoder compresses each semantic row of
 width feature_dim to 2*symbol_dim reals, read as symbol_dim complex symbols
 with interleaved (re, im) pairs; the decoder inverts the layout and maps
-back to feature_dim.  The real-valued views exist so training can
-differentiate straight through the surrogate channel.
+back to feature_dim.  The *_real maps take Tensors so training can
+differentiate through the surrogate channel; chan_encode/chan_decode apply
+the same maps to plain ndarrays for the forward-only fading channel.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ctensor import complex_to_real_view, real_view_to_complex
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NonFiniteError, ShapeError
 from .rng import RngStream
 from .tensor import Tensor, add, matmul
 
@@ -86,21 +87,24 @@ def chan_decode_real(view: Tensor, params: ChanCodecParams) -> Tensor:
     return add(matmul(view, params.dec_weight), params.dec_bias)
 
 
-def chan_encode(values: Tensor, params: ChanCodecParams) -> np.ndarray:
+def chan_encode(values: np.ndarray, params: ChanCodecParams) -> np.ndarray:
     """Semantic rows [L, feature_dim] -> complex symbols [L, symbol_dim]."""
-    view = chan_encode_real(values, params)
-    return real_view_to_complex(view.data)
+    if values.ndim != 2 or values.shape[1] != params.feature_dim:
+        raise ShapeError(f"rows {values.shape} vs codec feature_dim {params.feature_dim}")
+    view = values @ params.enc_weight.data + params.enc_bias.data
+    if not np.isfinite(view).all():
+        raise NonFiniteError("channel encoder produced non-finite values")
+    return real_view_to_complex(view)
 
 
-def chan_decode(x_hat: np.ndarray, params: ChanCodecParams) -> Tensor:
-    """Detected complex symbols -> semantic rows [L, feature_dim].
-
-    Non-finite symbols raise NonFiniteError (from the Tensor constructor).
-    """
+def chan_decode(x_hat: np.ndarray, params: ChanCodecParams) -> np.ndarray:
+    """Detected complex symbols [L, symbol_dim] -> semantic rows; NonFiniteError if not finite."""
     if x_hat.ndim != 2 or x_hat.shape[1] != params.symbol_dim:
         raise ShapeError(f"symbols {x_hat.shape} vs symbol_dim {params.symbol_dim}")
-    view = Tensor(complex_to_real_view(x_hat))
-    return chan_decode_real(view, params)
+    out = complex_to_real_view(x_hat) @ params.dec_weight.data + params.dec_bias.data
+    if not np.isfinite(out).all():
+        raise NonFiniteError("channel decoder produced non-finite values")
+    return out
 
 
 def inverse_params(params: ChanCodecParams) -> ChanCodecParams:

@@ -5,8 +5,9 @@ provides the forward passes the rest of the system uses: a noiseless codec
 pass, a differentiable pass through the surrogate channel for training, and a
 statistical pass through fading + L-MMSE detection for evaluation.  Each pass
 is composed of the same steps, each written once here: encode, decode, and
-one function per channel stage (training phase 2 and multi-user transport
-call the stages directly; transport sends its private streams as one stack).
+one function per channel stage: surrogate_stage on Tensors, which training
+differentiates, and fading_stage on plain complex arrays (training phase 2
+and multi-user transport call the stages directly).
 
 The transmit power scale is treated as known at the receiver (automatic gain
 control), so detected symbols are de-normalized before channel decoding.
@@ -30,7 +31,7 @@ from .snapshot import load_tensors, save_tensors
 from .tensor import Tensor, div, gather_rows, mul, power, tmean
 
 __all__ = ["LinkModel", "LinkResult", "surrogate_link", "evaluate_link", "codec_only_pass",
-           "surrogate_stage", "statistical_stage", "fading_stage"]
+           "surrogate_stage", "fading_stage"]
 
 
 @dataclass
@@ -94,6 +95,9 @@ class LinkModel:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{manifest_path}: malformed checkpoint manifest ({exc})") from exc
+        if model.codec_cfg != cfg:
+            got = f"{cfg.patch_dim}/{cfg.num_patches}, grid has {grid.patch_dim}/{grid.num_patches}"
+            raise ParseError(f"{manifest_path}: codec patch_dim/num_patches {got}")
         stored = load_tensors(path)
         slots = model.all_tensors()
         if set(stored) != set(slots):
@@ -145,14 +149,6 @@ def surrogate_stage(values: Tensor, chan: ChanCodecParams, chan_cfg: ChannelConf
     return chan_decode_real(div(received, scale), chan)
 
 
-def statistical_stage(values: Tensor, chan: ChanCodecParams, chan_cfg: ChannelConfig,
-                      rng: RngStream, frame=None) -> np.ndarray:
-    """Statistical channel stage: semantic rows -> detected symbols, scaled
-    back to the encoder's power; fading_stage of a stack of one signal, with
-    frame, when given, a one-frame stack."""
-    return fading_stage(chan_encode(values, chan)[None], chan_cfg, [rng], frame)[0]
-
-
 def fading_stage(x: np.ndarray, chan_cfg: ChannelConfig, rngs, frame=None) -> np.ndarray:
     """Stack of T signals [T, ...] -> power normalization, fading, L-MMSE
     detection -> symbols at their original power.
@@ -190,6 +186,6 @@ def evaluate_link(model: LinkModel, image: Tensor, plan: MaskPlan,
     the same channel realization.
     """
     z = _encode(model, image, plan)
-    x_hat = statistical_stage(z.values, model.chan, chan_cfg, rng, frame)
-    z_hat = z.with_values(chan_decode(x_hat, model.chan))
+    x_hat = fading_stage(chan_encode(z.values.data, model.chan)[None], chan_cfg, [rng], frame)[0]
+    z_hat = z.with_values(Tensor(chan_decode(x_hat, model.chan)))
     return LinkResult(_decode(model, z_hat), z, z_hat)

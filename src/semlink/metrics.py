@@ -41,7 +41,6 @@ class MetricReport:
     ssim: float
     region_psnr_db: float
     region_ssim: float
-    nmse: float = 0.0
 
 
 def _img(a) -> np.ndarray:

@@ -20,9 +20,8 @@ import numpy as np
 from .chancodec import ChanCodecParams, chan_decode, chan_encode
 from .channel import ChannelConfig
 from .errors import ConfigError, ContractError
-from .link import fading_stage, statistical_stage
+from .link import fading_stage
 from .rng import RngStream
-from .tensor import Tensor, no_grad
 
 __all__ = [
     "MultiUserSemantics",
@@ -137,11 +136,11 @@ def transport(part: SharePartition, user_codecs: list, pub_codec: ChanCodecParam
               cfg: ChannelConfig, rng: RngStream) -> TransportResult:
     """Broadcast the shared rows once, send private rows per user, reassemble.
 
-    The public stream uses one channel realization shared by all receivers;
-    each private stream uses that user's own realization, drawn from
-    rng.substream(100 + u), and all K private streams cross the channel as
-    one stack.  Receiver k decodes the concatenated detected streams with its
-    own decoder and scatters rows back to their original sequence positions.
+    Forward only, on plain arrays.  The public stream is one fading_stage
+    signal on rng.substream(0), a channel realization shared by all
+    receivers; private stream u uses rng.substream(100 + u), and all K cross
+    the channel as one stack.  Receiver k decodes the detected streams with
+    its own decoder and scatters rows back to their original positions.
     """
     k = part.num_users
     if len(user_codecs) != k:
@@ -151,25 +150,24 @@ def transport(part: SharePartition, user_codecs: list, pub_codec: ChanCodecParam
         raise ConfigError("all channel codecs must share symbol_dim")
     d_s = user_codecs[0].feature_dim
 
-    with no_grad():  # forward only: the codecs are applied, never trained here
-        x_pub_hat = None
-        if part.l_pub:
-            x_pub_hat = statistical_stage(Tensor(part.z_pub), pub_codec, cfg, rng.substream(0))
+    x_pub_hat = None
+    if part.l_pub:
+        x_pub = chan_encode(part.z_pub, pub_codec)[None]
+        x_pub_hat = fading_stage(x_pub, cfg, [rng.substream(0)])[0]
 
-        x_pri_hat = None
-        if part.l_pri:
-            x_pri = np.stack([chan_encode(Tensor(part.z_pri[u]), user_codecs[u])
-                              for u in range(k)])
-            x_pri_hat = fading_stage(x_pri, cfg, [rng.substream(100 + u) for u in range(k)])
+    x_pri_hat = None
+    if part.l_pri:
+        x_pri = np.stack([chan_encode(part.z_pri[u], user_codecs[u]) for u in range(k)])
+        x_pri_hat = fading_stage(x_pri, cfg, [rng.substream(100 + u) for u in range(k)])
 
-        z_hat = []
-        for u in range(k):
-            out = np.zeros((part.length, d_s))
-            if x_pub_hat is not None:
-                out[part.shared_idx] = chan_decode(x_pub_hat, user_codecs[u]).data
-            if x_pri_hat is not None:
-                out[part.private_idx] = chan_decode(x_pri_hat[u], user_codecs[u]).data
-            z_hat.append(out)
+    z_hat = []
+    for u in range(k):
+        out = np.zeros((part.length, d_s))
+        if x_pub_hat is not None:
+            out[part.shared_idx] = chan_decode(x_pub_hat, user_codecs[u])
+        if x_pri_hat is not None:
+            out[part.private_idx] = chan_decode(x_pri_hat[u], user_codecs[u])
+        z_hat.append(out)
     rows_sent = part.l_pub + k * part.l_pri
     return TransportResult(z_hat, rows_sent, rows_sent * sym_dim)
 

@@ -10,6 +10,7 @@ from semlink.chancodec import (
     chan_encode_real,
     inverse_params,
 )
+from semlink.ctensor import complex_to_real_view, real_view_to_complex
 from semlink.errors import NonFiniteError, ShapeError
 from semlink.rng import RngStream
 from semlink.tensor import Tensor, add, matmul, mul, sub, tmean
@@ -24,7 +25,7 @@ def zero_params(d_s, d_c):
 class TestEncodeDecode:
     def test_zero_weights_zero_symbols(self):
         params = zero_params(6, 2)
-        x = chan_encode(Tensor(np.random.default_rng(0).normal(size=(4, 6))), params)
+        x = chan_encode(np.random.default_rng(0).normal(size=(4, 6)), params)
         np.testing.assert_array_equal(x, np.zeros((4, 2), dtype=complex))
 
     def test_interleave_convention(self):
@@ -33,20 +34,20 @@ class TestEncodeDecode:
         params = zero_params(d_s, d_c)
         params.enc_weight.data[...] = np.eye(d_s)
         rows = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
-        x = chan_encode(Tensor(rows), params)
+        x = chan_encode(rows, params)
         np.testing.assert_array_equal(x, [[1 + 2j, 3 + 4j], [5 + 6j, 7 + 8j]])
 
     def test_output_shape(self):
         params = ChanCodecParams.init(16, 4, RngStream(1))
         for length in (1, 7, 30):
-            x = chan_encode(Tensor(np.random.default_rng(1).normal(size=(length, 16))), params)
+            x = chan_encode(np.random.default_rng(1).normal(size=(length, 16)), params)
             assert x.shape == (length, 4)
 
     def test_zero_input_gives_decoder_bias(self):
         params = ChanCodecParams.init(8, 4, RngStream(2))
         params.dec_bias.data[...] = np.arange(8, dtype=float)
         out = chan_decode(np.zeros((3, 4), dtype=complex), params)
-        np.testing.assert_array_equal(out.data, np.tile(np.arange(8.0), (3, 1)))
+        np.testing.assert_array_equal(out, np.tile(np.arange(8.0), (3, 1)))
 
     @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf), -np.inf])
     def test_non_finite_symbols_rejected(self, bad):
@@ -61,8 +62,8 @@ class TestEncodeDecode:
         d_s, d_c = 12, 8
         params = inverse_params(ChanCodecParams.init(d_s, d_c, RngStream(3)))
         rows = np.random.default_rng(2).normal(size=(6, d_s))
-        back = chan_decode(chan_encode(Tensor(rows), params), params)
-        assert np.abs(back.data - rows).max() < 1e-8
+        back = chan_decode(chan_encode(rows, params), params)
+        assert np.abs(back - rows).max() < 1e-8
 
     def test_shape_contracts(self):
         params = ChanCodecParams.init(8, 4, RngStream(4))
@@ -70,6 +71,23 @@ class TestEncodeDecode:
             chan_encode_real(Tensor(np.zeros((3, 9))), params)
         with pytest.raises(ShapeError):
             chan_decode_real(Tensor(np.zeros((3, 9))), params)
+        for bad in (np.zeros((3, 9)), np.zeros(8)):
+            with pytest.raises(ShapeError):
+                chan_encode(bad, params)
+        with pytest.raises(ShapeError):
+            chan_decode(np.zeros((3, 5), dtype=complex), params)
+
+    @pytest.mark.parametrize("d_s,d_c,length", [(6, 2, 4), (16, 4, 1), (12, 8, 30)])
+    def test_forward_maps_equal_real_views(self, d_s, d_c, length):
+        # the evaluation maps and the differentiable training maps agree bit for bit
+        params = ChanCodecParams.init(d_s, d_c, RngStream(6, d_s))
+        rng = np.random.default_rng(length)
+        v = rng.normal(size=(length, d_s))
+        x = rng.normal(size=(length, d_c)) + 1j * rng.normal(size=(length, d_c))
+        np.testing.assert_array_equal(
+            chan_encode(v, params), real_view_to_complex(chan_encode_real(Tensor(v), params).data))
+        np.testing.assert_array_equal(
+            chan_decode(x, params), chan_decode_real(Tensor(complex_to_real_view(x)), params).data)
 
 
 class TestAffinity:

@@ -317,6 +317,7 @@ class TestTruncatedCheckpoint:
     @pytest.mark.parametrize("section,key,value", [
         ("grid", "patch_size", "4"), ("grid", "patch_size", 4.0),
         (None, "symbol_dim", 0), ("grid", "grid_h", -8),
+        ("codec", "num_patches", 100), ("codec", "patch_dim", 3),
     ])
     def test_eval_exits_3_on_malformed_manifest(self, tmp_path, trained_checkpoint, capsys,
                                                 section, key, value):

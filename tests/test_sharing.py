@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semlink.chancodec import ChanCodecParams, inverse_params
+from semlink.chancodec import ChanCodecParams, chan_encode, inverse_params
 from semlink.channel import ChannelConfig
 from semlink.errors import ConfigError, ContractError
-from semlink.link import statistical_stage
+from semlink.link import fading_stage
 from semlink.rng import RngStream
 from semlink.sharing import (
     MultiUserSemantics,
@@ -196,10 +196,10 @@ class TestTransport:
 
         for u in range(3):
             direct = chan_decode(
-                statistical_stage(Tensor(z.values[u]), self.codec, self.clean,
-                                  RngStream(15).substream(100 + u)),
+                fading_stage(chan_encode(z.values[u], self.codec)[None], self.clean,
+                             [RngStream(15).substream(100 + u)])[0],
                 self.codec,
-            ).data
+            )
             np.testing.assert_array_equal(res.z_hat[u], direct)
 
     def test_stacked_private_streams_match_per_user_stages(self):
@@ -215,11 +215,29 @@ class TestTransport:
 
         for u in range(3):
             direct = chan_decode(
-                statistical_stage(Tensor(part.z_pri[u]), codecs[u], noisy,
-                                  RngStream(25).substream(100 + u)),
+                fading_stage(chan_encode(part.z_pri[u], codecs[u])[None], noisy,
+                             [RngStream(25).substream(100 + u)])[0],
                 codecs[u],
-            ).data
+            )
             np.testing.assert_array_equal(res.z_hat[u][part.private_idx], direct)
+
+    @pytest.mark.parametrize("kind,n", [("awgn", 1), ("rician", 2)])
+    def test_builds_no_tensor(self, monkeypatch, kind, n):
+        # transport is forward only on plain arrays: no autodiff wrapper is constructed
+        z = _separated_semantics(RngStream(26))
+        part = partition(z, 0.5)
+        assert part.l_pub and part.l_pri
+        built = []
+        init = Tensor.__init__
+
+        def counting_init(t, *args, **kwargs):
+            built.append(t)
+            init(t, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        transport(part, [self.codec] * 3, self.codec, ChannelConfig(kind=kind, n_t=n, n_r=n),
+                  RngStream(27))
+        assert built == []
 
     def test_row_scatter_bijection(self):
         z = _separated_semantics(RngStream(16))
