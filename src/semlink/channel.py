@@ -86,6 +86,10 @@ class ChannelConfig:
             raise ConfigError("csi_error_var must be >= 0")
         if self.p_s <= 0:
             raise ConfigError("p_s must be > 0")
+        # snr_db = inf is the noiseless channel
+        if self.snr_db != math.inf and not 0.0 < _noise_var(self) < math.inf:
+            raise ConfigError(f"snr_db {self.snr_db:g} at p_s {self.p_s:g} puts the noise "
+                              "variance outside the float range")
 
     @property
     def effective_csi_error_var(self) -> float:
@@ -127,9 +131,16 @@ def calibrate_noise(cfg: ChannelConfig) -> float:
     identity channel.
     """
     cfg.validate()
+    return _noise_var(cfg)
+
+
+def _noise_var(cfg: ChannelConfig) -> float:
+    """p_s * gain / 10**(snr_db/10), or nan where that leaves the float range."""
     gain = 1.0 if cfg.kind == "awgn" else float(cfg.n_t)
-    snr_lin = 10.0 ** (cfg.snr_db / 10.0)
-    return cfg.p_s * gain / snr_lin
+    try:
+        return cfg.p_s * gain / 10.0 ** (cfg.snr_db / 10.0)
+    except (OverflowError, ZeroDivisionError):
+        return math.nan
 
 
 # -- channel draws -------------------------------------------------------------

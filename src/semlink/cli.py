@@ -30,7 +30,7 @@ from .rng import RngStream
 from .snapshot import save_tensors
 from .scenes import generate_correlated_batch, generate_scene, locate, locate_any, save_scene
 from .sharing import MultiUserSemantics, bandwidth_savings, partition, synth_correlated_semantics
-from .tensor import no_grad
+from .tensor import Tensor, no_grad
 from .training import sample_nonempty_mask, train_phase
 
 # stream-id salts for the independent random domains of a run
@@ -166,7 +166,7 @@ def _eval_trial(cfg: RunConfig, model: LinkModel, chan_cfg, masking: str, mask_p
     if dump_dir is not None:
         dump_dir.mkdir(parents=True, exist_ok=True)
         save_tensors(dump_dir / f"trial{trial:04d}.slnk",
-                     {"original": scene.image, "reconstructed": res.image})
+                     {"original": Tensor(scene.image), "reconstructed": res.image})
         (dump_dir / f"trial{trial:04d}.json").write_text(
             json.dumps({"loc": loc.sorted_indices, "patch_size": grid.patch_size,
                         "plan": json.loads(plan.to_json())})
@@ -278,7 +278,7 @@ def _users_semantics(cfg: RunConfig, k: int, rng) -> MultiUserSemantics:
         )
     batch = generate_correlated_batch(rng, k, cfg.correlated_config())
     grid = cfg.scene_config().grid()
-    rows = np.stack([patchify(s.image, grid).data for s in batch])
+    rows = np.stack([patchify(s.image, grid) for s in batch])
     # standardize so variance-difference thresholds live on a unit scale
     mu, sd = rows.mean(), rows.std()
     return MultiUserSemantics((rows - mu) / max(sd, 1e-9))

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+import numpy as np
+
 from .channel import ChannelConfig
 from .codec import CodecConfig
 from .errors import ConfigError
@@ -78,8 +80,10 @@ SCHEMA = {
 }
 
 
-# the channel-kind list each command draws statistical channels from
-_COMMAND_KINDS = {"eval": "eval.kinds", "sweep-pr": "sweep.kinds", "channel-bench": "bench.kinds"}
+# the channel-kind list each command draws statistical channels from, and its SNR(s)
+_COMMAND_KINDS = {"eval": ("eval.kinds", "eval.snr_db_list"),
+                  "sweep-pr": ("sweep.kinds", "channel.snr_db"),
+                  "channel-bench": ("bench.kinds", "bench.snr_db_list")}
 
 
 def _finite_float(text: str) -> float:
@@ -160,10 +164,11 @@ class RunConfig:
         self.scene_config().validate()
         CodecConfig.for_grid(self.scene_config().grid(), **self.section(CodecConfig))
         self.channel_config().validate(geometry=False)
-        for key in _COMMAND_KINDS.values():
-            geometry = command is None or _COMMAND_KINDS.get(command) == key
+        for cmd, (key, snr_key) in _COMMAND_KINDS.items():
+            geometry = command in (None, cmd)
             for kind in v[key]:
-                self.channel_config(kind).validate(geometry)
+                for snr_db in np.atleast_1d(v[snr_key]):
+                    self.channel_config(kind, snr_db=float(snr_db)).validate(geometry)
         self.train_config("codec").validate()
         self.correlated_config().validate()
         if not 0.0 <= v["eval.mask_prob"] <= 1.0:

@@ -7,7 +7,8 @@ statistical pass through fading + L-MMSE detection for evaluation.  Each pass
 is composed of the same steps, each written once here: encode, decode, and
 one function per channel stage: surrogate_stage on Tensors, which training
 differentiates, and fading_stage on plain complex arrays (training phase 2
-and multi-user transport call the stages directly).
+and multi-user transport call the stages directly).  Images and patch rows
+are plain ndarrays: the autodiff graph starts at the codec's patch embedding.
 
 The transmit power scale is treated as known at the receiver (automatic gain
 control), so detected symbols are de-normalized before channel decoding.
@@ -28,7 +29,7 @@ from .errors import ContractError, ParseError
 from .masking import MaskPlan, PatchGrid, patchify, unpatchify
 from .rng import RngStream
 from .snapshot import load_tensors, save_tensors
-from .tensor import Tensor, div, gather_rows, mul, power, tmean
+from .tensor import Tensor, div, mul, power, tmean
 
 __all__ = ["LinkModel", "LinkResult", "surrogate_link", "evaluate_link", "codec_only_pass",
            "surrogate_stage", "fading_stage"]
@@ -116,9 +117,9 @@ class LinkResult:
     z_hat: SemanticTensor  # received semantics
 
 
-def _encode(model: LinkModel, image: Tensor, plan: MaskPlan) -> SemanticTensor:
+def _encode(model: LinkModel, image: np.ndarray, plan: MaskPlan) -> SemanticTensor:
     """Patchify, keep the plan's patches, encode them."""
-    kept = gather_rows(patchify(image, model.grid), plan.keep_indices)
+    kept = patchify(image, model.grid)[plan.keep_indices]
     return encode(kept, plan.keep_indices, model.codec, model.codec_cfg)
 
 
@@ -163,13 +164,13 @@ def fading_stage(x: np.ndarray, chan_cfg: ChannelConfig, rngs, frame=None) -> np
     return transmit_detect(x * s, frame, [r.substream(2) for r in rngs]) * (1.0 / s)
 
 
-def codec_only_pass(model: LinkModel, image: Tensor, plan: MaskPlan):
+def codec_only_pass(model: LinkModel, image: np.ndarray, plan: MaskPlan):
     """Mask, encode, zero-fill, decode; no channel.  Returns (Q, Z)."""
     z = _encode(model, image, plan)
     return _decode(model, z), z
 
 
-def surrogate_link(model: LinkModel, image: Tensor, plan: MaskPlan,
+def surrogate_link(model: LinkModel, image: np.ndarray, plan: MaskPlan,
                    chan_cfg: ChannelConfig, rng: RngStream) -> LinkResult:
     """Differentiable end-to-end pass used by training phase 3."""
     z = _encode(model, image, plan)
@@ -177,7 +178,7 @@ def surrogate_link(model: LinkModel, image: Tensor, plan: MaskPlan,
     return LinkResult(_decode(model, z_hat), z, z_hat)
 
 
-def evaluate_link(model: LinkModel, image: Tensor, plan: MaskPlan,
+def evaluate_link(model: LinkModel, image: np.ndarray, plan: MaskPlan,
                   chan_cfg: ChannelConfig, rng: RngStream,
                   frame=None) -> LinkResult:
     """Statistical-channel pass: fading draw, transmit, L-MMSE detect.

@@ -91,24 +91,22 @@ class MaskPlan:
         )
 
 
-def patchify(image: Tensor, grid: PatchGrid) -> Tensor:
+def patchify(image: np.ndarray, grid: PatchGrid) -> np.ndarray:
     """[C,H,W] image -> [num_patches, patch_dim] rows in row-major grid order.
 
     Row i is the channel-first flattening of the patch at
-    (i // grid_w, i % grid_w).  Graph-preserving (pure reshape/permute).
+    (i // grid_w, i % grid_w).  Images and rows are data: plain ndarrays.
     """
-    image = image if isinstance(image, Tensor) else Tensor(image)
     c, h, w = image.shape
     p = grid.patch_size
     if (c, h, w) != (grid.channels, grid.grid_h * p, grid.grid_w * p):
         raise ShapeError(f"image shape {image.shape} does not match grid {grid}")
-    arr = reshape(image, (c, grid.grid_h, p, grid.grid_w, p))
-    return reshape(permute_axes(arr, (1, 3, 0, 2, 4)), (grid.num_patches, grid.patch_dim))
+    arr = image.reshape(c, grid.grid_h, p, grid.grid_w, p)
+    return arr.transpose(1, 3, 0, 2, 4).reshape(grid.num_patches, grid.patch_dim)
 
 
 def unpatchify(rows, grid: PatchGrid) -> Tensor:
-    """Inverse of patchify; accepts a Tensor or ndarray of patch rows."""
-    rows = rows if isinstance(rows, Tensor) else Tensor(np.asarray(rows, dtype=np.float64))
+    """Inverse of patchify as an autodiff op, from a Tensor or ndarray of rows."""
     if rows.shape != (grid.num_patches, grid.patch_dim):
         raise ShapeError(f"rows shape {rows.shape} does not match grid {grid}")
     p = grid.patch_size

@@ -2,7 +2,8 @@
 
 Scenes carry pixel data plus exact object annotations (label + bounding
 box), so locating the patches of a labelled object is a geometric lookup
-rather than a vision problem.  Generated pixel values are quantized to the
+rather than a vision problem.  Pixels are a plain float64 ndarray, since
+nothing differentiates them.  Generated pixel values are quantized to the
 8-bit grid at construction time, which makes the PGM/PPM round-trip exact.
 
 Backgrounds stay below OBJECT_MIN intensity and object fills stay above it,
@@ -17,10 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, VocabularyError
+from .errors import ConfigError, NonFiniteError, ParseError, VocabularyError
 from .masking import PatchGrid
 from .rng import RngStream
-from .tensor import Tensor
 
 __all__ = [
     "VOCABULARY",
@@ -45,25 +45,25 @@ _OBJECT_MIN = 0.65  # object fills start here
 
 @dataclass
 class Scene:
-    """One annotated image: C x H x W pixels in [0, 1] plus object boxes."""
+    """One annotated image: C x H x W float64 pixels in [0, 1] (NaN or Inf
+    raises NonFiniteError) plus object boxes."""
 
-    image: Tensor
+    image: np.ndarray
     objects: list  # of (label, (x, y, w, h))
     id: str
 
     def __post_init__(self):
+        self.image = np.asarray(self.image, dtype=np.float64)
         c, h, w = self.image.shape
-        if float(self.image.data.min()) < 0.0 or float(self.image.data.max()) > 1.0:
+        if not np.isfinite(self.image).all():
+            raise NonFiniteError(f"scene {self.id}: non-finite pixel values")
+        if self.image.min() < 0.0 or self.image.max() > 1.0:
             raise ConfigError(f"scene {self.id}: pixel values outside [0, 1]")
         for label, (x, y, bw, bh) in self.objects:
             if label not in VOCABULARY:
                 raise VocabularyError(f"scene {self.id}: unknown label {label!r}")
             if bw < 1 or bh < 1 or x < 0 or y < 0 or x + bw > w or y + bh > h:
                 raise ConfigError(f"scene {self.id}: bbox {(x, y, bw, bh)} outside {w}x{h}")
-
-    @property
-    def shape(self):
-        return self.image.shape
 
 
 @dataclass(frozen=True)
@@ -190,7 +190,7 @@ def generate_scene(rng: RngStream, cfg: SceneConfig) -> Scene:
         label, bbox, color = _draw_object_spec(rng, cfg)
         _paint_object(img, label, bbox, color)
         objects.append((label, bbox))
-    return Scene(Tensor(_quantize(img)), objects, f"scene-{tag:012x}")
+    return Scene(_quantize(img), objects, f"scene-{tag:012x}")
 
 
 @dataclass(frozen=True)
@@ -268,9 +268,7 @@ def generate_correlated_batch(rng: RngStream, k: int, cfg: CorrelatedConfig) -> 
             img[:, y : y + h, x : x + w] = np.clip(tex, 0.0, _BG_MAX)
         label, bbox, color = specs[u]
         _paint_object(img, label, bbox, color)
-        scenes.append(
-            Scene(Tensor(_quantize(img)), [(label, bbox)], f"batch-{tag:012x}-u{u}")
-        )
+        scenes.append(Scene(_quantize(img), [(label, bbox)], f"batch-{tag:012x}-u{u}"))
     return scenes
 
 
@@ -381,7 +379,7 @@ def save_scene(scene: Scene, directory) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
     c = scene.image.shape[0]
     img_path = directory / f"{scene.id}.{'pgm' if c == 1 else 'ppm'}"
-    _write_pnm(img_path, scene.image.data)
+    _write_pnm(img_path, scene.image)
     sidecar = {
         "objects": [
             {"label": label, "bbox": [int(v) for v in bbox]}
@@ -404,10 +402,7 @@ def load_annotated(directory) -> list:
         try:
             meta = json.loads(sidecar.read_text())
             objects = [(o["label"], tuple(int(v) for v in o["bbox"])) for o in meta["objects"]]
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+            scenes.append(Scene(img, objects, img_path.stem))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # Scene raises ValueErrors
             raise ParseError(f"{sidecar.name}: malformed sidecar ({exc})") from exc
-        try:
-            scenes.append(Scene(Tensor(img), objects, img_path.stem))
-        except (ConfigError, VocabularyError) as exc:
-            raise ParseError(f"{sidecar.name}: {exc}") from exc
     return scenes

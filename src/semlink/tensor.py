@@ -37,7 +37,6 @@ __all__ = [
     "matmul",
     "permute_axes",
     "reshape",
-    "gather_rows",
     "scatter_rows",
     "tsum",
     "tmean",
@@ -223,19 +222,6 @@ def reshape(a, shape) -> Tensor:
 
     def vjp(g):
         return (g.reshape(a.shape),)
-
-    return _make(out, (a,), vjp)
-
-
-def gather_rows(a, idx) -> Tensor:
-    a = as_tensor(a)
-    idx = np.asarray(idx, dtype=np.intp)
-    out = a.data[idx].copy()
-
-    def vjp(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
-        return (full,)
 
     return _make(out, (a,), vjp)
 

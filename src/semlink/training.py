@@ -61,6 +61,8 @@ class TrainConfig:
             raise ConfigError("mask_prob outside [0, 1]")
         if self.snr_hi_db < self.snr_lo_db:
             raise ConfigError("snr range inverted")
+        for snr_db in (self.snr_lo_db, self.snr_hi_db):
+            ChannelConfig(kind=self.surrogate_kind, snr_db=snr_db).validate()
 
 
 @dataclass
@@ -85,7 +87,7 @@ def _mse(target: Tensor, estimate: Tensor) -> Tensor:
     return tmean(mul(d, d))
 
 
-def loss_codec(original: Tensor, reconstructed: Tensor) -> Tensor:
+def loss_codec(original: np.ndarray, reconstructed: Tensor) -> Tensor:
     """Pixel MSE between source and reconstructed image."""
     return _mse(original, reconstructed)
 

@@ -153,6 +153,21 @@ class TestExitCodes:
         assert err.startswith("config error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("args", [
+        ["channel-bench", "--bench.snr_db_list", "4000"],
+        ["channel-bench", "--bench.snr_db_list", "-4000"],
+        ["eval", "--eval.snr_db_list", "4000"],
+        ["sweep-pr", "--channel.snr_db", "4000"],
+        ["train", "--phase", "channel", "--train.snr_lo_db", "3500", "--train.snr_hi_db", "4000"],
+    ], ids=["bench-4000", "bench-minus-4000", "eval-4000", "sweep-pr-4000", "train-3500-4000"])
+    def test_snr_outside_float_range_exits_2(self, tmp_path, capsys, trained_checkpoint, args):
+        # 10**(snr_db/10) overflows or its inverse underflows to a zero division
+        if args[0] != "channel-bench":
+            args = [*args, "--checkpoint", trained_checkpoint]
+        assert main([*args, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("args", [
         *[pytest.param([f"--{key}", raw], id=f"{key}={raw!r}")
           for key, (tag, _) in SCHEMA.items() if tag in ("floats", "strs") for raw in (",", "")],
         # sharing needs two features a row to compare variances

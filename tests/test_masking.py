@@ -37,13 +37,13 @@ class TestPatchifyBijection:
     @given(grids(), st.integers(0, 2**32 - 1))
     def test_unpatchify_inverts_patchify(self, grid, seed):
         img = _image(grid, seed)
-        np.testing.assert_array_equal(unpatchify(patchify(Tensor(img), grid), grid).data, img)
+        np.testing.assert_array_equal(unpatchify(patchify(img, grid), grid).data, img)
 
     @settings(max_examples=100, deadline=None)
     @given(grids(), st.integers(0, 2**32 - 1))
     def test_patchify_inverts_unpatchify(self, grid, seed):
         rows = np.random.default_rng(seed).normal(size=(grid.num_patches, grid.patch_dim))
-        np.testing.assert_array_equal(patchify(unpatchify(rows, grid), grid).data, rows)
+        np.testing.assert_array_equal(patchify(unpatchify(rows, grid).data, grid), rows)
 
     @settings(max_examples=50, deadline=None)
     @given(grids(), st.integers(0, 2**32 - 1), st.data())
@@ -51,45 +51,47 @@ class TestPatchifyBijection:
         img = _image(grid, seed)
         i = data.draw(st.integers(0, grid.num_patches - 1))
         x, y, w, h = grid.patch_bbox(i)
-        np.testing.assert_array_equal(patchify(Tensor(img), grid).data[i],
+        np.testing.assert_array_equal(patchify(img, grid)[i],
                                       img[:, y : y + h, x : x + w].reshape(-1))
 
 
 class TestPatchify:
     def test_single_patch_is_flattened_image(self):
-        img = Tensor(np.arange(16, dtype=float).reshape(1, 4, 4))
+        img = np.arange(16, dtype=float).reshape(1, 4, 4)
         grid = grid_for(1, 4, 4, 4)
         rows = patchify(img, grid)
         assert rows.shape == (1, 16)
-        np.testing.assert_array_equal(rows.data[0], img.data.reshape(-1))
+        np.testing.assert_array_equal(rows[0], img.reshape(-1))
 
     def test_row_one_is_top_right_block(self):
-        img = Tensor(np.arange(64, dtype=float).reshape(1, 8, 8))
+        img = np.arange(64, dtype=float).reshape(1, 8, 8)
         grid = grid_for(1, 8, 8, 4)
         rows = patchify(img, grid)
         # index arithmetic oracle: row 1 = (row 0, col 1) of the grid
-        expected = img.data[0, 0:4, 4:8].reshape(-1)
-        np.testing.assert_array_equal(rows.data[1], expected)
+        expected = img[0, 0:4, 4:8].reshape(-1)
+        np.testing.assert_array_equal(rows[1], expected)
 
     def test_inverse_pair_over_shapes(self):
         rng = np.random.default_rng(0)
         for c, h, w, p in [(1, 4, 4, 4), (1, 8, 8, 2), (3, 8, 12, 4), (3, 16, 16, 8), (1, 12, 8, 4)]:
-            img = Tensor(rng.uniform(size=(c, h, w)))
+            img = rng.uniform(size=(c, h, w))
             grid = grid_for(c, h, w, p)
             back = unpatchify(patchify(img, grid), grid)
-            np.testing.assert_array_equal(back.data, img.data)
+            np.testing.assert_array_equal(back.data, img)
 
     def test_shape_mismatch(self):
         grid = grid_for(1, 8, 8, 4)
         with pytest.raises(ShapeError):
-            patchify(Tensor(np.zeros((1, 4, 4))), grid)
+            patchify(np.zeros((1, 4, 4)), grid)
         with pytest.raises(ShapeError):
             unpatchify(Tensor(np.zeros((3, 16))), grid)
 
     def test_gradients_flow_through_roundtrip(self):
+        # patchify is a plain array map; the graph runs through unpatchify
         grid = grid_for(1, 8, 8, 4)
-        x = Tensor(np.random.default_rng(1).normal(size=(1, 8, 8)), requires_grad=True)
-        out = unpatchify(patchify(x, grid), grid)
+        img = np.random.default_rng(1).normal(size=(1, 8, 8))
+        x = Tensor(patchify(img, grid), requires_grad=True)
+        out = unpatchify(x, grid)
         backward(tsum(mul(out, out)))
         np.testing.assert_allclose(x.grad, 2 * x.data)
 

@@ -15,7 +15,6 @@ from semlink.tensor import (
     add,
     backward,
     div,
-    gather_rows,
     gelu,
     layer_norm,
     matmul,
@@ -43,7 +42,7 @@ def _every_op(a, b):
         add(a, b), sub(a, b), mul(a, b), div(a, add(mul(b, b), 1.0)),
         power(add(mul(a, a), 1.0), 1.5), matmul(a, b),
         reshape(a, (2, 8)), permute_axes(reshape(a, (2, 2, 4)), (2, 0, 1)),
-        gather_rows(a, [2, 0]), scatter_rows(a, [3, 1, 0, 2], 5),
+        scatter_rows(a, [3, 1, 0, 2], 5),
         tsum(a), tmean(a, axis=0), gelu(a),
         layer_norm(a, Tensor(np.ones(4), requires_grad=True), Tensor(np.zeros(4))),
         softmax_attention(a, b, a, attn, num_heads=2),

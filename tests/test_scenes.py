@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semlink.errors import ConfigError, ParseError, VocabularyError
-from semlink.masking import PatchGrid
+from semlink.errors import ConfigError, NonFiniteError, ParseError, VocabularyError
+from semlink.masking import PatchGrid, patchify
 from semlink.rng import RngStream
 from semlink.scenes import (
     CorrelatedConfig,
@@ -55,7 +55,7 @@ class TestGenerateScene:
         cfg = SceneConfig(min_objects=0, max_objects=0)
         scene = generate_scene(RngStream(1), cfg)
         assert scene.objects == []
-        assert scene.image.data.max() <= 0.56  # background band only
+        assert scene.image.max() <= 0.56  # background band only
 
     def test_rect_bbox_exactly_covers_painted_pixels(self):
         cfg = SceneConfig(min_objects=1, max_objects=1, min_obj_size=8, max_obj_size=8)
@@ -66,7 +66,7 @@ class TestGenerateScene:
             if label != "rect":
                 continue
             found += 1
-            bright = scene.image.data[0] >= 0.6
+            bright = scene.image[0] >= 0.6
             box = np.zeros_like(bright)
             box[y : y + h, x : x + w] = True
             np.testing.assert_array_equal(bright, box)
@@ -77,7 +77,7 @@ class TestGenerateScene:
         for seed in range(30):
             scene = generate_scene(RngStream(seed, 78), cfg)
             _, (x, y, w, h) = scene.objects[0]
-            bright = scene.image.data.max(axis=0) >= 0.6
+            bright = scene.image.max(axis=0) >= 0.6
             outside = bright.copy()
             outside[y : y + h, x : x + w] = False
             assert not outside.any()
@@ -86,7 +86,7 @@ class TestGenerateScene:
         cfg = SceneConfig()
         a = generate_scene(RngStream(9, 1), cfg)
         b = generate_scene(RngStream(9, 1), cfg)
-        np.testing.assert_array_equal(a.image.data, b.image.data)
+        np.testing.assert_array_equal(a.image, b.image)
         assert a.objects == b.objects and a.id == b.id
 
     def test_impossible_placement_rejected(self):
@@ -103,28 +103,63 @@ class TestGenerateScene:
             scene = generate_scene(RngStream(seed, 79), cfg)
             c, h, w = scene.image.shape
             assert (c, h, w) == (3, 32, 32)
-            assert 0.0 <= scene.image.data.min() and scene.image.data.max() <= 1.0
+            assert 0.0 <= scene.image.min() and scene.image.max() <= 1.0
             for label, (x, y, bw, bh) in scene.objects:
                 assert label in ("rect", "ellipse", "cross")
                 assert 0 <= x and 0 <= y and x + bw <= w and y + bh <= h
 
 
+class TestSceneImage:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixels_rejected(self, bad):
+        img = np.zeros((1, 4, 4))
+        img[0, 1, 2] = bad
+        with pytest.raises(NonFiniteError, match="scene s"):
+            Scene(img, [], "s")
+
+    def test_array_likes_stored_as_float64(self):
+        scene = Scene([[[0, 1], [1, 0]]], [("rect", (0, 0, 1, 1))], "s")
+        assert isinstance(scene.image, np.ndarray) and scene.image.dtype == np.float64
+        np.testing.assert_array_equal(scene.image, [[[0.0, 1.0], [1.0, 0.0]]])
+        half = Scene(np.full((1, 2, 2), 0.5, dtype=np.float32), [], "h")
+        assert half.image.dtype == np.float64
+
+    def test_input_side_builds_no_tensor(self, monkeypatch, tmp_path):
+        # scenes and patch rows are data: no autodiff wrapper is constructed
+        built = []
+        init = Tensor.__init__
+
+        def counting_init(t, *args, **kwargs):
+            built.append(t)
+            init(t, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        cfg = SceneConfig(channels=3)
+        scene = generate_scene(RngStream(12), cfg)
+        batch = generate_correlated_batch(RngStream(13), 3, CorrelatedConfig(scene=cfg))
+        save_scene(scene, tmp_path)
+        loaded = load_annotated(tmp_path)
+        rows = [patchify(s.image, cfg.grid()) for s in [scene, *batch, *loaded]]
+        assert built == []
+        assert all(isinstance(r, np.ndarray) for r in rows)
+
+
 class TestLocate:
     def test_aligned_box_hits_one_patch(self):
-        img = Tensor(np.zeros((1, 32, 32)))
+        img = np.zeros((1, 32, 32))
         scene = Scene(img, [("rect", (8, 8, 8, 8))], "s")
         grid = PatchGrid.for_image((1, 32, 32), 8)
         loc = locate(scene, "rect", grid)
         assert loc.sorted_indices == [1 * 4 + 1]
 
     def test_no_match_empty(self):
-        img = Tensor(np.zeros((1, 32, 32)))
+        img = np.zeros((1, 32, 32))
         scene = Scene(img, [("rect", (0, 0, 4, 4))], "s")
         grid = PatchGrid.for_image((1, 32, 32), 8)
         assert len(locate(scene, "cross", grid)) == 0
 
     def test_straddling_box_hits_four_patches(self):
-        img = Tensor(np.zeros((1, 16, 16)))
+        img = np.zeros((1, 16, 16))
         scene = Scene(img, [("ellipse", (2, 2, 4, 4))], "s")
         grid = PatchGrid.for_image((1, 16, 16), 4)
         loc = locate(scene, "ellipse", grid)
@@ -132,7 +167,7 @@ class TestLocate:
         assert loc.patch_indices == brute_force_locate(scene, "ellipse", grid)
 
     def test_unknown_label_rejected(self):
-        img = Tensor(np.zeros((1, 16, 16)))
+        img = np.zeros((1, 16, 16))
         scene = Scene(img, [], "s")
         grid = PatchGrid.for_image((1, 16, 16), 4)
         with pytest.raises(VocabularyError):
@@ -165,14 +200,14 @@ class TestSceneIO:
         save_scene(scene, tmp_path)
         back = load_annotated(tmp_path)
         assert len(back) == 1
-        np.testing.assert_array_equal(back[0].image.data, scene.image.data)
+        np.testing.assert_array_equal(back[0].image, scene.image)
         assert back[0].objects == scene.objects
 
     def test_roundtrip_color(self, tmp_path):
         scene = generate_scene(RngStream(4, 4), SceneConfig(channels=3))
         save_scene(scene, tmp_path)
         back = load_annotated(tmp_path)
-        np.testing.assert_array_equal(back[0].image.data, scene.image.data)
+        np.testing.assert_array_equal(back[0].image, scene.image)
 
     def test_malformed_sidecar_named_in_error(self, tmp_path):
         scene = generate_scene(RngStream(5, 5), SceneConfig())
@@ -188,6 +223,16 @@ class TestSceneIO:
         sidecar = tmp_path / f"{scene.id}.json"
         sidecar.write_text(json.dumps({"objects": [{"label": "rect", "bbox": [30, 30, 8, 8]}]}))
         with pytest.raises(ParseError, match="outside"):
+            load_annotated(tmp_path)
+
+    @pytest.mark.parametrize("bbox", ["[1, 2, 3]", "[1, 2, 3, 4, 5]", "[1e400, 2, 3, 4]"],
+                             ids=["three-entries", "five-entries", "overflowing-coordinate"])
+    def test_malformed_bbox_rejected(self, tmp_path, bbox):
+        scene = generate_scene(RngStream(6, 6), SceneConfig())
+        save_scene(scene, tmp_path)
+        sidecar = tmp_path / f"{scene.id}.json"
+        sidecar.write_text('{"objects": [{"label": "rect", "bbox": %s}]}' % bbox)
+        with pytest.raises(ParseError, match=scene.id):
             load_annotated(tmp_path)
 
     def test_unknown_label_rejected(self, tmp_path):
@@ -271,7 +316,7 @@ def _patch_equal_count(scenes, grid):
     count = 0
     for i in range(grid.num_patches):
         x, y, w, h = grid.patch_bbox(i)
-        blocks = [s.image.data[:, y : y + h, x : x + w] for s in scenes]
+        blocks = [s.image[:, y : y + h, x : x + w] for s in scenes]
         if all(np.array_equal(blocks[0], b) for b in blocks[1:]):
             count += 1
     return count
@@ -301,7 +346,7 @@ class TestCorrelatedBatch:
         private = set()
         for s in batch:
             private |= locate_any(s, grid).patch_indices
-        a, b = batch[0].image.data, batch[1].image.data
+        a, b = batch[0].image, batch[1].image
         for i in range(grid.num_patches):
             if i in private:
                 continue
@@ -328,4 +373,4 @@ class TestCorrelatedBatch:
         a = generate_correlated_batch(RngStream(11), 3, cfg)
         b = generate_correlated_batch(RngStream(11), 3, cfg)
         for sa, sb in zip(a, b):
-            np.testing.assert_array_equal(sa.image.data, sb.image.data)
+            np.testing.assert_array_equal(sa.image, sb.image)
