@@ -19,7 +19,8 @@ SNR is calibrated per configuration: noise_var is set so the expected
 received per-symbol signal power over channel draws divided by noise_var
 equals 10**(snr_db/10).  For unit-power fading entries that expectation is
 p_s * n_t exactly (Rayleigh and Rician alike), and p_s for the identity
-channel, so noise_var scales exactly with SNR.
+channel, so noise_var scales exactly with SNR.  A ChannelConfig checks its
+fields when constructed, so the functions here take every instance as valid.
 
 Signals, channel matrices and detected symbols are plain complex128
 ndarrays.  Finiteness is checked twice per pass, once each with
@@ -71,23 +72,19 @@ class ChannelConfig:
     csi_error_var: float = 0.0
     p_s: float = 1.0  # max average symbol power (normalization target)
 
-    def validate(self, geometry: bool = True):
-        """Check every field; geometry=False skips the check that the kind
-        fits the antenna counts, for a kind that is named but not drawn."""
+    def __post_init__(self):
         if self.kind not in ("awgn", "rayleigh", "rician"):
             raise ConfigError(f"unknown channel kind {self.kind!r}")
         if self.n_t < 1 or self.n_r < 1:
             raise ConfigError("antenna counts must be >= 1")
-        if geometry and self.kind == "awgn" and self.n_t != self.n_r:
+        if self.kind == "awgn" and self.n_t != self.n_r:
             raise ConfigError("awgn (identity) channel requires n_t == n_r")
-        if self.rician_r < 0:
-            raise ConfigError("rician factor must be >= 0")
-        if self.csi_error_var < 0:
-            raise ConfigError("csi_error_var must be >= 0")
+        if min(self.rician_r, self.csi_error_var) < 0:
+            raise ConfigError("rician_r and csi_error_var must be >= 0")
         if self.p_s <= 0:
             raise ConfigError("p_s must be > 0")
         # snr_db = inf is the noiseless channel
-        if self.snr_db != math.inf and not 0.0 < _noise_var(self) < math.inf:
+        if self.snr_db != math.inf and not 0.0 < calibrate_noise(self) < math.inf:
             raise ConfigError(f"snr_db {self.snr_db:g} at p_s {self.p_s:g} puts the noise "
                               "variance outside the float range")
 
@@ -112,7 +109,10 @@ def power_scale(x: np.ndarray, p_s: float) -> np.ndarray:
     mean_pow = np.mean(np.abs(x) ** 2, axis=tuple(range(1, x.ndim)), keepdims=True)
     if np.any(mean_pow == 0.0):
         raise ContractError("cannot normalize an all-zero signal")
-    return np.sqrt(p_s / mean_pow)
+    with np.errstate(over="ignore"):
+        s = np.sqrt(p_s / mean_pow)
+    # p_s near either end of the float range: the ratio of the roots stays inside
+    return np.where(np.isinf(s) | (s == 0.0), np.sqrt(p_s) / np.sqrt(mean_pow), s)
 
 
 def normalize_power(x: np.ndarray, p_s: float) -> np.ndarray:
@@ -128,14 +128,8 @@ def calibrate_noise(cfg: ChannelConfig) -> float:
 
     The mean per-receive-symbol gain E||H||_F^2 / n_r is n_t for Rayleigh and
     Rician fading (unit-power entries: mu^2 + sigma^2 = 1) and 1 for the
-    identity channel.
+    identity channel; nan where the result leaves the float range.
     """
-    cfg.validate()
-    return _noise_var(cfg)
-
-
-def _noise_var(cfg: ChannelConfig) -> float:
-    """p_s * gain / 10**(snr_db/10), or nan where that leaves the float range."""
     gain = 1.0 if cfg.kind == "awgn" else float(cfg.n_t)
     try:
         return cfg.p_s * gain / 10.0 ** (cfg.snr_db / 10.0)
@@ -160,7 +154,6 @@ def _draw_h(cfg: ChannelConfig, rng: RngStream) -> np.ndarray:
 def draw_channel(cfg: ChannelConfig, rngs) -> ChannelFrame:
     """One block-fading realization plus its (possibly corrupted) CSI from
     each of T >= 1 streams, as a frame of [T, n_r, n_t] matrices."""
-    cfg.validate()
     if len(rngs) < 1:
         raise ShapeError("a channel draw needs at least one stream")
     h = np.stack([_draw_h(cfg, r) for r in rngs])
@@ -275,7 +268,6 @@ def surrogate_channel(x: Tensor, cfg: ChannelConfig, rng: RngStream) -> Tensor:
     drawn per call and enter the graph as constants, so gradients flow to x
     only.
     """
-    cfg.validate()
     if x.shape[-1] % 2:
         raise ShapeError("surrogate expects an interleaved real view (even width)")
     w = surrogate_gains(cfg, x.shape, rng)

@@ -19,11 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import draw_channel, normalize_power, transmit_detect
+from .channel import draw_channel
 from .codec import CodecConfig
 from .config import RunConfig
 from .errors import ConfigError, SemlinkError
-from .link import LinkModel, evaluate_link
+from .link import LinkModel, evaluate_link, fading_stage
 from .masking import patchify, random_mask
 from .metrics import MetricReport, image_report, nmse
 from .rng import RngStream
@@ -319,16 +319,14 @@ def cmd_sweep_users(cfg: RunConfig, out_dir: Path) -> int:
 def _bench_cell(chan_cfg, base: RngStream, trials: int, n_sym: int) -> np.ndarray:
     """Detection NMSE of every trial of one cell, all trials as one stack.
 
-    Trial t draws its symbols from base.substream(t), its channel from
-    .substream(1) of that and its noise from .substream(2), so each value
-    equals that of the trial run alone.
+    Trial t draws CN(0, 1) symbols from base.substream(t) and fading_stage
+    sends them at power p_s over the channel of .substream(1) of that with
+    noise from .substream(2), so each value equals that of the trial alone.
+    The NMSE compares symbols at their drawn power, never squaring p_s-size ones.
     """
     streams = [base.substream(t) for t in range(trials)]
-    x = normalize_power(
-        np.stack([r.complex_normal((n_sym, 1), 0.0, 1.0) for r in streams]), chan_cfg.p_s)
-    frame = draw_channel(chan_cfg, [r.substream(1) for r in streams])
-    x_hat = transmit_detect(x, frame, [r.substream(2) for r in streams])
-    return nmse(x, x_hat)
+    x = np.stack([r.complex_normal((n_sym, 1), 0.0, 1.0) for r in streams])
+    return nmse(x, fading_stage(x, chan_cfg, streams))
 
 
 def cmd_channel_bench(cfg: RunConfig, out_dir: Path) -> int:

@@ -8,7 +8,8 @@ full-length sequence (zero vectors in masked slots, position codes re-added),
 runs its own, shallower, block stack and projects back to patch pixels.
 
 The encoder/decoder depth asymmetry mirrors the deployment split: heavy
-encoding at the transmitter, light decoding at the receiver.
+encoding at the transmitter, light decoding at the receiver.  CodecConfig
+checks its sizes when constructed, so parameters built from one fit together.
 """
 
 from __future__ import annotations
@@ -55,31 +56,26 @@ class CodecConfig:
     patch_dim: int = 16
     num_patches: int = 64
 
-    def validate(self):
+    def __post_init__(self):
         if min(self.feature_dim, self.num_heads, self.patch_dim, self.num_patches) < 1:
             raise ConfigError("feature_dim, num_heads, patch_dim and num_patches must be >= 1")
         if self.feature_dim % self.num_heads:
-            raise ConfigError(
-                f"feature_dim {self.feature_dim} not divisible by {self.num_heads} heads"
-            )
+            raise ConfigError(f"feature_dim {self.feature_dim} not divisible by "
+                              f"{self.num_heads} heads")
         if self.enc_layers < 1 or self.dec_layers < 1:
             raise ConfigError("encoder and decoder need at least one layer")
 
     @staticmethod
     def for_grid(grid: PatchGrid, **fields) -> "CodecConfig":
         """The config for grid's patches; fields override the other defaults."""
-        cfg = CodecConfig(**fields, patch_dim=grid.patch_dim, num_patches=grid.num_patches)
-        cfg.validate()
-        return cfg
+        return CodecConfig(**fields, patch_dim=grid.patch_dim, num_patches=grid.num_patches)
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "CodecConfig":
-        cfg = CodecConfig(**{k: int(v) for k, v in d.items()})
-        cfg.validate()
-        return cfg
+        return CodecConfig(**{k: int(v) for k, v in d.items()})
 
 
 @dataclass
@@ -138,7 +134,6 @@ class CodecParams:
 
     @staticmethod
     def init(cfg: CodecConfig, rng: RngStream) -> "CodecParams":
-        cfg.validate()
         d = cfg.feature_dim
         return CodecParams(
             patch_embed_w=Tensor(

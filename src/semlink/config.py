@@ -2,8 +2,9 @@
 
 Format: one `key = value` per line, `#` starts a comment.  Every key must be
 in the schema; values are coerced to the declared type and validated before
-any computation starts.  Lists are comma-separated and hold at least one
-entry.
+any computation starts, by building the typed sections (which check their
+own fields when constructed).  Lists are comma-separated and hold at least
+one entry.
 """
 
 from __future__ import annotations
@@ -157,20 +158,20 @@ class RunConfig:
         return self.values[key]
 
     def validate(self, command: str | None = None) -> None:
-        """Check every value.  command, when given, limits the check that a
-        channel kind fits the antenna counts to the kinds that command draws;
-        None checks every kind key."""
+        """Check every value by building each section.  command, when given,
+        limits the check that a channel kind fits the antenna counts to the
+        kinds that command draws (one it does not draw is built with n_r =
+        n_t), and the stream-key checks to that command; None checks all."""
         v = self.values
-        self.scene_config().validate()
         CodecConfig.for_grid(self.scene_config().grid(), **self.section(CodecConfig))
-        self.channel_config().validate(geometry=False)
+        self.channel_config("rayleigh", snr_db=math.inf)
         for cmd, (key, snr_key) in _COMMAND_KINDS.items():
-            geometry = command in (None, cmd)
+            drawn = {} if command in (None, cmd) else {"n_r": v["channel.n_t"]}
             for kind in v[key]:
                 for snr_db in np.atleast_1d(v[snr_key]):
-                    self.channel_config(kind, snr_db=float(snr_db)).validate(geometry)
-        self.train_config("codec").validate()
-        self.correlated_config().validate()
+                    self.channel_config(kind, snr_db=float(snr_db), **drawn)
+        self.train_config("codec")
+        users = self.correlated_config()
         if not 0.0 <= v["eval.mask_prob"] <= 1.0:
             raise ConfigError("eval.mask_prob outside [0, 1]")
         if any(not 0.0 <= p <= 1.0 for p in v["sweep.pr_list"]):
@@ -181,6 +182,20 @@ class RunConfig:
             raise ConfigError("user counts need 2 <= k_lo <= k_hi")
         if v["users.source"] not in ("synthetic", "scenes"):
             raise ConfigError("users.source must be synthetic or scenes")
+        # stream keys: int(csi_var * 1e6) in channel-bench (0 for the exact
+        # awgn CSI), int(round(eps * 1e4)) in sweep-users
+        if (command in (None, "channel-bench") and set(v["bench.kinds"]) != {"awgn"}
+                and not math.isfinite(max(map(abs, v["bench.csi_var_list"])) * 1e6)):
+            raise ConfigError("bench.csi_var_list entry * 1e6 (its stream key) overflows")
+        if command in (None, "sweep-users"):
+            if not math.isfinite(max(v["users.eps_list"]) * 1e4):  # entries >= 0, checked above
+                raise ConfigError("users.eps_list entry * 1e4 (its stream key) overflows")
+            try:
+                users.shared_fraction(v["users.k_hi"])
+            except OverflowError:
+                raise ConfigError("users.share_decay ** (users.k_hi - 2) overflows") from None
+            if v["users.source"] == "scenes" and not math.isfinite(2.0 * users.jitter):
+                raise ConfigError("users.jitter: the width of the scene jitter range overflows")
         # sharing compares per-row feature variances, which need two features
         if v["users.dim"] < 2:
             raise ConfigError("users.dim must be >= 2")

@@ -95,13 +95,12 @@ class SceneConfig:
     max_obj_size: int = 12
     background: str = "mixed"  # family name or "mixed" for a per-scene draw
 
-    def validate(self):
+    def __post_init__(self):
         if min(self.height, self.width, self.patch_size) < 1:
             raise ConfigError("height, width and patch_size must be >= 1")
         if self.height % self.patch_size or self.width % self.patch_size:
-            raise ConfigError(
-                f"image {self.height}x{self.width} not divisible by patch {self.patch_size}"
-            )
+            raise ConfigError(f"image {self.height}x{self.width} not divisible by "
+                              f"patch {self.patch_size}")
         if self.channels not in (1, 3):
             raise ConfigError("channels must be 1 (PGM) or 3 (PPM)")
         if self.max_obj_size > min(self.height, self.width):
@@ -171,8 +170,6 @@ def _draw_object_spec(rng: RngStream, cfg: SceneConfig):
     label = VOCABULARY[int(rng.integers(0, len(VOCABULARY)))]
     w = int(rng.integers(cfg.min_obj_size, cfg.max_obj_size + 1))
     h = int(rng.integers(cfg.min_obj_size, cfg.max_obj_size + 1))
-    if w > cfg.width or h > cfg.height:
-        raise ConfigError("object larger than image")
     x = int(rng.integers(0, cfg.width - w + 1))
     y = int(rng.integers(0, cfg.height - h + 1))
     color = rng.uniform((cfg.channels,), _OBJECT_MIN, 1.0)
@@ -181,7 +178,6 @@ def _draw_object_spec(rng: RngStream, cfg: SceneConfig):
 
 def generate_scene(rng: RngStream, cfg: SceneConfig) -> Scene:
     """One synthetic scene, deterministic in (rng state, cfg)."""
-    cfg.validate()
     tag = int(rng.integers(0, 1 << 48))
     img = _draw_background(rng, cfg)
     n_obj = int(rng.integers(cfg.min_objects, cfg.max_objects + 1))
@@ -207,7 +203,7 @@ class CorrelatedConfig:
     share_decay: float = 0.93
     jitter: float = 0.4
 
-    def validate(self):
+    def __post_init__(self):
         if self.jitter < 0:
             raise ConfigError("jitter must be >= 0")
 
@@ -228,7 +224,6 @@ def generate_correlated_batch(rng: RngStream, k: int, cfg: CorrelatedConfig) -> 
     if k < 2:
         raise ConfigError("correlated batch needs K >= 2")
     scfg = cfg.scene
-    scfg.validate()
     grid = scfg.grid()
     tag = int(rng.integers(0, 1 << 48))
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .chancodec import ChanCodecParams, chan_decode, chan_encode
 from .channel import ChannelConfig
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, NumericError
 from .link import fading_stage
 from .rng import RngStream
 
@@ -117,7 +117,10 @@ def partition(z: MultiUserSemantics, epsilon: float, all_pairs: bool = False) ->
     """Split sequence positions into shared (d_i < epsilon) and private."""
     if epsilon < 0:
         raise ContractError("epsilon must be >= 0")
-    d = divergence(variance_profile(z), all_pairs=all_pairs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = divergence(variance_profile(z), all_pairs=all_pairs)
+    if not np.isfinite(d).all():
+        raise NumericError("feature variances or their differences leave the float range")
     shared = np.flatnonzero(d < epsilon)
     private = np.flatnonzero(d >= epsilon)
     z_pub = z.values[:, shared, :].mean(axis=0) if len(shared) else np.zeros((0, z.feature_dim))
@@ -204,6 +207,7 @@ def synth_correlated_semantics(rng: RngStream, k: int, length: int, dim: int,
     if n_shared:
         base = rng.normal((n_shared, dim))
         row_jitter = rng.uniform((n_shared,), 0.0, jitter)
-        for u in range(k):
-            z[u, shared_pos, :] = base + row_jitter[:, None] * rng.normal((n_shared, dim))
+        with np.errstate(over="ignore"):  # MultiUserSemantics rejects what overflows
+            for u in range(k):
+                z[u, shared_pos, :] = base + row_jitter[:, None] * rng.normal((n_shared, dim))
     return MultiUserSemantics(z)

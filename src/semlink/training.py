@@ -38,7 +38,7 @@ __all__ = [
 PHASES = ("codec", "channel", "whole")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     phase: str = "codec"
     lr: float = 2e-4
@@ -50,7 +50,7 @@ class TrainConfig:
     snr_hi_db: float = 20.0
     surrogate_kind: str = "awgn"
 
-    def validate(self):
+    def __post_init__(self):
         if self.phase not in PHASES:
             raise ConfigError(f"unknown phase {self.phase!r}")
         if self.lr < 0:
@@ -62,7 +62,7 @@ class TrainConfig:
         if self.snr_hi_db < self.snr_lo_db:
             raise ConfigError("snr range inverted")
         for snr_db in (self.snr_lo_db, self.snr_hi_db):
-            ChannelConfig(kind=self.surrogate_kind, snr_db=snr_db).validate()
+            ChannelConfig(kind=self.surrogate_kind, snr_db=snr_db)
 
 
 @dataclass
@@ -185,7 +185,6 @@ def train_phase(model: LinkModel, scenes: list, cfg: TrainConfig,
     Parameters outside the phase are never stepped.  Aborts with
     TrainingDiverged if any loss or update becomes non-finite.
     """
-    cfg.validate()
     if not scenes:
         raise ConfigError("empty training set")
     params = _phase_trainables(model, cfg.phase)

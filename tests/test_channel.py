@@ -88,7 +88,7 @@ class TestDrawChannel:
 
     def test_awgn_rectangular_rejected(self):
         with pytest.raises(ConfigError):
-            ChannelConfig(kind="awgn", n_t=2, n_r=1).validate()
+            ChannelConfig(kind="awgn", n_t=2, n_r=1)
 
 
 class TestTransmit:

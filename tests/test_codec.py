@@ -39,11 +39,11 @@ def zero_block_weights(params: CodecParams):
 class TestConfig:
     def test_head_divisibility(self):
         with pytest.raises(ConfigError):
-            CodecConfig(feature_dim=10, num_heads=4).validate()
+            CodecConfig(feature_dim=10, num_heads=4)
 
     def test_layer_minimum(self):
         with pytest.raises(ConfigError):
-            CodecConfig(enc_layers=0).validate()
+            CodecConfig(enc_layers=0)
 
     def test_dict_roundtrip(self):
         cfg = small_cfg()

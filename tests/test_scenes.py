@@ -91,11 +91,11 @@ class TestGenerateScene:
 
     def test_impossible_placement_rejected(self):
         with pytest.raises(ConfigError):
-            SceneConfig(max_obj_size=33).validate()
+            SceneConfig(max_obj_size=33)
 
     def test_indivisible_patch_rejected(self):
         with pytest.raises(ConfigError):
-            SceneConfig(height=30).validate()
+            SceneConfig(height=30)
 
     def test_invariants_hold_over_many_scenes(self):
         cfg = SceneConfig(channels=3, max_objects=3, min_objects=0)

@@ -225,13 +225,13 @@ class TestTrainPhase:
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            TrainConfig(phase="bogus").validate()
+            TrainConfig(phase="bogus")
         with pytest.raises(ConfigError):
-            TrainConfig(lr=-1.0).validate()
+            TrainConfig(lr=-1.0)
         with pytest.raises(ConfigError):
-            TrainConfig(mask_prob=1.5).validate()
+            TrainConfig(mask_prob=1.5)
         with pytest.raises(ConfigError):
-            TrainConfig(snr_lo_db=10, snr_hi_db=0).validate()
+            TrainConfig(snr_lo_db=10, snr_hi_db=0)
 
     def test_checkpoint_roundtrip_restores_model(self, tmp_path):
         scenes, grid = toy_scenes(4)
