@@ -6,6 +6,9 @@ and runs them through pre-norm residual blocks: x + MSA(LN(x)) followed by
 GeLU(LN(x) W + b) + x, then a final layer norm.  The decoder receives the
 full-length sequence (zero vectors in masked slots, position codes re-added),
 runs its own, shallower, block stack and projects back to patch pixels.
+Each block is a single autodiff node: its forward runs the layer-norm,
+attention and GeLU kernels of semlink.tensor on plain arrays, and one VJP
+returns the gradients of the block input and of the block's 14 tensors.
 
 The encoder/decoder depth asymmetry mirrors the deployment split: heavy
 encoding at the transmitter, light decoding at the receiver.  CodecConfig
@@ -24,13 +27,19 @@ from .rng import RngStream
 from .tensor import (
     AttentionParams,
     Tensor,
+    _attention_bwd,
+    _attention_fwd,
+    _check_finite,
+    _gelu_bwd,
+    _gelu_fwd,
+    _layer_norm_bwd,
+    _layer_norm_fwd,
+    _make,
     add,
-    gelu,
     layer_norm,
     matmul,
     scatter_rows,
     sinusoid_table,
-    softmax_attention,
 )
 
 __all__ = [
@@ -214,10 +223,52 @@ def embed(patches: Tensor, indices, params: CodecParams, cfg: CodecConfig) -> Te
 
 
 def _block(x: Tensor, blk: BlockParams, num_heads: int) -> Tensor:
-    normed = layer_norm(x, blk.ln1_gain, blk.ln1_bias, LN_EPS)
-    x = add(softmax_attention(normed, normed, normed, blk.attn, num_heads), x)
-    normed = layer_norm(x, blk.ln2_gain, blk.ln2_bias, LN_EPS)
-    return add(gelu(add(matmul(normed, blk.ff_weight), blk.ff_bias)), x)
+    """x1 = x + MSA(LN1(x)); out = x1 + GeLU(LN2(x1) W + b), as one graph node.
+
+    Every array that layer_norm, softmax_attention, matmul, add and gelu
+    would check is checked here too, in the same order and with the same
+    NonFiniteError message, with or without a graph.
+    """
+    d = blk.ln1_gain.shape[0]
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ShapeError(f"block input {x.shape} is not [rows, {d}]")
+    if x.shape[0] == 0:
+        raise ContractError("block input has no rows")
+    attn = blk.attn
+    gain1, gain2, weight = blk.ln1_gain.data, blk.ln2_gain.data, blk.ff_weight.data
+    normed1, inv1, xhat1 = _layer_norm_fwd(x.data, gain1, blk.ln1_bias.data, LN_EPS)
+    _check_finite(normed1)
+    attended, cache = _attention_fwd(normed1, normed1, normed1, attn, num_heads)
+    _check_finite(attended)
+    x1 = attended + x.data
+    _check_finite(x1)
+    normed2, inv2, xhat2 = _layer_norm_fwd(x1, gain2, blk.ln2_bias.data, LN_EPS)
+    _check_finite(normed2)
+    projected = normed2 @ weight
+    _check_finite(projected)
+    pre = projected + blk.ff_bias.data
+    _check_finite(pre)
+    act, phi_cdf = _gelu_fwd(pre)
+    _check_finite(act)
+
+    def vjp(g):
+        d_pre = _gelu_bwd(g, pre, phi_cdf)
+        d_normed2 = d_pre @ weight.T
+        d_x1 = g + _layer_norm_bwd(d_normed2, gain2, inv2, xhat2)
+        dq, dk, dv, *d_attn = _attention_bwd(d_x1, normed1, normed1, normed1, attn, cache)
+        d_normed1 = (dq + dk) + dv  # backward()'s accumulation order for one parent
+        return (
+            d_x1 + _layer_norm_bwd(d_normed1, gain1, inv1, xhat1),
+            np.add.reduce(d_normed1 * xhat1, axis=0), np.add.reduce(d_normed1, axis=0),
+            *d_attn,
+            np.add.reduce(d_normed2 * xhat2, axis=0), np.add.reduce(d_normed2, axis=0),
+            normed2.T @ d_pre, np.add.reduce(d_pre, axis=0),
+        )
+
+    parents = (x, blk.ln1_gain, blk.ln1_bias, attn.wq, attn.bq, attn.wk, attn.bk,
+               attn.wv, attn.bv, attn.wo, attn.bo, blk.ln2_gain, blk.ln2_bias,
+               blk.ff_weight, blk.ff_bias)
+    return _make(act + x1, parents, vjp)
 
 
 def encode(patch_rows: Tensor, keep_indices, params: CodecParams,

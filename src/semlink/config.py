@@ -167,9 +167,13 @@ class RunConfig:
         self.channel_config("rayleigh", snr_db=math.inf)
         for cmd, (key, snr_key) in _COMMAND_KINDS.items():
             drawn = {} if command in (None, cmd) else {"n_r": v["channel.n_t"]}
+            # channel-bench draws every cell at each of its CSI error variances
+            csi = ([{"csi_error_var": c} for c in v["bench.csi_var_list"]]
+                   if cmd == "channel-bench" and not drawn else [{}])
             for kind in v[key]:
                 for snr_db in np.atleast_1d(v[snr_key]):
-                    self.channel_config(kind, snr_db=float(snr_db), **drawn)
+                    for given in csi:
+                        self.channel_config(kind, snr_db=float(snr_db), **drawn, **given)
         self.train_config("codec")
         users = self.correlated_config()
         if not 0.0 <= v["eval.mask_prob"] <= 1.0:

@@ -9,7 +9,10 @@ the optimizer, never through graph ops).
 Construction rejects NaN/Inf, so a diverging computation raises
 NonFiniteError at the op that produced it instead of propagating garbage.
 The fused ops (layer_norm, softmax_attention) also check the intermediates
-whose overflow their later arithmetic would hide.
+whose overflow their later arithmetic would hide.  Their maths lives in
+private forward/backward kernels on plain arrays (_layer_norm_fwd/_bwd,
+_attention_fwd/_bwd, _gelu_fwd/_bwd), which larger fused nodes such as the
+codec's residual block call directly.
 
 Inside a no_grad() block (process-wide) every op returns a constant tensor,
 so forward-only callers run the same ops without building a graph.
@@ -58,8 +61,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _vjp=None):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteError("tensor construction rejected non-finite values")
+        _check_finite(arr)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
@@ -95,17 +97,19 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
         return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+        grad = np.add.reduce(grad, axis=tuple(range(extra)))
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
     if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
+        grad = np.add.reduce(grad, axis=axes, keepdims=True)
     return grad.reshape(shape)
 
 
-def _check_finite(arr: np.ndarray, what: str) -> None:
-    """Reject non-finite values in a fused op's intermediate (op outputs are
-    checked by Tensor construction)."""
-    if not np.all(np.isfinite(arr)):
+def _check_finite(arr: np.ndarray, what: str | None = None) -> None:
+    """Reject non-finite values: an op output (what=None, the message of
+    Tensor construction) or a fused op's named intermediate."""
+    if not np.isfinite(arr).all():
+        if what is None:
+            raise NonFiniteError("tensor construction rejected non-finite values")
         raise NonFiniteError(f"{what} overflowed")
 
 
@@ -285,19 +289,53 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def gelu(a) -> Tensor:
-    """Gaussian error linear unit, exact erf form: x * Phi(x)."""
+def _gelu_fwd(x: np.ndarray):
+    """GeLU kernel: (x * Phi(x), Phi(x)); the CDF is reused by the VJP."""
     from scipy.special import erf  # here, not at module top: only the codec needs scipy
 
+    phi_cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    return x * phi_cdf, phi_cdf
+
+
+def _gelu_bwd(g: np.ndarray, x: np.ndarray, phi_cdf: np.ndarray) -> np.ndarray:
+    pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+    return g * (phi_cdf + x * pdf)
+
+
+def gelu(a) -> Tensor:
+    """Gaussian error linear unit, exact erf form: x * Phi(x)."""
     a = as_tensor(a)
-    phi_cdf = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
-    out = a.data * phi_cdf
+    out, phi_cdf = _gelu_fwd(a.data)
 
     def vjp(g):
-        pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT_2PI
-        return (g * (phi_cdf + a.data * pdf),)
+        return (_gelu_bwd(g, a.data, phi_cdf),)
 
     return _make(out, (a,), vjp)
+
+
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    """a.mean(axis=-1, keepdims=True) without numpy's Python-level wrapper
+    (the same sum, then the same division by the count)."""
+    return np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
+
+
+def _layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
+    """Layer-norm kernel: (output, inv, xhat), inv the rows' 1/sqrt(var + eps)
+    and xhat the normalized rows.  An overflowing row variance raises."""
+    centered = x - _row_mean(x)
+    var = _row_mean(centered * centered)
+    _check_finite(var, "layer_norm row variance")
+    inv = (var + eps) ** -0.5
+    xhat = centered * inv
+    return xhat * gain + bias, inv, xhat
+
+
+def _layer_norm_bwd(g: np.ndarray, gain: np.ndarray, inv: np.ndarray,
+                    xhat: np.ndarray) -> np.ndarray:
+    """Gradient of the layer-norm input (gain's is g * xhat, bias's is g,
+    each summed over the broadcast rows)."""
+    gx = g * gain
+    return inv * (gx - _row_mean(gx) - xhat * _row_mean(gx * xhat))
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
@@ -310,18 +348,11 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
     if eps <= 0:
         raise ContractError("layer_norm requires eps > 0")
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    centered = x.data - x.data.mean(axis=-1, keepdims=True)
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    _check_finite(var, "layer_norm row variance")
-    inv = (var + eps) ** -0.5
-    xhat = centered * inv
-    out = xhat * gain.data + bias.data
+    out, inv, xhat = _layer_norm_fwd(x.data, gain.data, bias.data, eps)
 
     def vjp(g):
-        gx = g * gain.data
-        dx = inv * (gx - gx.mean(axis=-1, keepdims=True)
-                    - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
-        return dx, _unbroadcast(g * xhat, gain.shape), _unbroadcast(g, bias.shape)
+        return (_layer_norm_bwd(g, gain.data, inv, xhat),
+                _unbroadcast(g * xhat, gain.shape), _unbroadcast(g, bias.shape))
 
     return _make(out, (x, gain, bias), vjp)
 
@@ -358,6 +389,54 @@ class AttentionParams:
         }
 
 
+def _split_heads(rows: np.ndarray, num_heads: int) -> np.ndarray:
+    """[L, d] -> [H, L, d/H]"""
+    length, d = rows.shape
+    return rows.reshape(length, num_heads, d // num_heads).transpose(1, 0, 2)
+
+
+def _merge_heads(heads: np.ndarray) -> np.ndarray:
+    """[H, L, hd] -> [L, H * hd]"""
+    num_heads, length, hd = heads.shape
+    return heads.transpose(1, 0, 2).reshape(length, num_heads * hd)
+
+
+def _attention_fwd(q: np.ndarray, k: np.ndarray, v: np.ndarray, p: AttentionParams,
+                   num_heads: int):
+    """Attention kernel on valid [L, d] arrays: (output, cache for the VJP).
+    Overflowing scores raise."""
+    qh = _split_heads(q @ p.wq.data + p.bq.data, num_heads)
+    kh = _split_heads(k @ p.wk.data + p.bk.data, num_heads)
+    vh = _split_heads(v @ p.wv.data + p.bv.data, num_heads)
+    scores = (qh @ kh.transpose(0, 2, 1)) * (1.0 / math.sqrt(qh.shape[2]))
+    _check_finite(scores, "attention scores")
+    e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
+    attn = e / np.add.reduce(e, axis=-1, keepdims=True)
+    merged = _merge_heads(attn @ vh)
+    return merged @ p.wo.data + p.bo.data, (qh, kh, vh, attn, merged)
+
+
+def _attention_bwd(g: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                   p: AttentionParams, cache) -> tuple:
+    """Gradients of q, k, v and of wq, bq, wk, bk, wv, bv, wo, bo (biases
+    are length-d vectors)."""
+    qh, kh, vh, attn, merged = cache
+    d_heads = _split_heads(g @ p.wo.data.T, qh.shape[0])
+    d_attn = d_heads @ vh.transpose(0, 2, 1)
+    d_vp = _merge_heads(attn.transpose(0, 2, 1) @ d_heads)
+    d_scores = (attn * (d_attn - np.add.reduce(d_attn * attn, axis=-1, keepdims=True))
+                * (1.0 / math.sqrt(qh.shape[2])))
+    d_qp = _merge_heads(d_scores @ kh)
+    d_kp = _merge_heads(d_scores.transpose(0, 2, 1) @ qh)
+    return (
+        d_qp @ p.wq.data.T, d_kp @ p.wk.data.T, d_vp @ p.wv.data.T,
+        q.T @ d_qp, np.add.reduce(d_qp, axis=0),
+        k.T @ d_kp, np.add.reduce(d_kp, axis=0),
+        v.T @ d_vp, np.add.reduce(d_vp, axis=0),
+        merged.T @ g, np.add.reduce(g, axis=0),
+    )
+
+
 def softmax_attention(q, k, v, params: AttentionParams, num_heads: int) -> Tensor:
     """Multi-head scaled dot-product attention with learned projections.
 
@@ -378,42 +457,12 @@ def softmax_attention(q, k, v, params: AttentionParams, num_heads: int) -> Tenso
         raise ShapeError("q, k, v must share the sequence length")
     if d % num_heads != 0:
         raise ConfigError(f"model dim {d} not divisible by {num_heads} heads")
-    hd = d // num_heads
-    inv_sqrt_hd = 1.0 / math.sqrt(hd)
-    p = params
-
-    def split(rows):  # [L, d] -> [H, L, hd]
-        return rows.reshape(length, num_heads, hd).transpose(1, 0, 2)
-
-    def merge(heads):  # [H, L, hd] -> [L, d]
-        return heads.transpose(1, 0, 2).reshape(length, d)
-
-    qh = split(q.data @ p.wq.data + p.bq.data)
-    kh = split(k.data @ p.wk.data + p.bk.data)
-    vh = split(v.data @ p.wv.data + p.bv.data)
-    scores = (qh @ kh.transpose(0, 2, 1)) * inv_sqrt_hd
-    _check_finite(scores, "attention scores")
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    attn = e / e.sum(axis=-1, keepdims=True)
-    merged = merge(attn @ vh)
-    out = merged @ p.wo.data + p.bo.data
+    out, cache = _attention_fwd(q.data, k.data, v.data, params, num_heads)
 
     def vjp(g):
-        d_merged = g @ p.wo.data.T
-        d_heads = split(d_merged)
-        d_attn = d_heads @ vh.transpose(0, 2, 1)
-        d_vp = merge(attn.transpose(0, 2, 1) @ d_heads)
-        d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True)) * inv_sqrt_hd
-        d_qp = merge(d_scores @ kh)
-        d_kp = merge(d_scores.transpose(0, 2, 1) @ qh)
-        return (
-            d_qp @ p.wq.data.T, d_kp @ p.wk.data.T, d_vp @ p.wv.data.T,
-            q.data.T @ d_qp, _unbroadcast(d_qp, p.bq.shape),
-            k.data.T @ d_kp, _unbroadcast(d_kp, p.bk.shape),
-            v.data.T @ d_vp, _unbroadcast(d_vp, p.bv.shape),
-            merged.T @ g, _unbroadcast(g, p.bo.shape),
-        )
+        return _attention_bwd(g, q.data, k.data, v.data, params, cache)
 
+    p = params
     parents = (q, k, v, p.wq, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo)
     return _make(out, parents, vjp)
 

@@ -171,6 +171,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", [None, "channel-bench"])
+    def test_negative_csi_var_rejected_at_load(self, command):
+        with pytest.raises(ConfigError, match="csi_error_var"):
+            RunConfig.load(None, {"bench.csi_var_list": "0,-1"}, command=command)
+
+    def test_negative_csi_var_exits_2_before_any_cell(self, tmp_path, capsys):
+        assert main(["channel-bench", "--out", str(tmp_path), "--bench.csi_var_list", "0,-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        assert not (tmp_path / "channel_bench.csv").exists()
+
     @pytest.mark.parametrize("args", [
         ["channel-bench", "--bench.snr_db_list", "4000"],
         ["channel-bench", "--bench.snr_db_list", "-4000"],

@@ -198,10 +198,15 @@ class TestTrainPhase:
                 train_phase(model, scenes, TrainConfig(phase="channel", lr=1e150,
                                                        epochs=3, batch_size=2, seed=12))
 
-    @pytest.mark.parametrize("names", [("embed.w",), ("enc0.attn.wq", "enc0.attn.wk")])
+    @pytest.mark.parametrize("names", [("embed.w",), ("enc0.attn.wq", "enc0.attn.wk"),
+                                       ("enc0.attn.wo",), ("enc0.ln2_gain",),
+                                       ("enc0.ff_weight",)])
     def test_fused_op_overflow_surfaces_as_divergence(self, names):
         # embed.w overflows the first layer norm's row variance; wq and wk
-        # overflow the first attention scores.  Both happen inside a fused op.
+        # overflow the first attention scores; wo overflows the block's
+        # second layer norm's row variance.  All happen inside a fused op.
+        # A huge ln2 gain or FF weight makes a huge FF pre-activation, whose
+        # row variance overflows in the encoder's final layer norm.
         scenes, grid = toy_scenes(2)
         model = LinkModel.init(grid, RngStream(13), feature_dim=16, enc_layers=1,
                                dec_layers=1, num_heads=2, symbol_dim=4)
@@ -210,6 +215,18 @@ class TestTrainPhase:
             params[name].data[...] *= 1e160
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDiverged, match="overflowed"):
+                train_phase(model, scenes, TrainConfig(phase="codec", lr=1e-3, epochs=1,
+                                                       batch_size=2, seed=14))
+
+    def test_ff_pre_activation_overflow_surfaces_as_divergence(self):
+        scenes, grid = toy_scenes(2)
+        model = LinkModel.init(grid, RngStream(13), feature_dim=16, enc_layers=1,
+                               dec_layers=1, num_heads=2, symbol_dim=4)
+        params = model.codec.tensors()
+        for name in ("enc0.ln2_gain", "enc0.ff_weight"):
+            params[name].data[...] *= 1e160
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDiverged, match="non-finite"):
                 train_phase(model, scenes, TrainConfig(phase="codec", lr=1e-3, epochs=1,
                                                        batch_size=2, seed=14))
 
