@@ -2,7 +2,8 @@
 
 Every call takes a stack of T frames: signals are [T, ...], a ChannelFrame
 holds [T, n_r, n_t] matrices, and frame t draws its channel and its noise
-from stream t of a sequence of T streams, so a frame gives bit-identical
+from stream t of a sequence of T streams, straight into its slice of one
+array per stack (rng.complex_normal_stack), so a frame gives bit-identical
 results alone or inside a stack.  One frame is the stack T = 1.  Each
 signal's symbols are serialized row-major, zero-padded to a multiple of n_t,
 and reshaped into n_t-row blocks under its frame's block-fading channel
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, NonFiniteError, NumericError, ShapeError
-from .rng import RngStream
+from .rng import RngStream, complex_normal_stack
 from .tensor import Tensor, add, mul
 
 __all__ = [
@@ -140,26 +141,24 @@ def calibrate_noise(cfg: ChannelConfig) -> float:
 # -- channel draws -------------------------------------------------------------
 
 
-def _draw_h(cfg: ChannelConfig, rng: RngStream) -> np.ndarray:
-    shape = (cfg.n_r, cfg.n_t)
-    if cfg.kind == "awgn":
-        return np.eye(cfg.n_r, cfg.n_t, dtype=np.complex128)
-    if cfg.kind == "rayleigh":
-        return rng.complex_normal(shape, 0.0, 1.0)
-    mu = math.sqrt(cfg.rician_r / (cfg.rician_r + 1.0))
-    var = 1.0 / (cfg.rician_r + 1.0)
-    return rng.complex_normal(shape, mu, var)
-
-
 def draw_channel(cfg: ChannelConfig, rngs) -> ChannelFrame:
     """One block-fading realization plus its (possibly corrupted) CSI from
-    each of T >= 1 streams, as a frame of [T, n_r, n_t] matrices."""
+    each of T >= 1 streams, as a frame of [T, n_r, n_t] matrices.  Stream t
+    draws H then the CSI error, each straight into its slice of the stack."""
     if len(rngs) < 1:
         raise ShapeError("a channel draw needs at least one stream")
-    h = np.stack([_draw_h(cfg, r) for r in rngs])
+    shape = (cfg.n_r, cfg.n_t)
+    if cfg.kind == "awgn":
+        eye = np.eye(cfg.n_r, cfg.n_t, dtype=np.complex128)
+        h = np.broadcast_to(eye, (len(rngs), *shape)).copy()
+    elif cfg.kind == "rayleigh":
+        h = complex_normal_stack(rngs, shape, 0.0, 1.0)
+    else:
+        r = cfg.rician_r
+        h = complex_normal_stack(rngs, shape, math.sqrt(r / (r + 1.0)), 1.0 / (r + 1.0))
     csi_var = cfg.effective_csi_error_var
     if csi_var > 0:
-        h_hat = h + np.stack([r.complex_normal(h.shape[1:], 0.0, csi_var) for r in rngs])
+        h_hat = h + complex_normal_stack(rngs, shape, 0.0, csi_var)
     else:
         h_hat = h.copy()  # exact CSI, in its own array
     return ChannelFrame(h, h_hat, calibrate_noise(cfg), cfg.p_s, csi_var)
@@ -200,7 +199,7 @@ def transmit(x: np.ndarray, frame: ChannelFrame, rngs) -> np.ndarray:
         raise ShapeError(f"{len(rngs)} noise streams do not match {t} frames")
     y = frame.h @ _to_blocks(x, t, frame.h.shape[-1])
     if frame.noise_var > 0:
-        y = y + np.stack([r.complex_normal(y.shape[1:], 0.0, frame.noise_var) for r in rngs])
+        y += complex_normal_stack(rngs, y.shape[1:], 0.0, frame.noise_var)
     return y
 
 

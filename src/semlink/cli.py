@@ -26,7 +26,7 @@ from .errors import ConfigError, SemlinkError
 from .link import LinkModel, evaluate_link, fading_stage
 from .masking import patchify, random_mask
 from .metrics import MetricReport, image_report, nmse
-from .rng import RngStream
+from .rng import RngStream, complex_normal_stack
 from .snapshot import save_tensors
 from .scenes import generate_correlated_batch, generate_scene, locate, locate_any, save_scene
 from .sharing import MultiUserSemantics, bandwidth_savings, partition, synth_correlated_semantics
@@ -325,7 +325,7 @@ def _bench_cell(chan_cfg, base: RngStream, trials: int, n_sym: int) -> np.ndarra
     The NMSE compares symbols at their drawn power, never squaring p_s-size ones.
     """
     streams = [base.substream(t) for t in range(trials)]
-    x = np.stack([r.complex_normal((n_sym, 1), 0.0, 1.0) for r in streams])
+    x = complex_normal_stack(streams, (n_sym, 1), 0.0, 1.0)
     return nmse(x, fading_stage(x, chan_cfg, streams))
 
 

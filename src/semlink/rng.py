@@ -6,6 +6,11 @@ wrapper over numpy's counter-based Philox generator keyed by
 stream_ids give statistically independent streams, so each Monte Carlo trial
 draws from its own substream and results do not depend on the order in which
 trials are drawn or whether they are stacked into one batch.
+
+complex_normal_stack draws a whole stack at once: each trial's stream fills
+its own slice of one array, and the scaling and complex assembly run once
+per stack, so slice t holds the same bits as that stream's own
+complex_normal draw.
 """
 
 from __future__ import annotations
@@ -78,14 +83,26 @@ class RngStream:
 
     def complex_normal(self, shape=(), mean: complex = 0.0, var: float = 1.0) -> np.ndarray:
         """i.i.d. circularly-symmetric complex Gaussian CN(mean, var)."""
-        if var < 0:
-            raise ValueError("var must be >= 0")
-        if isinstance(shape, (int, np.integer)):
-            shape = (shape,)
-        # one call draws the real parts then the imaginary parts, the same
-        # sequence as two normal(shape) calls
-        re, im = self._gen.standard_normal((2, *shape)) * math.sqrt(var / 2.0)
-        out = np.empty(shape, dtype=np.complex128)
-        out.real = re + mean.real
-        out.imag = im + mean.imag
-        return out[()]
+        return complex_normal_stack((self,), shape, mean, var)[0]
+
+
+def complex_normal_stack(streams, shape=(), mean: complex = 0.0, var: float = 1.0) -> np.ndarray:
+    """[T, *shape] i.i.d. CN(mean, var) draws, slice t from streams[t].
+
+    Each stream fills its own [2, *shape] slice of one float64 buffer with
+    the real parts then the imaginary parts, the same sequence as two
+    normal(shape) calls on that stream; a stream listed twice draws twice,
+    in list order.
+    """
+    if var < 0:
+        raise ValueError("var must be >= 0")
+    if isinstance(shape, (int, np.integer)):
+        shape = (shape,)
+    buf = np.empty((len(streams), 2, *shape))
+    for stream, row in zip(streams, buf):
+        stream._gen.standard_normal(out=row)
+    buf *= math.sqrt(var / 2.0)
+    out = np.empty((len(streams), *shape), dtype=np.complex128)
+    np.add(buf[:, 0], mean.real, out=out.real)
+    np.add(buf[:, 1], mean.imag, out=out.imag)
+    return out

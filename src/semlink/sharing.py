@@ -207,7 +207,7 @@ def synth_correlated_semantics(rng: RngStream, k: int, length: int, dim: int,
     if n_shared:
         base = rng.normal((n_shared, dim))
         row_jitter = rng.uniform((n_shared,), 0.0, jitter)
+        draws = rng.normal((k, n_shared, dim))  # user u's jitter rows are draws[u]
         with np.errstate(over="ignore"):  # MultiUserSemantics rejects what overflows
-            for u in range(k):
-                z[u, shared_pos, :] = base + row_jitter[:, None] * rng.normal((n_shared, dim))
+            z[:, shared_pos, :] = base + row_jitter[:, None] * draws
     return MultiUserSemantics(z)

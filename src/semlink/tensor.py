@@ -494,37 +494,40 @@ def backward(loss: Tensor) -> None:
         raise ContractError("backward called twice on the same loss")
     loss._consumed = True
 
+    # op nodes in post-order; leaves never enter the walk.  Tensors hash by
+    # identity, so they key the sets and dicts directly.
     topo: list[Tensor] = []
-    seen: set[int] = set()
-    stack = [(loss, False)]
+    seen: set[Tensor] = set()
+    stack = [(loss, False)] if loss._vjp is not None else []
     while stack:
         node, expanded = stack.pop()
         if expanded:
             topo.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
+            if p._vjp is not None and p not in seen:
                 stack.append((p, False))
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
+    # each leaf's contributions, summed in arrival order
+    leaf_grads = grads if loss._vjp is None else {}
     for node in reversed(topo):
-        g = grads.pop(id(node), None)
+        g = grads.pop(node, None)
         if g is None:
             continue
-        if node._vjp is None:
-            # leaf: fold into the persistent gradient slot (accumulates
-            # across losses, e.g. mini-batch accumulation)
-            node.grad = g.copy() if node.grad is None else node.grad + g
-        else:
-            for parent, pg in zip(node._parents, node._vjp(g)):
-                if not parent.requires_grad or pg is None:
-                    continue
-                key = id(parent)
-                grads[key] = grads[key] + pg if key in grads else pg
+        for parent, pg in zip(node._parents, node._vjp(g)):
+            if not parent.requires_grad or pg is None:
+                continue
+            acc = grads if parent._vjp is not None else leaf_grads
+            acc[parent] = acc[parent] + pg if parent in acc else pg
+    # fold into the persistent gradient slot (accumulates across losses,
+    # e.g. mini-batch accumulation)
+    for leaf, g in leaf_grads.items():
+        leaf.grad = g.copy() if leaf.grad is None else leaf.grad + g
 
 
 def zero_grad(tensors) -> None:

@@ -324,3 +324,30 @@ class TestSynthSemantics:
     def test_fraction_bounds(self):
         with pytest.raises(ContractError):
             synth_correlated_semantics(RngStream(27), 2, 8, 4, 1.2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(k=st.integers(2, 6), length=st.integers(0, 9), dim=st.integers(1, 6),
+           fraction=st.floats(0.0, 1.0), jitter=st.floats(0.0, 5.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_user_jitter_loop(self, k, length, dim, fraction, jitter, seed):
+        got_rng, twin = RngStream(seed, 28), RngStream(seed, 28)
+        got = synth_correlated_semantics(got_rng, k, length, dim, fraction, jitter)
+        want = reference_synth(twin, k, length, dim, fraction, jitter)
+        np.testing.assert_array_equal(got.values, want)
+        # the stream continues where the loop's last draw left off
+        np.testing.assert_array_equal(got_rng.normal((4,)), twin.normal((4,)))
+
+
+def reference_synth(rng, k, length, dim, shared_fraction, jitter):
+    """synth_correlated_semantics with one jitter draw per user, in user order."""
+    n_shared = int(round(shared_fraction * length))
+    shared_pos = np.sort(rng.permutation(length)[:n_shared])
+    z = np.empty((k, length, dim))
+    amps = rng.uniform((k, length), 0.5, 1.5)
+    z[:] = rng.normal((k, length, dim)) * amps[:, :, None]
+    if n_shared:
+        base = rng.normal((n_shared, dim))
+        row_jitter = rng.uniform((n_shared,), 0.0, jitter)
+        for u in range(k):
+            z[u, shared_pos, :] = base + row_jitter[:, None] * rng.normal((n_shared, dim))
+    return z

@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gradcheck import check_grads, fd_grad, rel_err
+from semlink import training
 from semlink.errors import ConfigError, ContractError, NonFiniteError, ParseError, ShapeError
-from semlink.rng import RngStream
+from semlink.link import LinkModel
+from semlink.rng import RngStream, complex_normal_stack
+from semlink.scenes import SceneConfig, generate_scene
 from semlink.snapshot import load_tensors, save_tensors, tensor_from_bytes, tensor_to_bytes
 from semlink.tensor import (
     AttentionParams,
@@ -32,6 +35,7 @@ from semlink.tensor import (
     tsum,
     zero_grad,
 )
+from semlink.training import PHASES, TrainConfig
 
 
 class TestConstruction:
@@ -252,6 +256,116 @@ class TestBackward:
         backward(tsum(add(x, c)))
         assert c.grad is None
 
+    def test_scalar_leaf_as_loss(self):
+        x = Tensor(2.0, requires_grad=True)
+        backward(x)
+        backward(tsum(mul(x, x)))
+        np.testing.assert_array_equal(x.grad, 5.0)
+
+
+def reference_backward(loss: Tensor) -> None:
+    """backward walking every requires_grad tensor, leaves included: each
+    leaf takes its place in the post-order and is folded into .grad there."""
+    if loss.size != 1:
+        raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
+    if loss._consumed:
+        raise ContractError("backward called twice on the same loss")
+    loss._consumed = True
+    topo, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if p.requires_grad and id(p) not in seen:
+                stack.append((p, False))
+    grads = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(topo):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if node._vjp is None:
+            node.grad = g.copy() if node.grad is None else node.grad + g
+        else:
+            for parent, pg in zip(node._parents, node._vjp(g)):
+                if not parent.requires_grad or pg is None:
+                    continue
+                key = id(parent)
+                grads[key] = grads[key] + pg if key in grads else pg
+
+
+_GRAPH_OPS = (add, sub, mul, matmul, lambda a, b: gelu(a),
+              lambda a, b: div(a, add(power(b, 2.0), 1.0)))
+
+
+@st.composite
+def random_graphs(draw):
+    """Leaf data and an op program over a growing pool of [3, 3] tensors;
+    pool[0] and pool[1] are trainable leaves, pool[2] a constant."""
+    data = draw(hnp.arrays(np.float64, (3, 3, 3), elements=st.floats(-2, 2)))
+    program = draw(st.lists(st.tuples(st.integers(0, len(_GRAPH_OPS) - 1),
+                                      st.integers(0, 99), st.integers(0, 99)),
+                            min_size=1, max_size=12))
+    return data, program
+
+
+def run_program(walk, data, programs) -> list:
+    """Gradients of both leaves after one walk per program, all losses
+    accumulating into the same leaves."""
+    leaves = [Tensor(data[0], requires_grad=True), Tensor(data[1], requires_grad=True)]
+    for program in programs:
+        pool = leaves + [Tensor(data[2])]
+        for op, i, j in program:
+            pool.append(_GRAPH_OPS[op](pool[i % len(pool)], pool[j % len(pool)]))
+        # every node reaches the loss, the leaves through several paths
+        total = pool[0]
+        for node in pool[1:]:
+            total = add(total, node)
+        walk(tsum(mul(total, total)))
+    return [leaf.grad for leaf in leaves]
+
+
+class TestBackwardMatchesReferenceWalk:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(first=random_graphs(), second=random_graphs())
+    def test_random_graphs_across_two_losses(self, first, second):
+        data, program = first
+        for programs in ([program], [program, second[1]]):
+            got = run_program(backward, data, programs)
+            want = run_program(reference_backward, data, programs)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+
+    def test_leaf_with_several_contributions(self):
+        rng = np.random.default_rng(60)
+        data = rng.normal(size=(3, 3, 3))
+        # leaf 0 feeds a mul (twice), a matmul and a sub, and the final sum
+        program = [(2, 0, 0), (3, 0, 1), (1, 4, 0), (4, 5, 1)]
+        grads = [run_program(walk, data, [program, program[:2]])
+                 for walk in (backward, reference_backward)]
+        for g, w in zip(*grads):
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("phase", PHASES)
+    def test_training_checkpoints_match_the_reference_walk(self, phase, tmp_path, monkeypatch):
+        cfg = SceneConfig(channels=1)
+        scenes = [generate_scene(RngStream(61, i), cfg) for i in range(4)]
+        blobs = []
+        for name, walk in (("walk", backward), ("reference", reference_backward)):
+            monkeypatch.setattr(training, "backward", walk)
+            model = LinkModel.init(cfg.grid(), RngStream(62), feature_dim=16, enc_layers=2,
+                                   dec_layers=1, num_heads=4, symbol_dim=4)
+            records = training.train_phase(model, scenes, TrainConfig(
+                phase=phase, lr=1e-3, epochs=2, batch_size=3, seed=63))
+            model.save(tmp_path / f"{name}.ckpt")
+            blobs.append(((tmp_path / f"{name}.ckpt").read_bytes(), records))
+        assert blobs[0] == blobs[1]
+
 
 def _rand(rng, shape):
     return rng.normal(size=shape)
@@ -414,6 +528,34 @@ class TestRng:
         np.testing.assert_array_equal(np.imag(got), np.imag(want))
         # the stream continues where the twin's two draws left off
         np.testing.assert_array_equal(got_rng.normal((4,)), twin.normal((4,)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        picks=st.lists(st.integers(0, 2), max_size=5),
+        shape=st.one_of(st.integers(0, 6), st.lists(st.integers(0, 4), max_size=3).map(tuple)),
+        mean=st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+        var=st.floats(0.0, 1e6),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_complex_normal_stack_matches_per_stream_draws(self, picks, shape, mean, var, seed):
+        # picks lists T = 0..5 of three streams, some of them more than once
+        streams = [RngStream(seed, i) for i in range(3)]
+        twins = [RngStream(seed, i) for i in range(3)]
+        got = complex_normal_stack([streams[i] for i in picks], shape, mean, var)
+        one_shape = (shape,) if isinstance(shape, int) else shape
+        assert got.shape == (len(picks), *one_shape) and got.dtype == np.complex128
+        for slice_t, i in zip(got, picks):
+            # a stream listed twice gives its two draws in list order
+            want = twins[i].complex_normal(shape, mean, var)
+            np.testing.assert_array_equal(np.real(slice_t), np.real(want))
+            np.testing.assert_array_equal(np.imag(slice_t), np.imag(want))
+        for stream, twin in zip(streams, twins):
+            np.testing.assert_array_equal(stream.normal((4,)), twin.normal((4,)))
+
+    @given(var=st.floats(max_value=-1e-300, allow_nan=False, allow_infinity=True))
+    def test_complex_normal_stack_rejects_negative_var(self, var):
+        with pytest.raises(ValueError, match="var must be >= 0"):
+            complex_normal_stack([RngStream(1)], (2,), 0.0, var)
 
 
 class TestSinusoidTable:
