@@ -5,7 +5,9 @@ Every command takes --config FILE plus arbitrary `--section.key value`
 overrides, honors --seed deterministically (reruns produce byte-identical
 outputs), writes CSV results with a trailing .meta.json sidecar carrying the
 fully resolved configuration, and exits 0 on success, 2 on configuration
-errors, 3 on runtime errors.
+errors, 3 on runtime errors.  A loaded checkpoint's grid must match scene.*.
+One eval trial draws its scene, plans, channel and noise once and scores
+both masking arms on that draw.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .config import RunConfig
 from .errors import ConfigError, SemlinkError
 from .link import LinkModel, evaluate_link, fading_stage
 from .masking import patchify, random_mask
-from .metrics import MetricReport, image_report, nmse
+from .metrics import image_report, nmse
 from .rng import RngStream, complex_normal_stack
 from .snapshot import save_tensors
 from .scenes import generate_correlated_batch, generate_scene, locate, locate_any, save_scene
@@ -56,25 +58,31 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list, rows: list) -> None:
+def _write_csv(path: Path, header: list, rows: list, cfg: RunConfig, command: str,
+               extra: dict | None = None) -> None:
+    """The CSV and its .meta.json sidecar: command, resolved config and extra."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+    meta = {"command": command, "config": cfg.to_dict(), **(extra or {})}
+    Path(str(path) + ".meta.json").write_text(json.dumps(meta, indent=1, sort_keys=True))
 
 
-def _write_sidecar(target: Path, cfg: RunConfig, command: str, extra: dict | None = None) -> None:
-    meta = {"command": command, "config": cfg.to_dict()}
-    if extra:
-        meta.update(extra)
-    Path(str(target) + ".meta.json").write_text(json.dumps(meta, indent=1, sort_keys=True))
+def _mean_std(reports: list, fields: tuple) -> list:
+    """Mean and std over the trials of each report field, interleaved."""
+    vals = np.asarray([[getattr(r, f) for f in fields] for r in reports])
+    return [v for pair in zip(vals.mean(axis=0), vals.std(axis=0)) for v in pair]
 
 
-def _scene_loc(cfg: RunConfig, scene, grid):
-    label = cfg["scene.target_label"]
-    return locate_any(scene, grid) if label == "any" else locate(scene, label, grid)
+def _load_model(cfg: RunConfig, path) -> LinkModel:
+    """Checkpoint whose grid must be the one the scene.* keys describe."""
+    model, grid = LinkModel.load(path), cfg.scene_config().grid()
+    if model.grid != grid:
+        raise ConfigError(f"checkpoint {path} has grid {model.grid}, but scene.* gives {grid}")
+    return model
 
 
 _SCENE_TRIES = 50
@@ -83,13 +91,14 @@ _SCENE_TRIES = 50
 def _fresh_scene_with_loc(cfg: RunConfig, rng, grid):
     """Scene whose located region is non-empty (matters for label targeting)."""
     scene_cfg = cfg.scene_config()
+    label = cfg["scene.target_label"]
     for _ in range(_SCENE_TRIES):
         scene = generate_scene(rng.substream(1), scene_cfg)
-        loc = _scene_loc(cfg, scene, grid)
+        loc = locate_any(scene, grid) if label == "any" else locate(scene, label, grid)
         if len(loc):
             return scene, loc
         rng = rng.substream(2)
-    raise SemlinkError(f"no scene with label {cfg['scene.target_label']!r} in {_SCENE_TRIES} draws")
+    raise SemlinkError(f"no scene with label {label!r} in {_SCENE_TRIES} draws")
 
 
 # -- commands -----------------------------------------------------------------
@@ -122,7 +131,7 @@ def cmd_train(cfg: RunConfig, out_dir: Path, phase: str, checkpoint: str | None)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if checkpoint is not None:
-        model = LinkModel.load(checkpoint)
+        model = _load_model(cfg, checkpoint)
     elif phase in ("codec", "all"):
         model = _new_model(cfg)
     else:
@@ -133,7 +142,7 @@ def cmd_train(cfg: RunConfig, out_dir: Path, phase: str, checkpoint: str | None)
                 f"phase {phase!r} needs the {prev!r} checkpoint; run that phase first "
                 f"or pass --checkpoint (missing: {prior})"
             )
-        model = LinkModel.load(prior)
+        model = _load_model(cfg, prior)
 
     scenes = _training_scenes(cfg)
     phases = ("codec", "channel", "whole") if phase == "all" else (phase,)
@@ -148,65 +157,67 @@ def cmd_train(cfg: RunConfig, out_dir: Path, phase: str, checkpoint: str | None)
 
     loss_csv = out_dir / "loss.csv"
     _write_csv(loss_csv, ["phase", "epoch", "batch", "loss"],
-               [(r.phase, r.epoch, r.batch, r.loss) for r in all_records])
-    _write_sidecar(loss_csv, cfg, f"train --phase {phase}")
+               [(r.phase, r.epoch, r.batch, r.loss) for r in all_records],
+               cfg, f"train --phase {phase}")
     return 0
 
 
-def _eval_trial(cfg: RunConfig, model: LinkModel, chan_cfg, masking: str, mask_prob: float,
-                cell_rng, dump_dir: Path | None = None, trial: int | None = None) -> MetricReport:
+_MASKINGS = ("adaptive", "random")
+_EVAL_FIELDS = ("psnr_db", "ssim", "region_psnr_db", "region_ssim")
+
+
+def _eval_trial(cfg: RunConfig, model: LinkModel, chan_cfg, mask_prob: float, cell_rng,
+                with_random: bool, dump_dir: Path | None = None,
+                trial: int | None = None) -> list:
+    """Reports of one draw under adaptive and, with_random, random masking at the
+    same patch budget: scene, plans, channel frame and noise come from
+    cell_rng.substream(1), (2) and (3), (4) and (5).  Dumps go to f"{dump_dir}_{masking}"."""
     grid = model.grid
     scene, loc = _fresh_scene_with_loc(cfg, cell_rng.substream(1), grid)
-    plan = sample_nonempty_mask(grid, loc, mask_prob, cell_rng.substream(2))
-    if masking == "random":
-        plan = random_mask(grid, plan.keep_count, cell_rng.substream(3))
+    plans = [sample_nonempty_mask(grid, loc, mask_prob, cell_rng.substream(2))]
+    if with_random:
+        plans.append(random_mask(grid, plans[0].keep_count, cell_rng.substream(3)))
     frame = draw_channel(chan_cfg, [cell_rng.substream(4)])
-    with no_grad():
-        res = evaluate_link(model, scene.image, plan, chan_cfg, cell_rng.substream(5), frame=frame)
-    if dump_dir is not None:
-        dump_dir.mkdir(parents=True, exist_ok=True)
-        save_tensors(dump_dir / f"trial{trial:04d}.slnk",
-                     {"original": Tensor(scene.image), "reconstructed": res.image})
-        (dump_dir / f"trial{trial:04d}.json").write_text(
-            json.dumps({"loc": loc.sorted_indices, "patch_size": grid.patch_size,
-                        "plan": json.loads(plan.to_json())})
-        )
-    return image_report(scene.image, res.image, loc, grid)
+    noise = cell_rng.substream(5)
+    reports = []
+    for masking, plan in zip(_MASKINGS, plans):
+        with no_grad():
+            res = evaluate_link(model, scene.image, plan, chan_cfg, noise, frame=frame)
+        if dump_dir is not None:
+            arm_dir = Path(f"{dump_dir}_{masking}")
+            arm_dir.mkdir(parents=True, exist_ok=True)
+            save_tensors(arm_dir / f"trial{trial:04d}.slnk",
+                         {"original": Tensor(scene.image), "reconstructed": res.image})
+            (arm_dir / f"trial{trial:04d}.json").write_text(
+                json.dumps({"loc": loc.sorted_indices, "patch_size": grid.patch_size,
+                            "plan": json.loads(plan.to_json())})
+            )
+        reports.append(image_report(scene.image, res.image, loc, grid))
+    return reports
 
 
 def cmd_eval(cfg: RunConfig, out_dir: Path, checkpoint: str) -> int:
-    model = LinkModel.load(checkpoint)
+    model = _load_model(cfg, checkpoint)
     trials = cfg["eval.trials"]
     dump = cfg["eval.dump_images"]
     rows = []
     for kind in cfg["eval.kinds"]:
         for snr_db in cfg["eval.snr_db_list"]:
             chan_cfg = cfg.channel_config(kind=kind, snr_db=snr_db)
-            for masking in ("adaptive", "random"):
-                base = RngStream(cfg["seed"], _S_EVAL).substream(
-                    hash_key(kind), int(snr_db * 1000) & 0xFFFFFFFF
-                )
-                dump_dir = (
-                    out_dir / "images" / f"{kind}_{snr_db:g}dB_{masking}" if dump else None
-                )
-                reports = run_trials(
-                    trials,
-                    lambda t: _eval_trial(cfg, model, chan_cfg, masking, cfg["eval.mask_prob"],
-                                          base.substream(t), dump_dir, t),
-                )
-                vals = np.asarray(
-                    [[r.psnr_db, r.ssim, r.region_psnr_db, r.region_ssim] for r in reports]
-                )
-                mean, std = vals.mean(axis=0), vals.std(axis=0)
-                rows.append((kind, snr_db, masking, trials,
-                             mean[0], std[0], mean[1], std[1],
-                             mean[2], std[2], mean[3], std[3]))
+            base = RngStream(cfg["seed"], _S_EVAL).substream(
+                hash_key(kind), int(snr_db * 1000) & 0xFFFFFFFF
+            )
+            dump_dir = out_dir / "images" / f"{kind}_{snr_db:g}dB" if dump else None
+            per_trial = run_trials(trials, lambda t: _eval_trial(
+                cfg, model, chan_cfg, cfg["eval.mask_prob"], base.substream(t), True, dump_dir, t))
+            for masking, reports in zip(_MASKINGS, zip(*per_trial)):
+                rows.append((kind, snr_db, masking, trials, *_mean_std(reports, _EVAL_FIELDS)))
     out = out_dir / "eval.csv"
     _write_csv(out, ["kind", "snr_db", "masking", "trials",
                      "psnr_mean", "psnr_std", "ssim_mean", "ssim_std",
                      "region_psnr_mean", "region_psnr_std",
-                     "region_ssim_mean", "region_ssim_std"], rows)
-    _write_sidecar(out, cfg, "eval", {"checkpoint": str(checkpoint)})
+                     "region_ssim_mean", "region_ssim_std"], rows,
+               cfg, "eval", {"checkpoint": str(checkpoint)})
     print(f"wrote {out} ({len(rows)} cells x {trials} trials)")
     return 0
 
@@ -220,36 +231,31 @@ def hash_key(text: str) -> int:
 
 
 def cmd_sweep_pr(cfg: RunConfig, out_dir: Path, checkpoint: str | None) -> int:
+    if (checkpoint is not None) == cfg["sweep.train_per_pr"]:
+        raise ConfigError("sweep-pr takes exactly one of --checkpoint and sweep.train_per_pr true")
     trials = cfg["sweep.trials"]
-    shared_model = None
-    if checkpoint is not None:
-        shared_model = LinkModel.load(checkpoint)
-    elif not cfg["sweep.train_per_pr"]:
-        raise ConfigError("sweep-pr needs --checkpoint unless sweep.train_per_pr is set")
+    shared_model = _load_model(cfg, checkpoint) if checkpoint is not None else None
 
     rows = []
     for kind in cfg["sweep.kinds"]:
         chan_cfg = cfg.channel_config(kind=kind)
         for p_r in cfg["sweep.pr_list"]:
-            if shared_model is not None:
-                model = shared_model
-            else:
-                model = _train_for_pr(cfg, p_r)
+            model = shared_model or _train_for_pr(cfg, p_r)
             base = RngStream(cfg["seed"], _S_SWEEP).substream(
                 hash_key(kind), int(round(p_r * 1000))
             )
             reports = run_trials(
                 trials,
-                lambda t: _eval_trial(cfg, model, chan_cfg, "adaptive", p_r, base.substream(t)),
+                lambda t: _eval_trial(cfg, model, chan_cfg, p_r, base.substream(t), False)[0],
             )
-            vals = np.asarray([[r.region_psnr_db, r.region_ssim] for r in reports])
-            mean, std = vals.mean(axis=0), vals.std(axis=0)
-            rows.append((kind, p_r, trials, mean[0], std[0], mean[1], std[1]))
+            rows.append((kind, p_r, trials,
+                         *_mean_std(reports, ("region_psnr_db", "region_ssim"))))
 
     out = out_dir / "sweep_pr.csv"
     _write_csv(out, ["kind", "p_r", "trials",
                      "region_psnr_mean", "region_psnr_std",
-                     "region_ssim_mean", "region_ssim_std"], rows)
+                     "region_ssim_mean", "region_ssim_std"], rows,
+               cfg, "sweep-pr", {"checkpoint": str(checkpoint)})
     best = {}
     for kind in cfg["sweep.kinds"]:
         kind_rows = [r for r in rows if r[0] == kind]
@@ -257,7 +263,6 @@ def cmd_sweep_pr(cfg: RunConfig, out_dir: Path, checkpoint: str | None) -> int:
         best[kind] = {"p_r": top[1], "region_psnr_mean": top[3]}
     summary = out_dir / "sweep_pr_summary.json"
     summary.write_text(json.dumps(best, indent=1, sort_keys=True))
-    _write_sidecar(out, cfg, "sweep-pr", {"checkpoint": str(checkpoint)})
     print(f"wrote {out} and {summary}")
     return 0
 
@@ -309,9 +314,9 @@ def cmd_sweep_users(cfg: RunConfig, out_dir: Path) -> int:
             rows.append((k, eps, trials, vals[:, 0].mean(), vals[:, 0].std(), vals[:, 1].mean()))
 
     out = out_dir / "sweep_users.csv"
-    _write_csv(out, ["k", "epsilon", "trials", "savings_mean", "savings_std", "l_pub_mean"], rows)
+    _write_csv(out, ["k", "epsilon", "trials", "savings_mean", "savings_std", "l_pub_mean"], rows,
+               cfg, "sweep-users")
     (out_dir / "sweep_users.jsonl").write_text("\n".join(log_lines) + "\n")
-    _write_sidecar(out, cfg, "sweep-users")
     print(f"wrote {out} ({len(rows)} cells x {trials} trials)")
     return 0
 
@@ -348,8 +353,8 @@ def cmd_channel_bench(cfg: RunConfig, out_dir: Path) -> int:
                 rows.append((kind, snr_db, csi_var, vals.mean(), vals.std()))
 
     out = out_dir / "channel_bench.csv"
-    _write_csv(out, ["kind", "snr_db", "csi_var", "nmse_mean", "nmse_std"], rows)
-    _write_sidecar(out, cfg, "channel-bench")
+    _write_csv(out, ["kind", "snr_db", "csi_var", "nmse_mean", "nmse_std"], rows,
+               cfg, "channel-bench")
     print(f"wrote {out} ({len(rows)} cells x {trials} trials)")
     return 0
 

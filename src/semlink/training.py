@@ -206,26 +206,20 @@ def train_phase(model: LinkModel, scenes: list, cfg: TrainConfig,
             try:
                 loss = _sample_loss(model, scene, cfg.phase, cfg, snr_db, sample_rng)
                 backward(loss)
+                batch_loss += float(loss.data)
+                pending += 1
+                if pending == cfg.batch_size or pos == len(order) - 1:
+                    opt.step(grad_scale=1.0 / pending)
+                    opt.zero()
+                    records.append(LossRecord(cfg.phase, epoch, batch_index, batch_loss / pending))
+                    batch_index += 1
+                    pending = 0
+                    batch_loss = 0.0
+                    snr_db = float(snr_stream.uniform((), cfg.snr_lo_db, cfg.snr_hi_db))
             except NonFiniteError as exc:
                 raise TrainingDiverged(
                     f"phase {cfg.phase} epoch {epoch} batch {batch_index}: {exc}"
                 ) from exc
-            batch_loss += float(loss.data)
-            pending += 1
-
-            if pending == cfg.batch_size or pos == len(order) - 1:
-                try:
-                    opt.step(grad_scale=1.0 / pending)
-                except NonFiniteError as exc:
-                    raise TrainingDiverged(
-                        f"phase {cfg.phase} epoch {epoch} batch {batch_index}: {exc}"
-                    ) from exc
-                opt.zero()
-                records.append(LossRecord(cfg.phase, epoch, batch_index, batch_loss / pending))
-                batch_index += 1
-                pending = 0
-                batch_loss = 0.0
-                snr_db = float(snr_stream.uniform((), cfg.snr_lo_db, cfg.snr_hi_db))
 
         if checkpoint_dir is not None:
             model.save(f"{checkpoint_dir}/{cfg.phase}-epoch{epoch:03d}.ckpt")

@@ -9,16 +9,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from semlink.channel import ChannelConfig
-from semlink.cli import _bench_cell, main
+from semlink.channel import ChannelConfig, draw_channel
+from semlink.cli import _S_EVAL, _bench_cell, _fresh_scene_with_loc, hash_key, main
 from semlink.codec import CodecConfig
 from semlink.config import SCHEMA, RunConfig
 from semlink.errors import ConfigError
-from semlink.link import fading_stage
-from semlink.metrics import nmse
+from semlink.link import LinkModel, evaluate_link, fading_stage
+from semlink.masking import random_mask
+from semlink.metrics import image_report, nmse
 from semlink.rng import RngStream
 from semlink.scenes import CorrelatedConfig, SceneConfig, load_annotated
-from semlink.training import PHASES, TrainConfig
+from semlink.tensor import no_grad
+from semlink.training import PHASES, TrainConfig, sample_nonempty_mask
 
 FAST_TRAIN = [
     "--train.scenes", "8", "--train.epochs", "1", "--train.lr", "0.001",
@@ -379,6 +381,96 @@ class TestEval:
             assert abs(float(row[col]) - float(np.mean(vals))) < 1e-9
 
 
+def reference_eval_trial(cfg, model, chan_cfg, masking, mask_prob, cell_rng):
+    """One arm of one eval trial, drawn on its own: the per-arm trial that
+    semlink.cli scored before both arms shared one draw."""
+    grid = model.grid
+    scene, loc = _fresh_scene_with_loc(cfg, cell_rng.substream(1), grid)
+    plan = sample_nonempty_mask(grid, loc, mask_prob, cell_rng.substream(2))
+    if masking == "random":
+        plan = random_mask(grid, plan.keep_count, cell_rng.substream(3))
+    frame = draw_channel(chan_cfg, [cell_rng.substream(4)])
+    with no_grad():
+        res = evaluate_link(model, scene.image, plan, chan_cfg, cell_rng.substream(5), frame=frame)
+    return image_report(scene.image, res.image, loc, grid)
+
+
+_MIMO_EVAL = ["--eval.trials", "3", "--eval.snr_db_list", "0,10",
+              "--eval.kinds", "awgn,rayleigh,rician", "--channel.n_t", "2", "--channel.n_r", "2",
+              "--channel.p_s", "4", "--channel.csi_error_var", "0.02"]
+
+
+class TestEvalPairedArms:
+    def test_rows_match_per_arm_reference(self, tmp_path, trained_checkpoint):
+        assert main(["eval", "--checkpoint", trained_checkpoint, "--seed", "5", *_MIMO_EVAL,
+                     "--out", str(tmp_path)]) == 0
+        cfg = RunConfig.load(None, {"seed": "5", **{k[2:]: v for k, v in
+                                                    zip(_MIMO_EVAL[::2], _MIMO_EVAL[1::2])}},
+                             command="eval")
+        model = LinkModel.load(trained_checkpoint)
+        expected = []
+        for kind in ("awgn", "rayleigh", "rician"):
+            for snr_db in (0.0, 10.0):
+                chan_cfg = cfg.channel_config(kind=kind, snr_db=snr_db)
+                base = RngStream(5, _S_EVAL).substream(hash_key(kind), int(snr_db * 1000))
+                for masking in ("adaptive", "random"):
+                    vals = np.asarray([
+                        [r.psnr_db, r.ssim, r.region_psnr_db, r.region_ssim]
+                        for r in (reference_eval_trial(cfg, model, chan_cfg, masking,
+                                                       cfg["eval.mask_prob"], base.substream(t))
+                                  for t in range(3))])
+                    stats = [v for pair in zip(vals.mean(axis=0), vals.std(axis=0)) for v in pair]
+                    expected.append([kind, repr(snr_db), masking, "3",
+                                     *(repr(float(v)) for v in stats)])
+        _, rows = read_csv(tmp_path / "eval.csv")
+        assert rows == expected
+
+    def test_dumped_arms_share_the_scene_and_the_patch_budget(self, tmp_path, trained_checkpoint):
+        from semlink.snapshot import load_tensors
+
+        assert main(["eval", "--checkpoint", trained_checkpoint, "--seed", "6", *_MIMO_EVAL,
+                     "--eval.dump_images", "true", "--out", str(tmp_path)]) == 0
+        cells = sorted(d.name[:-len("_adaptive")] for d in (tmp_path / "images").iterdir()
+                       if d.name.endswith("_adaptive"))
+        assert len(cells) == 6
+        for cell in cells:
+            adaptive, rand = (tmp_path / "images" / f"{cell}_{m}" for m in ("adaptive", "random"))
+            for t in range(3):
+                a, r = (load_tensors(d / f"trial{t:04d}.slnk") for d in (adaptive, rand))
+                np.testing.assert_array_equal(a["original"].data, r["original"].data)
+                assert not np.array_equal(a["reconstructed"].data, r["reconstructed"].data)
+                plan_a, plan_r = (json.loads((d / f"trial{t:04d}.json").read_text())["plan"]
+                                  for d in (adaptive, rand))
+                assert len(plan_a["keep"]) == len(plan_r["keep"]) > 0
+                assert plan_r["object"] == []
+
+
+class TestCheckpointGrid:
+    @pytest.mark.parametrize("args", [
+        ["eval", "--scene.height", "16"],
+        ["sweep-pr", "--scene.channels", "3"],
+        ["train", "--phase", "codec", "--scene.patch_size", "8", *FAST_TRAIN],
+    ], ids=["eval-height", "sweep-pr-channels", "train-patch-size"])
+    def test_checkpoint_grid_other_than_scene_exits_2(self, tmp_path, capsys,
+                                                       trained_checkpoint, args):
+        code = main([*args, "--checkpoint", trained_checkpoint, "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        assert err.count("PatchGrid(") == 2, err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_prior_phase_grid_other_than_scene_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--phase", "codec", "--out", str(out), *FAST_TRAIN]) == 0
+        capsys.readouterr()
+        assert main(["train", "--phase", "channel", "--out", str(out), *FAST_TRAIN,
+                     "--scene.patch_size", "8"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        assert not (out / "channel.ckpt").exists()
+
+
 class TestTruncatedCheckpoint:
     def test_eval_exits_3_when_cut_short(self, tmp_path, trained_checkpoint, capsys):
         src = Path(trained_checkpoint)
@@ -451,6 +543,13 @@ class TestSweepPr:
 
     def test_requires_checkpoint_or_flag(self, tmp_path):
         assert main(["sweep-pr", "--out", str(tmp_path / "x")]) == 2
+
+    def test_checkpoint_with_train_per_pr_exits_2(self, tmp_path, capsys, trained_checkpoint):
+        assert main(["sweep-pr", "--checkpoint", trained_checkpoint, "--out", str(tmp_path),
+                     "--sweep.train_per_pr", "true", "--sweep.trials", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        assert not (tmp_path / "sweep_pr.csv").exists()
 
     def test_train_per_pr_without_checkpoint(self, tmp_path):
         code = main(["sweep-pr", "--out", str(tmp_path), "--seed", "2", "--sweep.train_per_pr",
