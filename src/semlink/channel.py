@@ -3,7 +3,8 @@
 Every call takes a stack of T frames: signals are [T, ...], a ChannelFrame
 holds [T, n_r, n_t] matrices, and frame t draws its channel and its noise
 from stream t of a sequence of T streams, straight into its slice of one
-array per stack (rng.complex_normal_stack), so a frame gives bit-identical
+array per stack (one fill per stream for H and its CSI error, and
+rng.complex_normal_stack for the noise), so a frame gives bit-identical
 results alone or inside a stack.  One frame is the stack T = 1.  Each
 signal's symbols are serialized row-major, zero-padded to a multiple of n_t,
 and reshaped into n_t-row blocks under its frame's block-fading channel
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, NonFiniteError, NumericError, ShapeError
-from .rng import RngStream, complex_normal_stack
+from .rng import RngStream, _complex_rows, _normal_rows, complex_normal_stack
 from .tensor import Tensor, add, mul
 
 __all__ = [
@@ -144,23 +145,25 @@ def calibrate_noise(cfg: ChannelConfig) -> float:
 def draw_channel(cfg: ChannelConfig, rngs) -> ChannelFrame:
     """One block-fading realization plus its (possibly corrupted) CSI from
     each of T >= 1 streams, as a frame of [T, n_r, n_t] matrices.  Stream t
-    draws H then the CSI error, each straight into its slice of the stack."""
+    draws H then the CSI error in one fill of its slice of the stack (a
+    stream listed twice draws both for one frame, then both for the next)."""
     if len(rngs) < 1:
         raise ShapeError("a channel draw needs at least one stream")
     shape = (cfg.n_r, cfg.n_t)
+    csi_var = cfg.effective_csi_error_var
     if cfg.kind == "awgn":
         eye = np.eye(cfg.n_r, cfg.n_t, dtype=np.complex128)
         h = np.broadcast_to(eye, (len(rngs), *shape)).copy()
-    elif cfg.kind == "rayleigh":
-        h = complex_normal_stack(rngs, shape, 0.0, 1.0)
-    else:
-        r = cfg.rician_r
-        h = complex_normal_stack(rngs, shape, math.sqrt(r / (r + 1.0)), 1.0 / (r + 1.0))
-    csi_var = cfg.effective_csi_error_var
-    if csi_var > 0:
-        h_hat = h + complex_normal_stack(rngs, shape, 0.0, csi_var)
-    else:
         h_hat = h.copy()  # exact CSI, in its own array
+    else:
+        # [T, H | CSI error, re | im, n_r, n_t]
+        buf = _normal_rows(rngs, (2 if csi_var > 0 else 1, 2, *shape))
+        if cfg.kind == "rayleigh":
+            h = _complex_rows(buf[:, 0], 0.0, 1.0)
+        else:
+            r = cfg.rician_r
+            h = _complex_rows(buf[:, 0], math.sqrt(r / (r + 1.0)), 1.0 / (r + 1.0))
+        h_hat = h + _complex_rows(buf[:, 1], 0.0, csi_var) if csi_var > 0 else h.copy()
     return ChannelFrame(h, h_hat, calibrate_noise(cfg), cfg.p_s, csi_var)
 
 

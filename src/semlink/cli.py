@@ -234,19 +234,22 @@ def cmd_sweep_pr(cfg: RunConfig, out_dir: Path, checkpoint: str | None) -> int:
     if (checkpoint is not None) == cfg["sweep.train_per_pr"]:
         raise ConfigError("sweep-pr takes exactly one of --checkpoint and sweep.train_per_pr true")
     trials = cfg["sweep.trials"]
-    shared_model = _load_model(cfg, checkpoint) if checkpoint is not None else None
+    # a model trained per p_r does not depend on the kind: train each once
+    if checkpoint is not None:
+        models = dict.fromkeys(cfg["sweep.pr_list"], _load_model(cfg, checkpoint))
+    else:
+        models = {p_r: _train_for_pr(cfg, p_r) for p_r in cfg["sweep.pr_list"]}
 
     rows = []
     for kind in cfg["sweep.kinds"]:
         chan_cfg = cfg.channel_config(kind=kind)
         for p_r in cfg["sweep.pr_list"]:
-            model = shared_model or _train_for_pr(cfg, p_r)
             base = RngStream(cfg["seed"], _S_SWEEP).substream(
                 hash_key(kind), int(round(p_r * 1000))
             )
             reports = run_trials(
                 trials,
-                lambda t: _eval_trial(cfg, model, chan_cfg, p_r, base.substream(t), False)[0],
+                lambda t: _eval_trial(cfg, models[p_r], chan_cfg, p_r, base.substream(t), False)[0],
             )
             rows.append((kind, p_r, trials,
                          *_mean_std(reports, ("region_psnr_db", "region_ssim"))))

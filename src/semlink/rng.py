@@ -7,10 +7,16 @@ stream_ids give statistically independent streams, so each Monte Carlo trial
 draws from its own substream and results do not depend on the order in which
 trials are drawn or whether they are stacked into one batch.
 
-complex_normal_stack draws a whole stack at once: each trial's stream fills
-its own slice of one array, and the scaling and complex assembly run once
-per stack, so slice t holds the same bits as that stream's own
-complex_normal draw.
+Streams are lazy: a stream holds only its key until it draws, so a parent
+that only derives substreams never builds a generator.  complex_normal_stack
+draws a whole stack at once: each trial's stream fills its own slice of one
+array, and the scaling and complex assembly run once per stack, so slice t
+holds the same bits as that stream's own complex_normal draw.  The row of a
+stream that has never drawn comes from one shared Philox, re-keyed to that
+stream's key; if the stream draws again, it builds its own generator and
+first replays that row, so its sequence is the same as if it had drawn
+everything itself.  The shared generator assumes one thread draws at a time,
+as semlink runs (cli.run_trials is a serial loop).
 """
 
 from __future__ import annotations
@@ -42,17 +48,44 @@ def _mix64(a: int, b: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+# The shared Philox of first stack rows.  Each row re-keys it through its
+# state setter to a fresh Philox's state (counter 0, empty buffer), so no
+# state carries from one fill to the next.  The setter reads plain ints
+# faster than numpy arrays, so _ROW_KEY is a list set to each stream's key.
+_ROW_KEY = [0, 0]
+_ROW_STATE = {
+    "bit_generator": "Philox",
+    "state": {"counter": (0, 0, 0, 0), "key": _ROW_KEY},
+    "buffer": (0, 0, 0, 0),
+    "buffer_pos": 4,
+    "has_uint32": 0,
+    "uinteger": 0,
+}
+_ROW_PHILOX = np.random.Philox(_PhiloxKey(np.zeros(2, dtype=np.uint64)))
+_ROW_GEN = np.random.Generator(_ROW_PHILOX)
+
+
 class RngStream:
     """One independent random stream addressed by (seed, stream_id)."""
 
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = int(seed) & _MASK64
         self.stream_id = int(stream_id) & _MASK64
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+        self._own = None  # this stream's Generator, built at its first own draw
+        self._row_shape = None  # shape of a first stack row drawn from _ROW_GEN
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
+
+    @property
+    def _gen(self) -> np.random.Generator:
+        """This stream's Generator, positioned after every draw it made."""
+        if self._own is None:
+            key = np.array([self.seed, self.stream_id], dtype=np.uint64)
+            self._own = np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+            if self._row_shape is not None:
+                self._own.standard_normal(self._row_shape)
+        return self._own
 
     def substream(self, *ids: int) -> "RngStream":
         """Derive an independent child stream from this stream's identity."""
@@ -86,6 +119,35 @@ class RngStream:
         return complex_normal_stack((self,), shape, mean, var)[0]
 
 
+def _normal_rows(streams, shape: tuple) -> np.ndarray:
+    """[T, *shape] standard normals, row t drawn by streams[t] in list order.
+
+    A stream that has never drawn fills its row from _ROW_GEN re-keyed to
+    its key and records the row's shape for its own generator to replay.
+    """
+    buf = np.empty((len(streams), *shape))
+    for stream, row in zip(streams, buf):
+        if stream._own is None and stream._row_shape is None:
+            _ROW_KEY[0] = stream.seed
+            _ROW_KEY[1] = stream.stream_id
+            _ROW_PHILOX.state = _ROW_STATE
+            _ROW_GEN.standard_normal(out=row)
+            stream._row_shape = shape
+        else:
+            stream._gen.standard_normal(out=row)
+    return buf
+
+
+def _complex_rows(buf: np.ndarray, mean: complex, var: float) -> np.ndarray:
+    """[T, *shape] CN(mean, var) from standard normals buf [T, 2, *shape]
+    (real parts, then imaginary parts), scaling buf in place."""
+    buf *= math.sqrt(var / 2.0)
+    out = np.empty((len(buf), *buf.shape[2:]), dtype=np.complex128)
+    np.add(buf[:, 0], mean.real, out=out.real)
+    np.add(buf[:, 1], mean.imag, out=out.imag)
+    return out
+
+
 def complex_normal_stack(streams, shape=(), mean: complex = 0.0, var: float = 1.0) -> np.ndarray:
     """[T, *shape] i.i.d. CN(mean, var) draws, slice t from streams[t].
 
@@ -98,11 +160,4 @@ def complex_normal_stack(streams, shape=(), mean: complex = 0.0, var: float = 1.
         raise ValueError("var must be >= 0")
     if isinstance(shape, (int, np.integer)):
         shape = (shape,)
-    buf = np.empty((len(streams), 2, *shape))
-    for stream, row in zip(streams, buf):
-        stream._gen.standard_normal(out=row)
-    buf *= math.sqrt(var / 2.0)
-    out = np.empty((len(streams), *shape), dtype=np.complex128)
-    np.add(buf[:, 0], mean.real, out=out.real)
-    np.add(buf[:, 1], mean.imag, out=out.imag)
-    return out
+    return _complex_rows(_normal_rows(streams, (2, *shape)), mean, var)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from semlink import cli
 from semlink.channel import ChannelConfig, draw_channel
 from semlink.cli import _S_EVAL, _bench_cell, _fresh_scene_with_loc, hash_key, main
 from semlink.codec import CodecConfig
@@ -559,6 +560,17 @@ class TestSweepPr:
         _, rows = read_csv(tmp_path / "sweep_pr.csv")
         assert [(r[0], float(r[1])) for r in rows] == [
             (kind, p_r) for kind in ("awgn", "rayleigh") for p_r in (0.2, 0.6)]
+
+    def test_train_per_pr_trains_each_p_r_once(self, tmp_path, monkeypatch):
+        calls = []
+        train_for_pr = cli._train_for_pr
+        monkeypatch.setattr(cli, "_train_for_pr",
+                            lambda cfg, p_r: calls.append(p_r) or train_for_pr(cfg, p_r))
+        code = main(["sweep-pr", "--out", str(tmp_path), "--seed", "2", "--sweep.train_per_pr",
+                     "true", "--sweep.trials", "1", "--sweep.pr_list", "0.2,0.6",
+                     "--sweep.kinds", "awgn,rayleigh", *FAST_TRAIN])
+        assert code == 0
+        assert calls == [0.2, 0.6]
 
 
 class TestSweepUsers:

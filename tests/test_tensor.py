@@ -9,10 +9,14 @@ from hypothesis.extra import numpy as hnp
 
 from gradcheck import check_grads, fd_grad, rel_err
 from semlink import training
+from semlink.chancodec import ChanCodecParams
+from semlink.channel import ChannelConfig
+from semlink.cli import _bench_cell
 from semlink.errors import ConfigError, ContractError, NonFiniteError, ParseError, ShapeError
 from semlink.link import LinkModel
-from semlink.rng import RngStream, complex_normal_stack
+from semlink.rng import RngStream, _PhiloxKey, complex_normal_stack
 from semlink.scenes import SceneConfig, generate_scene
+from semlink.sharing import partition, synth_correlated_semantics, transport
 from semlink.snapshot import load_tensors, save_tensors, tensor_from_bytes, tensor_to_bytes
 from semlink.tensor import (
     AttentionParams,
@@ -473,6 +477,9 @@ class TestFiniteDifferences:
             check_grads(fn, [a, b])
 
 
+_DRAWS = ("stack", "complex_normal", "normal", "uniform", "integers", "choice", "permutation")
+
+
 class TestRng:
     def test_zero_std_constant(self):
         t = RngStream(1, 2).normal((10,), mean=3.5, std=0.0)
@@ -556,6 +563,98 @@ class TestRng:
     def test_complex_normal_stack_rejects_negative_var(self, var):
         with pytest.raises(ValueError, match="var must be >= 0"):
             complex_normal_stack([RngStream(1)], (2,), 0.0, var)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        sids=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3, unique=True),
+        ops=st.lists(st.tuples(st.sampled_from(_DRAWS),
+                               st.lists(st.integers(0, 2), min_size=1, max_size=4),
+                               st.integers(0, 4)), max_size=8),
+    )
+    def test_lazy_streams_match_an_eager_reference(self, seed, sids, ops):
+        # each stream against numpy's own generator on its key, built up front:
+        # stack rows filled from the shared generator and later draws that
+        # replay them must leave every stream where its reference is
+        streams = [RngStream(seed, sid) for sid in sids]
+        refs = [np.random.Generator(np.random.Philox(
+            _PhiloxKey(np.array([seed, sid], dtype=np.uint64)))) for sid in sids]
+        mean, var = 0.5 - 1.0j, 3.0
+        scale = math.sqrt(var / 2.0)
+        for op, picks, n in ops:
+            picks = [p % len(sids) for p in picks]  # may list a stream twice
+            if op == "stack":
+                got = complex_normal_stack([streams[i] for i in picks], (n, 2), mean, var)
+                for slice_t, i in zip(got, picks):
+                    re, im = refs[i].standard_normal((2, n, 2)) * scale
+                    np.testing.assert_array_equal(slice_t.real, re + mean.real)
+                    np.testing.assert_array_equal(slice_t.imag, im + mean.imag)
+                continue
+            stream, ref = streams[picks[0]], refs[picks[0]]
+            if op == "complex_normal":
+                got = stream.complex_normal((n,), mean, var)
+                re, im = ref.standard_normal((2, n)) * scale
+                np.testing.assert_array_equal(got.real, re + mean.real)
+                np.testing.assert_array_equal(got.imag, im + mean.imag)
+            elif op == "normal":
+                np.testing.assert_array_equal(stream.normal((n,), 0.3, 2.0),
+                                              ref.normal(0.3, 2.0, size=(n,)))
+            elif op == "uniform":
+                np.testing.assert_array_equal(stream.uniform((n,), -1.0, 2.0),
+                                              ref.uniform(-1.0, 2.0, size=(n,)))
+            elif op == "integers":
+                np.testing.assert_array_equal(stream.integers(0, 10, (n,)),
+                                              ref.integers(0, 10, size=(n,)))
+            elif op == "choice":
+                np.testing.assert_array_equal(stream.choice(5, n), ref.choice(5, size=n, replace=False))
+            else:
+                np.testing.assert_array_equal(stream.permutation(n + 1), ref.permutation(n + 1))
+        for stream, ref in zip(streams, refs):
+            np.testing.assert_array_equal(stream.normal((3,)), ref.normal(size=3))
+
+
+@pytest.fixture
+def philox_builds(monkeypatch):
+    """Record every numpy Philox constructed while the test runs."""
+    built = []
+
+    class CountingPhilox(np.random.Philox):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", CountingPhilox)
+    return built
+
+
+class TestRngCost:
+    """Streams that never draw build no generator, and first stack rows come
+    from the shared one: a stream builds its own only when it draws again."""
+
+    def test_bench_cell_builds_no_philox(self, philox_builds):
+        cfg = ChannelConfig(kind="rician", n_t=2, n_r=3, snr_db=10.0, csi_error_var=0.05)
+        vals = _bench_cell(cfg, RngStream(5, 6), 8, 16)
+        assert vals.shape == (8,)
+        assert philox_builds == []
+
+    def test_transport_builds_no_philox(self, philox_builds):
+        k = 4
+        z = synth_correlated_semantics(RngStream(7), k, 24, 12, 0.5)
+        part = partition(z, 0.5)
+        assert part.l_pub and part.l_pri
+        codecs = [ChanCodecParams.init(12, 8, RngStream(8, u)) for u in range(k + 1)]
+        philox_builds.clear()
+        transport(part, codecs[:k], codecs[k], ChannelConfig(kind="rayleigh", n_t=2, n_r=2,
+                                                             csi_error_var=0.02), RngStream(9))
+        assert philox_builds == []
+
+    def test_stream_drawing_after_its_stack_row_builds_one_philox(self, philox_builds):
+        stream = RngStream(10, 11)
+        complex_normal_stack([stream], (3,))
+        assert philox_builds == []
+        stream.normal((2,))
+        stream.normal((2,))
+        assert len(philox_builds) == 1
 
 
 class TestSinusoidTable:
