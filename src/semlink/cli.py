@@ -6,8 +6,12 @@ overrides, honors --seed deterministically (reruns produce byte-identical
 outputs), writes CSV results with a trailing .meta.json sidecar carrying the
 fully resolved configuration, and exits 0 on success, 2 on configuration
 errors, 3 on runtime errors.  A loaded checkpoint's grid must match scene.*.
-One eval trial draws its scene, plans, channel and noise once and scores
-both masking arms on that draw.
+
+eval and sweep-pr loop over trials outside and channel cells inside.  Trial
+t draws its scene and plans from a stream keyed by t alone (a sweep-pr plan
+also by its p_r), encodes each arm once, and scores the encoding in every
+cell; each kind draws its channel frame and noise from a stream keyed by
+(kind, t), so the SNRs of a kind share H and the standardized noise.
 """
 
 from __future__ import annotations
@@ -23,11 +27,11 @@ import numpy as np
 
 from .channel import draw_channel
 from .codec import CodecConfig
-from .config import RunConfig
+from .config import RunConfig, eval_cell_name
 from .errors import ConfigError, SemlinkError
-from .link import LinkModel, evaluate_link, fading_stage
+from .link import LinkModel, fading_stage, link_encode, link_receive
 from .masking import patchify, random_mask
-from .metrics import image_report, nmse
+from .metrics import ReferenceImage, nmse
 from .rng import RngStream, complex_normal_stack
 from .snapshot import save_tensors
 from .scenes import generate_correlated_batch, generate_scene, locate, locate_any, save_scene
@@ -166,52 +170,74 @@ _MASKINGS = ("adaptive", "random")
 _EVAL_FIELDS = ("psnr_db", "ssim", "region_psnr_db", "region_ssim")
 
 
-def _eval_trial(cfg: RunConfig, model: LinkModel, chan_cfg, mask_prob: float, cell_rng,
-                with_random: bool, dump_dir: Path | None = None,
-                trial: int | None = None) -> list:
-    """Reports of one draw under adaptive and, with_random, random masking at the
-    same patch budget: scene, plans, channel frame and noise come from
-    cell_rng.substream(1), (2) and (3), (4) and (5).  Dumps go to f"{dump_dir}_{masking}"."""
-    grid = model.grid
-    scene, loc = _fresh_scene_with_loc(cfg, cell_rng.substream(1), grid)
-    plans = [sample_nonempty_mask(grid, loc, mask_prob, cell_rng.substream(2))]
-    if with_random:
-        plans.append(random_mask(grid, plans[0].keep_count, cell_rng.substream(3)))
-    frame = draw_channel(chan_cfg, [cell_rng.substream(4)])
-    noise = cell_rng.substream(5)
+def _score_trial(cfg: RunConfig, base: RngStream, trial: int, arms_for, chan_cfgs: list,
+                 dump_dirs: list | None = None) -> list:
+    """Reports [cell][arm] of one trial, drawn and encoded once for every cell.
+
+    The scene and location come from trial_rng = base.substream(trial) at (1);
+    arms_for(grid, loc, trial_rng) gives the arms' (model, plan) pairs, each
+    encoded once.  Cell c sends every arm over chan_cfgs[c], with the frame
+    and noise stream of trial_rng.substream(hash_key(kind)) at (4) and (5),
+    derived afresh in each cell, so every SNR of a kind sees the same H and
+    the same standardized noise.  The original's half of the metrics is
+    computed once.  With dump_dirs, arm a of cell c is dumped to dump_dirs[c][a].
+    """
+    trial_rng = base.substream(trial)
+    grid = cfg.scene_config().grid()
+    scene, loc = _fresh_scene_with_loc(cfg, trial_rng.substream(1), grid)
+    arms = arms_for(grid, loc, trial_rng)
+    reference = ReferenceImage.of(scene.image, loc, grid)
     reports = []
-    for masking, plan in zip(_MASKINGS, plans):
-        with no_grad():
-            res = evaluate_link(model, scene.image, plan, chan_cfg, noise, frame=frame)
-        if dump_dir is not None:
-            arm_dir = Path(f"{dump_dir}_{masking}")
-            arm_dir.mkdir(parents=True, exist_ok=True)
-            save_tensors(arm_dir / f"trial{trial:04d}.slnk",
-                         {"original": Tensor(scene.image), "reconstructed": res.image})
-            (arm_dir / f"trial{trial:04d}.json").write_text(
-                json.dumps({"loc": loc.sorted_indices, "patch_size": grid.patch_size,
-                            "plan": json.loads(plan.to_json())})
-            )
-        reports.append(image_report(scene.image, res.image, loc, grid))
+    with no_grad():
+        encoded = [link_encode(model, scene.image, plan) for model, plan in arms]
+        for c, chan_cfg in enumerate(chan_cfgs):
+            kind_rng = trial_rng.substream(hash_key(chan_cfg.kind))
+            frame = draw_channel(chan_cfg, [kind_rng.substream(4)])
+            noise = kind_rng.substream(5)
+            cell = []
+            for a, ((model, plan), (z, x)) in enumerate(zip(arms, encoded)):
+                image = link_receive(model, z, x, chan_cfg, noise, frame).image
+                if dump_dirs is not None:
+                    _dump_arm(dump_dirs[c][a], trial, scene, loc, grid, plan, image)
+                cell.append(reference.report(image))
+            reports.append(cell)
     return reports
+
+
+def _dump_arm(arm_dir: Path, trial: int, scene, loc, grid, plan, image) -> None:
+    """The original and reconstructed images, and the location and plan."""
+    arm_dir.mkdir(parents=True, exist_ok=True)
+    save_tensors(arm_dir / f"trial{trial:04d}.slnk",
+                 {"original": Tensor(scene.image), "reconstructed": image})
+    (arm_dir / f"trial{trial:04d}.json").write_text(
+        json.dumps({"loc": loc.sorted_indices, "patch_size": grid.patch_size,
+                    "plan": json.loads(plan.to_json())})
+    )
 
 
 def cmd_eval(cfg: RunConfig, out_dir: Path, checkpoint: str) -> int:
     model = _load_model(cfg, checkpoint)
-    trials = cfg["eval.trials"]
-    dump = cfg["eval.dump_images"]
+    trials, mask_prob = cfg["eval.trials"], cfg["eval.mask_prob"]
+    chan_cfgs = [cfg.channel_config(kind=kind, snr_db=snr_db)
+                 for kind in cfg["eval.kinds"] for snr_db in cfg["eval.snr_db_list"]]
+    dump_dirs = None
+    if cfg["eval.dump_images"]:
+        dump_dirs = [[out_dir / "images" / f"{eval_cell_name(c.kind, c.snr_db)}_{masking}"
+                      for masking in _MASKINGS] for c in chan_cfgs]
+
+    def arms_for(grid, loc, trial_rng):
+        adaptive = sample_nonempty_mask(grid, loc, mask_prob, trial_rng.substream(2))
+        return [(model, adaptive),
+                (model, random_mask(grid, adaptive.keep_count, trial_rng.substream(3)))]
+
+    base = RngStream(cfg["seed"], _S_EVAL)
+    per_trial = run_trials(trials, lambda t: _score_trial(cfg, base, t, arms_for, chan_cfgs,
+                                                          dump_dirs))
     rows = []
-    for kind in cfg["eval.kinds"]:
-        for snr_db in cfg["eval.snr_db_list"]:
-            chan_cfg = cfg.channel_config(kind=kind, snr_db=snr_db)
-            base = RngStream(cfg["seed"], _S_EVAL).substream(
-                hash_key(kind), int(snr_db * 1000) & 0xFFFFFFFF
-            )
-            dump_dir = out_dir / "images" / f"{kind}_{snr_db:g}dB" if dump else None
-            per_trial = run_trials(trials, lambda t: _eval_trial(
-                cfg, model, chan_cfg, cfg["eval.mask_prob"], base.substream(t), True, dump_dir, t))
-            for masking, reports in zip(_MASKINGS, zip(*per_trial)):
-                rows.append((kind, snr_db, masking, trials, *_mean_std(reports, _EVAL_FIELDS)))
+    for c, chan_cfg in enumerate(chan_cfgs):
+        for a, masking in enumerate(_MASKINGS):
+            rows.append((chan_cfg.kind, chan_cfg.snr_db, masking, trials,
+                         *_mean_std([r[c][a] for r in per_trial], _EVAL_FIELDS)))
     out = out_dir / "eval.csv"
     _write_csv(out, ["kind", "snr_db", "masking", "trials",
                      "psnr_mean", "psnr_std", "ssim_mean", "ssim_std",
@@ -240,19 +266,21 @@ def cmd_sweep_pr(cfg: RunConfig, out_dir: Path, checkpoint: str | None) -> int:
     else:
         models = {p_r: _train_for_pr(cfg, p_r) for p_r in cfg["sweep.pr_list"]}
 
+    pr_list, kinds = cfg["sweep.pr_list"], cfg["sweep.kinds"]
+
+    def arms_for(grid, loc, trial_rng):
+        return [(models[p_r], sample_nonempty_mask(grid, loc, p_r,
+                                                   trial_rng.substream(2, int(round(p_r * 1000)))))
+                for p_r in pr_list]
+
+    base = RngStream(cfg["seed"], _S_SWEEP)
+    chan_cfgs = [cfg.channel_config(kind=kind) for kind in kinds]
+    per_trial = run_trials(trials, lambda t: _score_trial(cfg, base, t, arms_for, chan_cfgs))
     rows = []
-    for kind in cfg["sweep.kinds"]:
-        chan_cfg = cfg.channel_config(kind=kind)
-        for p_r in cfg["sweep.pr_list"]:
-            base = RngStream(cfg["seed"], _S_SWEEP).substream(
-                hash_key(kind), int(round(p_r * 1000))
-            )
-            reports = run_trials(
-                trials,
-                lambda t: _eval_trial(cfg, models[p_r], chan_cfg, p_r, base.substream(t), False)[0],
-            )
-            rows.append((kind, p_r, trials,
-                         *_mean_std(reports, ("region_psnr_db", "region_ssim"))))
+    for c, kind in enumerate(kinds):
+        for a, p_r in enumerate(pr_list):
+            rows.append((kind, p_r, trials, *_mean_std([r[c][a] for r in per_trial],
+                                                       ("region_psnr_db", "region_ssim"))))
 
     out = out_dir / "sweep_pr.csv"
     _write_csv(out, ["kind", "p_r", "trials",

@@ -87,6 +87,11 @@ _COMMAND_KINDS = {"eval": ("eval.kinds", "eval.snr_db_list"),
                   "channel-bench": ("bench.kinds", "bench.snr_db_list")}
 
 
+def eval_cell_name(kind: str, snr_db: float) -> str:
+    """Name of an eval cell's image dump directories (one per masking arm)."""
+    return f"{kind}_{snr_db:g}dB"
+
+
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -191,6 +196,12 @@ class RunConfig:
         if (command in (None, "channel-bench") and set(v["bench.kinds"]) != {"awgn"}
                 and not math.isfinite(max(map(abs, v["bench.csi_var_list"])) * 1e6)):
             raise ConfigError("bench.csi_var_list entry * 1e6 (its stream key) overflows")
+        if command in (None, "eval") and v["eval.dump_images"]:
+            names = [eval_cell_name(k, s) for k in v["eval.kinds"] for s in v["eval.snr_db_list"]]
+            shared = sorted({n for n in names if names.count(n) > 1})
+            if shared:
+                raise ConfigError(f"eval.dump_images: cells {', '.join(shared)} would share one "
+                                  "dump directory (repeated kind or SNR equal under :g)")
         if command in (None, "sweep-users"):
             if not math.isfinite(max(v["users.eps_list"]) * 1e4):  # entries >= 0, checked above
                 raise ConfigError("users.eps_list entry * 1e4 (its stream key) overflows")

@@ -7,8 +7,11 @@ statistical pass through fading + L-MMSE detection for evaluation.  Each pass
 is composed of the same steps, each written once here: encode, decode, and
 one function per channel stage: surrogate_stage on Tensors, which training
 differentiates, and fading_stage on plain complex arrays (training phase 2
-and multi-user transport call the stages directly).  Images and patch rows
-are plain ndarrays: the autodiff graph starts at the codec's patch embedding.
+and multi-user transport call the stages directly).  evaluate_link is
+link_encode, which does not depend on the channel, followed by link_receive,
+so a caller can encode once and send the result over several channels.
+Images and patch rows are plain ndarrays: the autodiff graph starts at the
+codec's patch embedding.
 
 The transmit power scale is treated as known at the receiver (automatic gain
 control), so detected symbols are de-normalized before channel decoding.
@@ -32,7 +35,7 @@ from .snapshot import load_tensors, save_tensors
 from .tensor import Tensor, div, mul, power, tmean
 
 __all__ = ["LinkModel", "LinkResult", "surrogate_link", "evaluate_link", "codec_only_pass",
-           "surrogate_stage", "fading_stage"]
+           "surrogate_stage", "fading_stage", "link_encode", "link_receive"]
 
 
 @dataclass
@@ -178,6 +181,23 @@ def surrogate_link(model: LinkModel, image: np.ndarray, plan: MaskPlan,
     return LinkResult(_decode(model, z_hat), z, z_hat)
 
 
+def link_encode(model: LinkModel, image: np.ndarray,
+                plan: MaskPlan) -> tuple[SemanticTensor, np.ndarray]:
+    """The channel-independent half of evaluate_link: encode the plan's
+    patches and map them to channel symbols.  Returns (Z, symbols)."""
+    z = _encode(model, image, plan)
+    return z, chan_encode(z.values.data, model.chan)
+
+
+def link_receive(model: LinkModel, z: SemanticTensor, x: np.ndarray,
+                 chan_cfg: ChannelConfig, rng: RngStream, frame=None) -> LinkResult:
+    """The per-channel half of evaluate_link: send link_encode's symbols x
+    through fading_stage (a stack of one), channel-decode and decode."""
+    x_hat = fading_stage(x[None], chan_cfg, [rng], frame)[0]
+    z_hat = z.with_values(Tensor(chan_decode(x_hat, model.chan)))
+    return LinkResult(_decode(model, z_hat), z, z_hat)
+
+
 def evaluate_link(model: LinkModel, image: np.ndarray, plan: MaskPlan,
                   chan_cfg: ChannelConfig, rng: RngStream,
                   frame=None) -> LinkResult:
@@ -186,7 +206,4 @@ def evaluate_link(model: LinkModel, image: np.ndarray, plan: MaskPlan,
     A pre-drawn one-frame stack can be passed to pair arms of a comparison on
     the same channel realization.
     """
-    z = _encode(model, image, plan)
-    x_hat = fading_stage(chan_encode(z.values.data, model.chan)[None], chan_cfg, [rng], frame)[0]
-    z_hat = z.with_values(Tensor(chan_decode(x_hat, model.chan)))
-    return LinkResult(_decode(model, z_hat), z, z_hat)
+    return link_receive(model, *link_encode(model, image, plan), chan_cfg, rng, frame)

@@ -11,9 +11,13 @@ image_report scores one reconstruction from two maps: squared error, whose
 mean over all or region pixels gives PSNR and region PSNR, and SSIM per
 window and channel, whose five window means (x, y, x², y², xy) come from
 running sums along each axis.  Global SSIM is the map's mean, region SSIM
-its mean over the windows fully inside the region.  psnr, ssim and
-region_metric are single-metric views of the same code.  Evaluation runs the
-link under tensor.no_grad(), so the images scored here carry no graph.
+its mean over the windows fully inside the region.  The original's half
+(region pixel mask, windows inside it, window means of x and x²) is a
+ReferenceImage, built once and shared by every reconstruction of that
+original; image_report is one reference scoring one reconstruction.  psnr,
+ssim and region_metric are single-metric views of the same code.  Evaluation
+runs the link under tensor.no_grad(), so the images scored here carry no
+graph.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from .errors import ContractError, ShapeError
 from .masking import PatchGrid
 from .tensor import Tensor
 
-__all__ = ["MetricReport", "image_report", "psnr", "ssim", "region_metric", "nmse"]
+__all__ = ["MetricReport", "ReferenceImage", "image_report", "psnr", "ssim", "region_metric",
+           "nmse"]
 
 PSNR_CAP_DB = 100.0
 SSIM_WINDOW = 8
@@ -90,24 +95,31 @@ def _window_sums(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _ssim_map(x: np.ndarray, y: np.ndarray, max_val: float):
-    """SSIM of every window placement, [C, H-7, W-7]; None when none fits."""
-    if x.shape[-2] < SSIM_WINDOW or x.shape[-1] < SSIM_WINDOW:
+def _window_means(a: np.ndarray):
+    """Means of a and a² over every window placement, [2, ..., H-7, W-7];
+    None when no window fits."""
+    if a.shape[-2] < SSIM_WINDOW or a.shape[-1] < SSIM_WINDOW:
         return None
-    n = SSIM_WINDOW * SSIM_WINDOW
-    mx, my, exx, eyy, exy = _window_sums(np.stack([x, y, x * x, y * y, x * y])) / n
+    return _window_sums(np.stack([a, a * a])) / (SSIM_WINDOW * SSIM_WINDOW)
+
+
+def _ssim_map(x: np.ndarray, y: np.ndarray, x_means, max_val: float):
+    """SSIM of every window placement, [C, H-7, W-7], given the original's
+    window means _window_means(x); None when no window fits."""
+    if x_means is None:
+        return None
+    mx, exx = x_means
+    my, eyy, exy = _window_sums(np.stack([y, y * y, x * y])) / (SSIM_WINDOW * SSIM_WINDOW)
     return _ssim_value(mx, my, exx - mx * mx, eyy - my * my, exy - mx * my, max_val)
 
 
-def _ssim_mean(x, y, smap, max_val, mask=None) -> float:
+def _ssim_mean(x, y, smap, max_val, mask=None, inside=None) -> float:
     """Channel mean of the SSIM map's mean over the windows inside mask
     (all windows without one); global statistics of the masked pixels when
-    no window lies inside."""
-    inside = None
-    if smap is not None and mask is not None:
-        inside = _window_sums(mask.astype(np.int64)) == SSIM_WINDOW * SSIM_WINDOW
-        if not inside.any():
-            smap = None
+    there is no map or, with a mask, inside (the windows fully inside it)
+    is None because none is."""
+    if mask is not None and inside is None:
+        smap = None
     vals = []
     for ch in range(x.shape[0]):
         if smap is None:
@@ -128,20 +140,50 @@ def _region_pixel_mask(loc, grid: PatchGrid) -> np.ndarray:
     return mask
 
 
+@dataclass(frozen=True)
+class ReferenceImage:
+    """The original image's half of image_report, computed once and shared by
+    every reconstruction scored against the same original and region."""
+
+    x: np.ndarray  # original C x H x W
+    mask: np.ndarray  # region pixels, H x W
+    x_means: np.ndarray | None  # _window_means(x); None when no window fits
+    inside: np.ndarray | None  # windows fully inside the region; None when none is
+    max_val: float
+
+    @staticmethod
+    def of(original, loc, grid: PatchGrid, max_val: float = 1.0) -> "ReferenceImage":
+        if max_val <= 0:
+            raise ContractError("max_val must be > 0")
+        x = _img(original)
+        mask = _region_pixel_mask(loc, grid)
+        x_means = _window_means(x)
+        inside = None
+        if x_means is not None:
+            inside = _window_sums(mask.astype(np.int64)) == SSIM_WINDOW * SSIM_WINDOW
+            inside = inside if inside.any() else None
+        return ReferenceImage(x, mask, x_means, inside, max_val)
+
+    def report(self, reconstructed) -> MetricReport:
+        """PSNR, SSIM and their region variants of one reconstruction, from
+        one squared-error map and one SSIM map."""
+        x, y, max_val = self.x, _img(reconstructed), self.max_val
+        if x.shape != y.shape:
+            raise ShapeError(f"image report shape mismatch {x.shape} vs {y.shape}")
+        err2 = (x - y) ** 2
+        smap = _ssim_map(x, y, self.x_means, max_val)
+        return MetricReport(
+            psnr_db=_psnr_db(float(np.mean(err2)), max_val),
+            ssim=_ssim_mean(x, y, smap, max_val),
+            region_psnr_db=_psnr_db(float(err2[:, self.mask].mean()), max_val),
+            region_ssim=_ssim_mean(x, y, smap, max_val, self.mask, self.inside),
+        )
+
+
 def image_report(original, reconstructed, loc, grid: PatchGrid,
                  max_val: float = 1.0) -> MetricReport:
-    """PSNR, SSIM and their region variants of one C x H x W reconstruction,
-    from one squared-error map and one SSIM map."""
-    x, y = _pair(original, reconstructed, "image report", max_val)
-    mask = _region_pixel_mask(loc, grid)
-    err2 = (x - y) ** 2
-    smap = _ssim_map(x, y, max_val)
-    return MetricReport(
-        psnr_db=_psnr_db(float(np.mean(err2)), max_val),
-        ssim=_ssim_mean(x, y, smap, max_val),
-        region_psnr_db=_psnr_db(float(err2[:, mask].mean()), max_val),
-        region_ssim=_ssim_mean(x, y, smap, max_val, mask),
-    )
+    """PSNR, SSIM and their region variants of one C x H x W reconstruction."""
+    return ReferenceImage.of(original, loc, grid, max_val).report(reconstructed)
 
 
 def psnr(a, b, max_val: float = 1.0) -> float:
@@ -156,7 +198,7 @@ def ssim(a, b, max_val: float = 1.0) -> float:
     x, y = _pair(a, b, "ssim", max_val)
     if x.ndim == 2:
         x, y = x[None], y[None]
-    return _ssim_mean(x, y, _ssim_map(x, y, max_val), max_val)
+    return _ssim_mean(x, y, _ssim_map(x, y, _window_means(x), max_val), max_val)
 
 
 def region_metric(a, b, loc, grid: PatchGrid, which: str, max_val: float = 1.0) -> float:
@@ -169,11 +211,8 @@ def region_metric(a, b, loc, grid: PatchGrid, which: str, max_val: float = 1.0) 
     """
     if which not in ("psnr", "ssim"):
         raise ContractError(f"unknown metric {which!r}")
-    mask = _region_pixel_mask(loc, grid)
-    x, y = _pair(a, b, "region metric", max_val)
-    if which == "psnr":
-        return _psnr_db(float(((x - y) ** 2)[:, mask].mean()), max_val)
-    return _ssim_mean(x, y, _ssim_map(x, y, max_val), max_val, mask)
+    report = image_report(a, b, loc, grid, max_val)
+    return report.region_psnr_db if which == "psnr" else report.region_ssim
 
 
 def nmse(x: np.ndarray, x_hat: np.ndarray) -> np.ndarray:

@@ -201,6 +201,18 @@ class TestExitCodes:
         assert err.startswith("config error:") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("args", [
+        ["--eval.kinds", "awgn,rayleigh,awgn"],
+        ["--eval.snr_db_list", "10,10.000001"],
+    ], ids=["kind-twice", "snr-equal-under-g"])
+    def test_eval_dumps_sharing_a_directory_exit_2(self, tmp_path, capsys, args):
+        code = main(["eval", "--checkpoint", str(tmp_path / "missing.ckpt"), "--out",
+                     str(tmp_path), "--eval.dump_images", "true", *args])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        assert not (tmp_path / "images").exists()
+
+    @pytest.mark.parametrize("args", [
         *[pytest.param([f"--{key}", raw], id=f"{key}={raw!r}")
           for key, (tag, _) in SCHEMA.items() if tag in ("floats", "strs") for raw in (",", "")],
         # sharing needs two features a row to compare variances
@@ -382,17 +394,18 @@ class TestEval:
             assert abs(float(row[col]) - float(np.mean(vals))) < 1e-9
 
 
-def reference_eval_trial(cfg, model, chan_cfg, masking, mask_prob, cell_rng):
-    """One arm of one eval trial, drawn on its own: the per-arm trial that
-    semlink.cli scored before both arms shared one draw."""
+def reference_eval_trial(cfg, model, chan_cfg, masking, mask_prob, trial_rng):
+    """One arm of one eval trial in one cell, drawn and encoded on its own:
+    scene and plans from trial_rng, frame and noise from its kind's substream."""
     grid = model.grid
-    scene, loc = _fresh_scene_with_loc(cfg, cell_rng.substream(1), grid)
-    plan = sample_nonempty_mask(grid, loc, mask_prob, cell_rng.substream(2))
+    scene, loc = _fresh_scene_with_loc(cfg, trial_rng.substream(1), grid)
+    plan = sample_nonempty_mask(grid, loc, mask_prob, trial_rng.substream(2))
     if masking == "random":
-        plan = random_mask(grid, plan.keep_count, cell_rng.substream(3))
-    frame = draw_channel(chan_cfg, [cell_rng.substream(4)])
+        plan = random_mask(grid, plan.keep_count, trial_rng.substream(3))
+    kind_rng = trial_rng.substream(hash_key(chan_cfg.kind))
+    frame = draw_channel(chan_cfg, [kind_rng.substream(4)])
     with no_grad():
-        res = evaluate_link(model, scene.image, plan, chan_cfg, cell_rng.substream(5), frame=frame)
+        res = evaluate_link(model, scene.image, plan, chan_cfg, kind_rng.substream(5), frame=frame)
     return image_report(scene.image, res.image, loc, grid)
 
 
@@ -413,7 +426,7 @@ class TestEvalPairedArms:
         for kind in ("awgn", "rayleigh", "rician"):
             for snr_db in (0.0, 10.0):
                 chan_cfg = cfg.channel_config(kind=kind, snr_db=snr_db)
-                base = RngStream(5, _S_EVAL).substream(hash_key(kind), int(snr_db * 1000))
+                base = RngStream(5, _S_EVAL)
                 for masking in ("adaptive", "random"):
                     vals = np.asarray([
                         [r.psnr_db, r.ssim, r.region_psnr_db, r.region_ssim]
@@ -444,6 +457,61 @@ class TestEvalPairedArms:
                                   for d in (adaptive, rand))
                 assert len(plan_a["keep"]) == len(plan_r["keep"]) > 0
                 assert plan_r["object"] == []
+
+    def test_trial_original_and_plans_identical_in_every_cell(self, tmp_path,
+                                                               trained_checkpoint):
+        from semlink.snapshot import load_tensors
+
+        assert main(["eval", "--checkpoint", trained_checkpoint, "--seed", "6", *_MIMO_EVAL,
+                     "--eval.dump_images", "true", "--out", str(tmp_path)]) == 0
+        dirs = sorted((tmp_path / "images").iterdir())
+        assert len(dirs) == 12  # 3 kinds x 2 SNRs x 2 maskings
+        for t in range(3):
+            originals = [load_tensors(d / f"trial{t:04d}.slnk")["original"].data for d in dirs]
+            for original in originals[1:]:
+                np.testing.assert_array_equal(original, originals[0])
+            for masking in ("adaptive", "random"):
+                metas = {(d / f"trial{t:04d}.json").read_text()
+                         for d in dirs if d.name.endswith(f"_{masking}")}
+                assert len(metas) == 1, masking
+
+
+class TestEncodeOncePerTrial:
+    """A trial draws its scene and encodes each arm once for all its cells."""
+
+    @staticmethod
+    def count_calls(monkeypatch, args):
+        from semlink import link
+
+        counts = {"scene": 0, "encode": 0}
+
+        def counted(name, fn):
+            def wrapper(*a, **k):
+                counts[name] += 1
+                return fn(*a, **k)
+            return wrapper
+
+        monkeypatch.setattr(cli, "generate_scene", counted("scene", cli.generate_scene))
+        monkeypatch.setattr(link, "encode", counted("encode", link.encode))
+        assert main(args) == 0
+        return counts
+
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_eval_draws_and_encodes_each_trial_once(self, tmp_path, monkeypatch,
+                                                     trained_checkpoint, trials):
+        counts = self.count_calls(monkeypatch, [
+            "eval", "--checkpoint", trained_checkpoint, "--seed", "4", "--out", str(tmp_path),
+            "--eval.trials", str(trials), "--eval.snr_db_list", "0,10",
+            "--eval.kinds", "awgn,rayleigh,rician"])
+        assert counts == {"scene": trials, "encode": 2 * trials}
+
+    def test_sweep_pr_draws_each_trial_once_and_encodes_once_per_p_r(
+            self, tmp_path, monkeypatch, trained_checkpoint):
+        counts = self.count_calls(monkeypatch, [
+            "sweep-pr", "--checkpoint", trained_checkpoint, "--seed", "4", "--out", str(tmp_path),
+            "--sweep.trials", "2", "--sweep.pr_list", "0.1,0.3,0.5",
+            "--sweep.kinds", "awgn,rayleigh"])
+        assert counts == {"scene": 2, "encode": 6}
 
 
 class TestCheckpointGrid:

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semlink.masking import PatchGrid
-from semlink.metrics import SSIM_WINDOW, image_report, psnr, region_metric, ssim
+from semlink.metrics import (SSIM_WINDOW, MetricReport, ReferenceImage, image_report, psnr,
+                             region_metric, ssim)
+from semlink.metrics import _psnr_db, _ssim_stats, _ssim_value, _window_sums
 from semlink.scenes import Loc
 
 from test_metrics import direct_ssim_oracle
@@ -78,6 +80,50 @@ def test_report_matches_direct_oracles(case):
     rep = image_report(x, y, loc, grid)
     assert abs(rep.ssim - direct_ssim_oracle(x, y)) <= 1e-10
     assert abs(rep.region_ssim - direct_region_ssim_oracle(x, y, mask)) <= 1e-10
+
+
+def one_shot_report(x, y, mask, max_val=1.0):
+    """image_report computed from scratch for one reconstruction, the five
+    window means (x, y, x², y², xy) from one stack: the reference the shared
+    ReferenceImage must reproduce bit for bit."""
+    err2 = (x - y) ** 2
+    smap = None
+    if min(x.shape[-2:]) >= SSIM_WINDOW:
+        mx, my, exx, eyy, exy = (_window_sums(np.stack([x, y, x * x, y * y, x * y]))
+                                 / SSIM_WINDOW ** 2)
+        smap = _ssim_value(mx, my, exx - mx * mx, eyy - my * my, exy - mx * my, max_val)
+
+    def ssim_mean(region):
+        inside = None
+        if smap is not None and region is not None:
+            inside = _window_sums(region.astype(np.int64)) == SSIM_WINDOW ** 2
+        vals = []
+        for ch in range(x.shape[0]):
+            if smap is None or (inside is not None and not inside.any()):
+                xs, ys = (x[ch], y[ch]) if region is None else (x[ch][region], y[ch][region])
+                vals.append(_ssim_value(*_ssim_stats(xs, ys), max_val))
+            else:
+                vals.append(np.mean(smap[ch] if inside is None else smap[ch][inside]))
+        return float(np.mean(vals))
+
+    return MetricReport(_psnr_db(float(np.mean(err2)), max_val), ssim_mean(None),
+                        _psnr_db(float(err2[:, mask].mean()), max_val), ssim_mean(mask))
+
+
+@settings(max_examples=100, deadline=None)
+@given(scored_pairs(), st.integers(0, 2**32 - 1))
+def test_shared_reference_reports_bit_identical(case, seed):
+    """One ReferenceImage scores several reconstructions of its original
+    exactly as one image_report per reconstruction, and as the one-shot
+    computation, also below the SSIM window and where no window fits."""
+    x, y, grid, loc, mask = case
+    rng = np.random.default_rng(seed)
+    recons = [y, x.copy(), rng.uniform(size=x.shape), np.clip(y + 0.1, 0, 1)]
+    reference = ReferenceImage.of(x, loc, grid)
+    for recon in recons:
+        shared = reference.report(recon)
+        assert shared == image_report(x, recon, loc, grid)
+        assert shared == one_shot_report(x, recon, mask)
 
 
 @settings(max_examples=100, deadline=None)
