@@ -37,7 +37,6 @@ from .masking import (
 from .metrics import MetricReport, nmse, psnr, region_metric, ssim
 from .rng import RngStream
 from .scenes import (
-    Loc,
     Scene,
     SceneConfig,
     generate_correlated_batch,

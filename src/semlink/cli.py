@@ -210,7 +210,7 @@ def _dump_arm(arm_dir: Path, trial: int, scene, loc, grid, plan, image) -> None:
     save_tensors(arm_dir / f"trial{trial:04d}.slnk",
                  {"original": Tensor(scene.image), "reconstructed": image})
     (arm_dir / f"trial{trial:04d}.json").write_text(
-        json.dumps({"loc": loc.sorted_indices, "patch_size": grid.patch_size,
+        json.dumps({"loc": loc.tolist(), "patch_size": grid.patch_size,
                     "plan": json.loads(plan.to_json())})
     )
 
@@ -264,7 +264,8 @@ def cmd_sweep_pr(cfg: RunConfig, out_dir: Path, checkpoint: str | None) -> int:
     if checkpoint is not None:
         models = dict.fromkeys(cfg["sweep.pr_list"], _load_model(cfg, checkpoint))
     else:
-        models = {p_r: _train_for_pr(cfg, p_r) for p_r in cfg["sweep.pr_list"]}
+        scenes = _training_scenes(cfg)
+        models = {p_r: _train_for_pr(cfg, p_r, scenes) for p_r in cfg["sweep.pr_list"]}
 
     pr_list, kinds = cfg["sweep.pr_list"], cfg["sweep.kinds"]
 
@@ -298,9 +299,8 @@ def cmd_sweep_pr(cfg: RunConfig, out_dir: Path, checkpoint: str | None) -> int:
     return 0
 
 
-def _train_for_pr(cfg: RunConfig, p_r: float) -> LinkModel:
+def _train_for_pr(cfg: RunConfig, p_r: float, scenes: list) -> LinkModel:
     model = _new_model(cfg)
-    scenes = _training_scenes(cfg)
     for ph in ("codec", "channel", "whole"):
         train_phase(model, scenes, replace(cfg.train_config(ph), mask_prob=p_r))
     return model
@@ -460,7 +460,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except SemlinkError as exc:
+    except (SemlinkError, OSError) as exc:  # OSError: an unusable --out or --checkpoint path
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -28,8 +28,8 @@ __all__ = ["SCHEMA", "RunConfig"]
 _SECTIONS = {SceneConfig: "scene", CodecConfig: "codec", ChannelConfig: "channel",
              TrainConfig: "train", CorrelatedConfig: "users"}
 # fields another key supplies: the command's phase, the run seed, the scene
-# section, the grid the scene implies and each command's channel-kind list
-_SUPPLIED = {"phase", "seed", "scene", "patch_dim", "num_patches", "kind"}
+# section, the grid the scene implies, each command's kind list and channel.rician_r
+_SUPPLIED = {"phase", "seed", "scene", "patch_dim", "num_patches", "kind", "surrogate_rician_r"}
 _TAGS = {bool: "bool", int: "int", float: "float", str: "str"}
 
 
@@ -137,9 +137,11 @@ class RunConfig:
         values = {k: default for k, (_, default) in SCHEMA.items()}
         if config_path is not None:
             path = Path(config_path)
-            if not path.exists():
-                raise ConfigError(f"config file {path} not found")
-            for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            try:
+                text = path.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+                raise ConfigError(f"config file {path}: {exc}") from None
+            for lineno, line in enumerate(text.splitlines(), 1):
                 stripped = line.split("#", 1)[0].strip()
                 if not stripped:
                     continue
@@ -241,7 +243,8 @@ class RunConfig:
         return ChannelConfig(kind, **{**self.section(ChannelConfig), **given})
 
     def train_config(self, phase: str) -> TrainConfig:
-        return TrainConfig(phase, seed=self.values["seed"], **self.section(TrainConfig))
+        return TrainConfig(phase, seed=self.values["seed"], **self.section(TrainConfig),
+                           surrogate_rician_r=self.values["channel.rician_r"])
 
     def to_dict(self) -> dict:
         return {k: (list(v) if isinstance(v, tuple) else v) for k, v in sorted(self.values.items())}

@@ -1,7 +1,9 @@
 """Patch bookkeeping and location-informed Bernoulli masking.
 
-An image is cut into a grid of square patches.  The mask sampler takes the
-set of object patches R (from the scene locator) and masks each patch
+An image is cut into a grid of square patches, numbered row-major.  A set of
+patches is a sorted, unique np.intp array of these indices, and PatchGrid
+alone maps boxes to patches and patches to pixels.  The mask sampler takes
+the object patches R (from the scene locator) and masks each patch
 independently: object patches with probability p, background patches with
 probability 1 - p.  Keeping p below 0.5 biases the kept set towards object
 pixels.  A uniform sampler of a given kept count is the baseline being
@@ -59,13 +61,29 @@ class PatchGrid:
         p = self.patch_size
         return (c * p, r * p, p, p)
 
+    def patches_overlapping(self, bboxes) -> np.ndarray:
+        """Sorted indices of the patches sharing at least one pixel with any
+        of the (x, y, w, h) boxes."""
+        hit = np.zeros((self.grid_h, self.grid_w), dtype=bool)
+        p = self.patch_size
+        for x, y, w, h in bboxes:
+            hit[y // p : (y + h - 1) // p + 1, x // p : (x + w - 1) // p + 1] = True
+        return np.flatnonzero(hit)
+
+    def pixel_mask(self, indices) -> np.ndarray:
+        """H x W bool mask of the pixels of the given patches."""
+        hit = np.zeros(self.num_patches, dtype=bool)
+        hit[indices] = True
+        p = self.patch_size
+        return hit.reshape(self.grid_h, self.grid_w).repeat(p, axis=0).repeat(p, axis=1)
+
 
 @dataclass
 class MaskPlan:
     """Per-patch keep/mask decisions plus the index bookkeeping."""
 
     masked: np.ndarray  # bool per patch
-    object_indices: frozenset = field(default_factory=frozenset)  # the set R
+    object_indices: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))  # R
     object_mask_prob: float = 0.0  # p applied to R; 1 - p to the rest
     keep_indices: np.ndarray = field(init=False)  # sorted kept (unmasked) patch indices
 
@@ -85,8 +103,8 @@ class MaskPlan:
         return json.dumps(
             {
                 "p_r": self.object_mask_prob,
-                "keep": [int(i) for i in self.keep_indices],
-                "object": sorted(int(i) for i in self.object_indices),
+                "keep": self.keep_indices.tolist(),
+                "object": self.object_indices.tolist(),
             }
         )
 
@@ -124,10 +142,10 @@ def sample_mask(grid: PatchGrid, loc, p: float, rng: RngStream) -> MaskPlan:
         raise ContractError(f"mask probability {p} outside [0, 1]")
     n = grid.num_patches
     probs = np.full(n, 1.0 - p)
-    obj = np.asarray(sorted(loc.patch_indices), dtype=np.intp)
-    probs[obj] = p
+    loc = np.asarray(loc, dtype=np.intp)
+    probs[loc] = p
     u = rng.uniform((n,))
-    return MaskPlan(u < probs, frozenset(int(i) for i in obj), float(p))
+    return MaskPlan(u < probs, loc, float(p))
 
 
 def random_mask(grid: PatchGrid, keep_count: int, rng: RngStream) -> MaskPlan:

@@ -5,7 +5,8 @@ so identical images do not produce infinities in CSV aggregation.  SSIM uses
 an 8x8 uniform sliding window with stride 1, per channel, averaged, with the
 standard constants C1 = (0.01 max)^2 and C2 = (0.03 max)^2; images smaller
 than the window fall back to global statistics.  Region variants restrict
-both metrics to the pixels of located object patches.
+both metrics to the pixels of the located object patches (loc, sorted
+indices), which PatchGrid.pixel_mask maps to pixels.
 
 image_report scores one reconstruction from two maps: squared error, whose
 mean over all or region pixels gives PSNR and region PSNR, and SSIM per
@@ -130,16 +131,6 @@ def _ssim_mean(x, y, smap, max_val, mask=None, inside=None) -> float:
     return float(np.mean(vals))
 
 
-def _region_pixel_mask(loc, grid: PatchGrid) -> np.ndarray:
-    if len(loc) == 0:
-        raise ContractError("region metric needs a non-empty location")
-    mask = np.zeros((grid.grid_h * grid.patch_size, grid.grid_w * grid.patch_size), dtype=bool)
-    for idx in loc.patch_indices:
-        x, y, w, h = grid.patch_bbox(int(idx))
-        mask[y : y + h, x : x + w] = True
-    return mask
-
-
 @dataclass(frozen=True)
 class ReferenceImage:
     """The original image's half of image_report, computed once and shared by
@@ -155,8 +146,10 @@ class ReferenceImage:
     def of(original, loc, grid: PatchGrid, max_val: float = 1.0) -> "ReferenceImage":
         if max_val <= 0:
             raise ContractError("max_val must be > 0")
+        if len(loc) == 0:
+            raise ContractError("region metric needs a non-empty location")
         x = _img(original)
-        mask = _region_pixel_mask(loc, grid)
+        mask = grid.pixel_mask(loc)
         x_means = _window_means(x)
         inside = None
         if x_means is not None:

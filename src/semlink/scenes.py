@@ -2,7 +2,8 @@
 
 Scenes carry pixel data plus exact object annotations (label + bounding
 box), so locating the patches of a labelled object is a geometric lookup
-rather than a vision problem.  Pixels are a plain float64 ndarray, since
+rather than a vision problem: PatchGrid.patches_overlapping of its boxes,
+a sorted np.intp index array.  Pixels are a plain float64 ndarray, since
 nothing differentiates them.  Generated pixel values are quantized to the
 8-bit grid at construction time, which makes the PGM/PPM round-trip exact.
 
@@ -25,7 +26,6 @@ from .rng import RngStream
 __all__ = [
     "VOCABULARY",
     "Scene",
-    "Loc",
     "SceneConfig",
     "CorrelatedConfig",
     "generate_scene",
@@ -64,23 +64,6 @@ class Scene:
                 raise VocabularyError(f"scene {self.id}: unknown label {label!r}")
             if bw < 1 or bh < 1 or x < 0 or y < 0 or x + bw > w or y + bh > h:
                 raise ConfigError(f"scene {self.id}: bbox {(x, y, bw, bh)} outside {w}x{h}")
-
-
-@dataclass(frozen=True)
-class Loc:
-    """Patch indices of located semantic objects."""
-
-    patch_indices: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "patch_indices", frozenset(int(i) for i in self.patch_indices))
-
-    @property
-    def sorted_indices(self) -> list:
-        return sorted(self.patch_indices)
-
-    def __len__(self):
-        return len(self.patch_indices)
 
 
 @dataclass(frozen=True)
@@ -231,20 +214,17 @@ def generate_correlated_batch(rng: RngStream, k: int, cfg: CorrelatedConfig) -> 
 
     # one private object per user, drawn up front so the zone can cover them
     specs = [_draw_object_spec(rng.substream(2, u), scfg) for u in range(k)]
-    covered = set()
-    for _, bbox, _ in specs:
-        covered.update(_patches_overlapping_bbox(bbox, grid))
+    covered = grid.patches_overlapping(bbox for _, bbox, _ in specs)
 
     target_private = max(
         grid.num_patches - round(cfg.shared_fraction(k) * grid.num_patches), len(covered)
     )
-    free = np.asarray(sorted(set(range(grid.num_patches)) - covered), dtype=np.intp)
+    free = np.setdiff1d(np.arange(grid.num_patches), covered)
     extra_n = min(target_private - len(covered), len(free))
-    zone = set(covered)
+    zone_idx = covered
     if extra_n > 0:
         picks = rng.substream(3).choice(len(free), extra_n)
-        zone.update(int(free[i]) for i in picks)
-    zone_idx = np.asarray(sorted(zone), dtype=np.intp)
+        zone_idx = np.union1d(covered, free[picks])
 
     scenes = []
     for u in range(k):
@@ -267,41 +247,21 @@ def generate_correlated_batch(rng: RngStream, k: int, cfg: CorrelatedConfig) -> 
     return scenes
 
 
-def _patches_overlapping_bbox(bbox, grid: PatchGrid) -> set:
-    """Indices of grid patches sharing at least one pixel with bbox."""
-    x, y, w, h = bbox
-    p = grid.patch_size
-    c0, c1 = x // p, (x + w - 1) // p
-    r0, r1 = y // p, (y + h - 1) // p
-    return {
-        r * grid.grid_w + c
-        for r in range(r0, r1 + 1)
-        for c in range(c0, c1 + 1)
-    }
-
-
-def _union_loc(bboxes, grid: PatchGrid) -> Loc:
-    """Patches overlapping any of the boxes."""
-    hits = set()
-    for bbox in bboxes:
-        hits.update(_patches_overlapping_bbox(bbox, grid))
-    return Loc(frozenset(hits))
-
-
-def locate(scene: Scene, label: str, grid: PatchGrid) -> Loc:
-    """All patch indices whose rectangle overlaps any bbox with this label.
+def locate(scene: Scene, label: str, grid: PatchGrid) -> np.ndarray:
+    """Sorted indices of the patches whose rectangle overlaps any bbox with
+    this label.
 
     The overlap rule is inclusive: one shared pixel is enough, which keeps
     every object pixel inside the located region.
     """
     if label not in VOCABULARY:
         raise VocabularyError(f"unknown label {label!r}; vocabulary is {VOCABULARY}")
-    return _union_loc((bbox for obj_label, bbox in scene.objects if obj_label == label), grid)
+    return grid.patches_overlapping(bbox for obj_label, bbox in scene.objects if obj_label == label)
 
 
-def locate_any(scene: Scene, grid: PatchGrid) -> Loc:
-    """Union of located patches over every label present in the scene."""
-    return _union_loc((bbox for _, bbox in scene.objects), grid)
+def locate_any(scene: Scene, grid: PatchGrid) -> np.ndarray:
+    """Sorted indices of the patches overlapping any object in the scene."""
+    return grid.patches_overlapping(bbox for _, bbox in scene.objects)
 
 
 # -- on-disk format -----------------------------------------------------------

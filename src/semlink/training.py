@@ -49,6 +49,7 @@ class TrainConfig:
     snr_lo_db: float = 0.0  # surrogate SNR range, drawn per batch
     snr_hi_db: float = 20.0
     surrogate_kind: str = "awgn"
+    surrogate_rician_r: float = 1.0  # Rician factor of a rician surrogate
 
     def __post_init__(self):
         if self.phase not in PHASES:
@@ -62,7 +63,7 @@ class TrainConfig:
         if self.snr_hi_db < self.snr_lo_db:
             raise ConfigError("snr range inverted")
         for snr_db in (self.snr_lo_db, self.snr_hi_db):
-            ChannelConfig(kind=self.surrogate_kind, snr_db=snr_db)
+            ChannelConfig(self.surrogate_kind, snr_db=snr_db, rician_r=self.surrogate_rician_r)
 
 
 @dataclass
@@ -161,7 +162,7 @@ def _sample_loss(model: LinkModel, scene, phase: str, cfg: TrainConfig, snr_db: 
     if phase == "codec":
         q, _ = codec_only_pass(model, scene.image, plan)
         return loss_codec(scene.image, q)
-    chan_cfg = ChannelConfig(kind=cfg.surrogate_kind, snr_db=snr_db)
+    chan_cfg = ChannelConfig(cfg.surrogate_kind, snr_db=snr_db, rician_r=cfg.surrogate_rician_r)
     if phase == "channel":
         with no_grad():  # frozen semantic encoder: semantics enter as constants
             z = _encode(model, scene.image, plan).values

@@ -30,7 +30,7 @@ from semlink.link import LinkModel, evaluate_link
 from semlink.masking import PatchGrid, patchify, random_mask, sample_mask
 from semlink.metrics import PSNR_CAP_DB, nmse, psnr, region_metric, ssim
 from semlink.rng import RngStream
-from semlink.scenes import Loc, SceneConfig, generate_scene, locate_any
+from semlink.scenes import SceneConfig, generate_scene, locate_any
 from semlink.sharing import (
     MultiUserSemantics,
     bandwidth_savings,
@@ -148,7 +148,7 @@ def test_criterion_1_gradient_integrity():
 @criterion(2, "mask law: empirical per-patch rates within 0.01 at p=0.3, 1e5 plans")
 def test_criterion_2_mask_law():
     grid = PatchGrid.for_image((1, 32, 32), 4)  # 64 patches
-    obj = Loc(frozenset(range(16)))  # |R| = 16
+    obj = np.arange(16, dtype=np.intp)  # |R| = 16
     n = 100_000
     hits = np.zeros(64)
     root = RngStream(20)
@@ -439,7 +439,7 @@ def test_criterion_9_metric_oracles():
     assert worst_ssim < 1e-10, f"ssim oracle deviation {worst_ssim:.2e}"
 
     grid = PatchGrid.for_image((1, 32, 32), 4)
-    full = Loc(frozenset(range(grid.num_patches)))
+    full = np.arange(grid.num_patches, dtype=np.intp)
     for _ in range(10):
         a = rng.uniform(size=(1, 32, 32))
         b = rng.uniform(size=(1, 32, 32))

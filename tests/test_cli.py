@@ -200,6 +200,41 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1, err
 
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("# caf\xe9\nseed = 1\n".encode("latin-1"))
+        assert main(["gen-scenes", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+
+    def test_config_directory_exits_2(self, tmp_path, capsys):
+        assert main(["gen-scenes", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+
+    def test_checkpoint_directory_next_to_manifest_exits_3(self, tmp_path, capsys,
+                                                           trained_checkpoint):
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.mkdir()
+        Path(str(ckpt) + ".json").write_bytes(Path(trained_checkpoint + ".json").read_bytes())
+        assert main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "o"),
+                     "--eval.trials", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("args", [
+        ["train", "--phase", "codec", *FAST_TRAIN],
+        ["channel-bench", "--bench.trials", "2"],
+        ["sweep-users", "--users.trials", "1", "--users.k_hi", "2"],
+        ["gen-scenes", "--gen.count", "1"],
+    ], ids=lambda args: args[0])
+    def test_out_path_is_a_file_exits_3(self, tmp_path, capsys, args):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main([*args, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
     @pytest.mark.parametrize("args", [
         ["--eval.kinds", "awgn,rayleigh,awgn"],
         ["--eval.snr_db_list", "10,10.000001"],
@@ -326,6 +361,19 @@ class TestTrain:
         assert (outs[0] / "codec.ckpt").read_bytes() == (outs[1] / "codec.ckpt").read_bytes()
         assert (outs[0] / "loss.csv").read_bytes() == (outs[1] / "loss.csv").read_bytes()
 
+    def test_rician_surrogate_follows_channel_rician_r(self, tmp_path):
+        def loss_csv(*args):
+            out = tmp_path / f"run{len(list(tmp_path.iterdir()))}"
+            assert main(["train", "--phase", "all", "--out", str(out), "--seed", "7",
+                         *FAST_TRAIN, *args]) == 0
+            return (out / "loss.csv").read_bytes()
+
+        rician = ["--train.surrogate_kind", "rician"]
+        assert (loss_csv(*rician, "--channel.rician_r", "1")
+                != loss_csv(*rician, "--channel.rician_r", "5"))
+        # the awgn surrogate has no Rician factor
+        assert loss_csv("--channel.rician_r", "1") == loss_csv("--channel.rician_r", "5")
+
     def test_later_phase_without_prerequisite_exits_2(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = main(["train", "--phase", "whole", "--out", str(out), *FAST_TRAIN])
@@ -371,7 +419,6 @@ class TestEval:
     def test_region_psnr_recomputable_from_dumped_images(self, tmp_path, trained_checkpoint):
         from semlink.masking import PatchGrid
         from semlink.metrics import region_metric
-        from semlink.scenes import Loc
         from semlink.snapshot import load_tensors
 
         out = tmp_path / "dump"
@@ -388,7 +435,7 @@ class TestEval:
                 pair = load_tensors(cell_dir / f"trial{t:04d}.slnk")
                 meta = json.loads((cell_dir / f"trial{t:04d}.json").read_text())
                 grid = PatchGrid.for_image(pair["original"].shape, meta["patch_size"])
-                loc = Loc(frozenset(meta["loc"]))
+                loc = np.array(sorted(meta["loc"]), dtype=np.intp)
                 vals.append(region_metric(pair["original"], pair["reconstructed"],
                                           loc, grid, "psnr"))
             assert abs(float(row[col]) - float(np.mean(vals))) < 1e-9
@@ -633,12 +680,24 @@ class TestSweepPr:
         calls = []
         train_for_pr = cli._train_for_pr
         monkeypatch.setattr(cli, "_train_for_pr",
-                            lambda cfg, p_r: calls.append(p_r) or train_for_pr(cfg, p_r))
+                            lambda cfg, p_r, scenes:
+                            calls.append(p_r) or train_for_pr(cfg, p_r, scenes))
         code = main(["sweep-pr", "--out", str(tmp_path), "--seed", "2", "--sweep.train_per_pr",
                      "true", "--sweep.trials", "1", "--sweep.pr_list", "0.2,0.6",
                      "--sweep.kinds", "awgn,rayleigh", *FAST_TRAIN])
         assert code == 0
         assert calls == [0.2, 0.6]
+
+    def test_train_per_pr_builds_training_scenes_once(self, tmp_path, monkeypatch):
+        calls = []
+        training_scenes = cli._training_scenes
+        monkeypatch.setattr(cli, "_training_scenes",
+                            lambda cfg: calls.append(cfg) or training_scenes(cfg))
+        code = main(["sweep-pr", "--out", str(tmp_path), "--seed", "2", "--sweep.train_per_pr",
+                     "true", "--sweep.trials", "1", "--sweep.pr_list", "0.2,0.6",
+                     "--sweep.kinds", "awgn", *FAST_TRAIN])
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestSweepUsers:

@@ -22,7 +22,7 @@ from semlink.chancodec import ChanCodecParams
 from semlink.link import LinkModel, codec_only_pass
 from semlink.masking import PatchGrid, patchify, sample_mask, unpatchify
 from semlink.rng import RngStream
-from semlink.scenes import Loc, SceneConfig, generate_scene, locate_any
+from semlink.scenes import SceneConfig, generate_scene, locate_any
 from semlink.tensor import (
     Tensor,
     add,
@@ -232,7 +232,7 @@ class TestReconstruct:
         scene = generate_scene(RngStream(1, 50), cfg)
         ccfg = CodecConfig.for_grid(grid, feature_dim=16, enc_layers=1, dec_layers=1, num_heads=2)
         params = CodecParams.init(ccfg, RngStream(12))
-        loc = Loc(frozenset(range(grid.num_patches)))
+        loc = np.arange(grid.num_patches, dtype=np.intp)
         with pytest.raises(ContractError):
             plan = sample_mask(grid, loc, 1.0, RngStream(13))
             codec_only_pass(codec_model(grid, ccfg, params), scene.image, plan)

@@ -8,7 +8,6 @@ from semlink.masking import PatchGrid
 from semlink.metrics import (SSIM_WINDOW, MetricReport, ReferenceImage, image_report, psnr,
                              region_metric, ssim)
 from semlink.metrics import _psnr_db, _ssim_stats, _ssim_value, _window_sums
-from semlink.scenes import Loc
 
 from test_metrics import direct_ssim_oracle
 
@@ -59,7 +58,7 @@ def scored_pairs(draw):
     for i in patches:
         px, py, w, h = grid.patch_bbox(i)
         mask[py : py + h, px : px + w] = True
-    return x, y, grid, Loc(frozenset(patches)), mask
+    return x, y, grid, np.array(sorted(patches), dtype=np.intp), mask
 
 
 @settings(max_examples=150, deadline=None)
@@ -138,9 +137,9 @@ def test_region_without_a_fitting_window_uses_region_statistics():
     grid = PatchGrid(4, 8, 8, 1)
     rng = np.random.default_rng(12)
     x, y = rng.uniform(size=(2, 1, 32, 32))
-    loc = Loc(frozenset([0, 2, 9, 27]))  # no two patches form an 8x8 block
+    loc = np.array([0, 2, 9, 27], dtype=np.intp)  # no two patches form an 8x8 block
     mask = np.zeros((32, 32), dtype=bool)
-    for i in loc.patch_indices:
+    for i in loc.tolist():
         px, py, w, h = grid.patch_bbox(i)
         mask[py : py + h, px : px + w] = True
     got = image_report(x, y, loc, grid).region_ssim

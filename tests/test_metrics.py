@@ -7,7 +7,6 @@ from semlink.errors import ContractError, ShapeError
 from semlink.masking import PatchGrid
 from semlink.metrics import PSNR_CAP_DB, SSIM_WINDOW, nmse, psnr, region_metric, ssim
 from semlink.rng import RngStream
-from semlink.scenes import Loc
 from semlink.tensor import Tensor
 
 
@@ -116,7 +115,7 @@ class TestRegionMetric:
     def test_full_grid_equals_global(self):
         a = self.rng.uniform(size=(1, 32, 32))
         b = self.rng.uniform(size=(1, 32, 32))
-        loc = Loc(frozenset(range(64)))
+        loc = np.arange(64, dtype=np.intp)
         assert abs(region_metric(a, b, loc, self.grid, "psnr") - psnr(a, b)) < 1e-12
         assert abs(region_metric(a, b, loc, self.grid, "ssim") - ssim(a, b)) < 1e-12
 
@@ -124,7 +123,7 @@ class TestRegionMetric:
         a = self.rng.uniform(size=(1, 32, 32))
         b = a.copy()
         b[:, 16:, :] += 0.3  # corrupt pixels outside the region
-        loc = Loc(frozenset([0, 1, 8, 9]))  # top-left 8x8 block
+        loc = np.array([0, 1, 8, 9], dtype=np.intp)  # top-left 8x8 block
         assert region_metric(a, np.clip(b, 0, 2), loc, self.grid, "psnr") == PSNR_CAP_DB
 
     def test_single_patch_equals_crop_oracle(self):
@@ -132,7 +131,7 @@ class TestRegionMetric:
         b = self.rng.uniform(size=(1, 32, 32))
         idx = 18
         x, y, w, h = self.grid.patch_bbox(idx)
-        loc = Loc(frozenset([idx]))
+        loc = np.array([idx], dtype=np.intp)
         crop_a, crop_b = a[:, y : y + h, x : x + w], b[:, y : y + h, x : x + w]
         assert abs(region_metric(a, b, loc, self.grid, "psnr") - psnr(crop_a, crop_b)) < 1e-12
         # 4x4 patch is below the 8x8 window: both sides use global stats on it
@@ -141,7 +140,7 @@ class TestRegionMetric:
     def test_contiguous_region_ssim_restricted_windows(self):
         a = self.rng.uniform(size=(1, 32, 32))
         b = self.rng.uniform(size=(1, 32, 32))
-        loc = Loc(frozenset([0, 1, 8, 9]))  # 8x8 pixel block: exactly 1 window
+        loc = np.array([0, 1, 8, 9], dtype=np.intp)  # 8x8 pixel block: exactly 1 window
         got = region_metric(a, b, loc, self.grid, "ssim")
         expected = direct_ssim_oracle(a[:, :8, :8], b[:, :8, :8])
         assert abs(got - expected) < 1e-10
@@ -149,12 +148,12 @@ class TestRegionMetric:
     def test_empty_loc_rejected(self):
         a = np.zeros((1, 32, 32))
         with pytest.raises(ContractError):
-            region_metric(a, a, Loc(frozenset()), self.grid, "psnr")
+            region_metric(a, a, np.array([], dtype=np.intp), self.grid, "psnr")
 
     def test_unknown_metric_rejected(self):
         a = np.zeros((1, 32, 32))
         with pytest.raises(ContractError):
-            region_metric(a, a, Loc(frozenset([0])), self.grid, "mse")
+            region_metric(a, a, np.array([0], dtype=np.intp), self.grid, "mse")
 
 
 class TestNmse:

@@ -12,8 +12,8 @@ from semlink.errors import ConfigError, NonFiniteError, ParseError, VocabularyEr
 from semlink.masking import PatchGrid, patchify
 from semlink.rng import RngStream
 from semlink.scenes import (
+    VOCABULARY,
     CorrelatedConfig,
-    Loc,
     Scene,
     SceneConfig,
     generate_correlated_batch,
@@ -150,7 +150,7 @@ class TestLocate:
         scene = Scene(img, [("rect", (8, 8, 8, 8))], "s")
         grid = PatchGrid.for_image((1, 32, 32), 8)
         loc = locate(scene, "rect", grid)
-        assert loc.sorted_indices == [1 * 4 + 1]
+        assert loc.tolist() == [1 * 4 + 1]
 
     def test_no_match_empty(self):
         img = np.zeros((1, 32, 32))
@@ -163,8 +163,8 @@ class TestLocate:
         scene = Scene(img, [("ellipse", (2, 2, 4, 4))], "s")
         grid = PatchGrid.for_image((1, 16, 16), 4)
         loc = locate(scene, "ellipse", grid)
-        assert loc.sorted_indices == [0, 1, 4, 5]
-        assert loc.patch_indices == brute_force_locate(scene, "ellipse", grid)
+        assert loc.tolist() == [0, 1, 4, 5]
+        assert set(loc.tolist()) == brute_force_locate(scene, "ellipse", grid)
 
     def test_unknown_label_rejected(self):
         img = np.zeros((1, 16, 16))
@@ -180,7 +180,7 @@ class TestLocate:
         for t in range(1000):
             scene = generate_scene(root.substream(t), cfg)
             for label in ("rect", "ellipse", "cross"):
-                assert locate(scene, label, grid).patch_indices == brute_force_locate(
+                assert set(locate(scene, label, grid).tolist()) == brute_force_locate(
                     scene, label, grid
                 ), f"trial {t} label {label}"
 
@@ -190,8 +190,68 @@ class TestLocate:
         scene = generate_scene(RngStream(5, 40), cfg)
         union = set()
         for label in ("rect", "ellipse", "cross"):
-            union |= locate(scene, label, grid).patch_indices
-        assert locate_any(scene, grid).patch_indices == union
+            union |= set(locate(scene, label, grid).tolist())
+        assert set(locate_any(scene, grid).tolist()) == union
+
+
+@st.composite
+def _grid_and_objects(draw):
+    """A random grid (patch size 1-8, 1-8 patches a side, 1 or 3 channels)
+    and 0-4 labelled boxes inside its image."""
+    p, gh, gw = (draw(st.integers(1, 8)) for _ in range(3))
+    grid = PatchGrid.for_image((draw(st.sampled_from([1, 3])), gh * p, gw * p), p)
+    h, w = gh * p, gw * p
+    objects = []
+    for _ in range(draw(st.integers(0, 4))):
+        x, y = draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1))
+        box = (x, y, draw(st.integers(1, w - x)), draw(st.integers(1, h - y)))
+        objects.append((draw(st.sampled_from(VOCABULARY)), box))
+    return grid, objects
+
+
+def _patch_pixels(grid, i):
+    x, y, w, h = grid.patch_bbox(i)
+    return slice(y, y + h), slice(x, x + w)
+
+
+class TestPatchGeometry:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=_grid_and_objects())
+    def test_patches_overlapping_matches_pixel_oracle(self, case):
+        grid, objects = case
+        covered = np.zeros((grid.grid_h * grid.patch_size, grid.grid_w * grid.patch_size), bool)
+        for _, (x, y, w, h) in objects:
+            covered[y : y + h, x : x + w] = True
+        expected = [i for i in range(grid.num_patches) if covered[_patch_pixels(grid, i)].any()]
+        assert grid.patches_overlapping(bbox for _, bbox in objects).tolist() == expected
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=_grid_and_objects(), data=st.data())
+    def test_pixel_mask_is_union_of_patch_rectangles(self, case, data):
+        grid = case[0]
+        indices = sorted(data.draw(st.sets(st.integers(0, grid.num_patches - 1))))
+        expected = np.zeros((grid.grid_h * grid.patch_size, grid.grid_w * grid.patch_size), bool)
+        for i in indices:
+            expected[_patch_pixels(grid, i)] = True
+        np.testing.assert_array_equal(grid.pixel_mask(np.asarray(indices, dtype=np.intp)), expected)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=_grid_and_objects())
+    def test_locate_returns_sorted_unique_intp(self, case):
+        grid, objects = case
+        image = np.zeros((grid.channels, grid.grid_h * grid.patch_size,
+                          grid.grid_w * grid.patch_size))
+        scene = Scene(image, objects, "s")
+        union = set()
+        for label in VOCABULARY:
+            loc = locate(scene, label, grid)
+            assert loc.dtype == np.intp and loc.ndim == 1
+            assert np.all(np.diff(loc) > 0)
+            assert set(loc.tolist()) == brute_force_locate(scene, label, grid)
+            union |= set(loc.tolist())
+        loc = locate_any(scene, grid)
+        assert loc.dtype == np.intp and loc.ndim == 1
+        assert loc.tolist() == sorted(union)
 
 
 class TestSceneIO:
@@ -329,7 +389,7 @@ class TestCorrelatedBatch:
         batch = generate_correlated_batch(RngStream(3), 3, cfg)
         covered = set()
         for s in batch:
-            covered |= locate_any(s, grid).patch_indices
+            covered |= set(locate_any(s, grid).tolist())
         zone = max(grid.num_patches - round(0.7 * grid.num_patches), len(covered))
         assert _patch_equal_count(batch, grid) == grid.num_patches - zone
 
@@ -345,7 +405,7 @@ class TestCorrelatedBatch:
         batch = generate_correlated_batch(RngStream(5), 2, cfg)
         private = set()
         for s in batch:
-            private |= locate_any(s, grid).patch_indices
+            private |= set(locate_any(s, grid).tolist())
         a, b = batch[0].image, batch[1].image
         for i in range(grid.num_patches):
             if i in private:
