@@ -9,9 +9,12 @@ errors, 3 on runtime errors.  A loaded checkpoint's grid must match scene.*.
 
 eval and sweep-pr loop over trials outside and channel cells inside.  Trial
 t draws its scene and plans from a stream keyed by t alone (a sweep-pr plan
-also by its p_r), encodes each arm once, and scores the encoding in every
-cell; each kind draws its channel frame and noise from a stream keyed by
+also by its p_r), encodes each arm once, and receives the encoding over
+every cell as one stack per arm: one decoder pass and one metrics pass.
+Each kind draws its channel frame and noise from a stream keyed by
 (kind, t), so the SNRs of a kind share H and the standardized noise.
+Every command but gen-scenes creates --out before its first trial or
+training step, so an unusable path fails at once.
 """
 
 from __future__ import annotations
@@ -64,8 +67,8 @@ def _fmt(value) -> str:
 
 def _write_csv(path: Path, header: list, rows: list, cfg: RunConfig, command: str,
                extra: dict | None = None) -> None:
-    """The CSV and its .meta.json sidecar: command, resolved config and extra."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """The CSV and its .meta.json sidecar (in an existing directory):
+    command, resolved config and extra."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -176,32 +179,32 @@ def _score_trial(cfg: RunConfig, base: RngStream, trial: int, arms_for, chan_cfg
 
     The scene and location come from trial_rng = base.substream(trial) at (1);
     arms_for(grid, loc, trial_rng) gives the arms' (model, plan) pairs, each
-    encoded once.  Cell c sends every arm over chan_cfgs[c], with the frame
-    and noise stream of trial_rng.substream(hash_key(kind)) at (4) and (5),
-    derived afresh in each cell, so every SNR of a kind sees the same H and
-    the same standardized noise.  The original's half of the metrics is
-    computed once.  With dump_dirs, arm a of cell c is dumped to dump_dirs[c][a].
+    encoded once.  Cell c is chan_cfgs[c] with the frame and noise stream of
+    trial_rng.substream(hash_key(kind)) at (4) and (5), so every SNR of a
+    kind sees the same H and the same standardized noise.  Each arm is
+    received over all cells as one stack (link_receive) and scored against
+    the original's half of the metrics, computed once.  With dump_dirs, arm
+    a of cell c is dumped to dump_dirs[c][a].
     """
     trial_rng = base.substream(trial)
     grid = cfg.scene_config().grid()
     scene, loc = _fresh_scene_with_loc(cfg, trial_rng.substream(1), grid)
     arms = arms_for(grid, loc, trial_rng)
     reference = ReferenceImage.of(scene.image, loc, grid)
-    reports = []
+    cells = []
+    for chan_cfg in chan_cfgs:
+        kind_rng = trial_rng.substream(hash_key(chan_cfg.kind))
+        cells.append((chan_cfg, kind_rng.substream(5),
+                      draw_channel(chan_cfg, [kind_rng.substream(4)])))
+    per_arm = []
     with no_grad():
-        encoded = [link_encode(model, scene.image, plan) for model, plan in arms]
-        for c, chan_cfg in enumerate(chan_cfgs):
-            kind_rng = trial_rng.substream(hash_key(chan_cfg.kind))
-            frame = draw_channel(chan_cfg, [kind_rng.substream(4)])
-            noise = kind_rng.substream(5)
-            cell = []
-            for a, ((model, plan), (z, x)) in enumerate(zip(arms, encoded)):
-                image = link_receive(model, z, x, chan_cfg, noise, frame).image
-                if dump_dirs is not None:
-                    _dump_arm(dump_dirs[c][a], trial, scene, loc, grid, plan, image)
-                cell.append(reference.report(image))
-            reports.append(cell)
-    return reports
+        for a, (model, plan) in enumerate(arms):
+            images = link_receive(model, *link_encode(model, scene.image, plan), cells).image
+            if dump_dirs is not None:
+                for c, image in enumerate(images.data):
+                    _dump_arm(dump_dirs[c][a], trial, scene, loc, grid, plan, Tensor(image))
+            per_arm.append(reference.reports(images))
+    return [list(cell) for cell in zip(*per_arm)]
 
 
 def _dump_arm(arm_dir: Path, trial: int, scene, loc, grid, plan, image) -> None:
@@ -216,6 +219,7 @@ def _dump_arm(arm_dir: Path, trial: int, scene, loc, grid, plan, image) -> None:
 
 
 def cmd_eval(cfg: RunConfig, out_dir: Path, checkpoint: str) -> int:
+    out_dir.mkdir(parents=True, exist_ok=True)
     model = _load_model(cfg, checkpoint)
     trials, mask_prob = cfg["eval.trials"], cfg["eval.mask_prob"]
     chan_cfgs = [cfg.channel_config(kind=kind, snr_db=snr_db)
@@ -259,6 +263,7 @@ def hash_key(text: str) -> int:
 def cmd_sweep_pr(cfg: RunConfig, out_dir: Path, checkpoint: str | None) -> int:
     if (checkpoint is not None) == cfg["sweep.train_per_pr"]:
         raise ConfigError("sweep-pr takes exactly one of --checkpoint and sweep.train_per_pr true")
+    out_dir.mkdir(parents=True, exist_ok=True)
     trials = cfg["sweep.trials"]
     # a model trained per p_r does not depend on the kind: train each once
     if checkpoint is not None:
@@ -321,6 +326,7 @@ def _users_semantics(cfg: RunConfig, k: int, rng) -> MultiUserSemantics:
 
 
 def cmd_sweep_users(cfg: RunConfig, out_dir: Path) -> int:
+    out_dir.mkdir(parents=True, exist_ok=True)
     trials = cfg["users.trials"]
     sym_dim = cfg["codec.symbol_dim"]
     rows = []
@@ -366,6 +372,7 @@ def _bench_cell(chan_cfg, base: RngStream, trials: int, n_sym: int) -> np.ndarra
 
 
 def cmd_channel_bench(cfg: RunConfig, out_dir: Path) -> int:
+    out_dir.mkdir(parents=True, exist_ok=True)
     trials = cfg["bench.trials"]
     n_sym = cfg["bench.symbols"]
     rows = []

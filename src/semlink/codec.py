@@ -10,6 +10,11 @@ Each block is a single autodiff node: its forward runs the layer-norm,
 attention and GeLU kernels of semlink.tensor on plain arrays, and one VJP
 returns the gradients of the block input and of the block's 14 tensors.
 
+The decoder also takes a stack of full-length sequences, [..., N, d]: the
+channel cells an evaluation sends one encoding over decode in one pass, and
+each item gets the bits it would get alone.  A stack runs forward only
+(under tensor.no_grad()); with a graph recording it raises ShapeError.
+
 The encoder/decoder depth asymmetry mirrors the deployment split: heavy
 encoding at the transmitter, light decoding at the receiver.  CodecConfig
 checks its sizes when constructed, so parameters built from one fit together.
@@ -30,6 +35,7 @@ from .tensor import (
     _attention_bwd,
     _attention_fwd,
     _check_finite,
+    _forward_only,
     _gelu_bwd,
     _gelu_fwd,
     _layer_norm_bwd,
@@ -187,15 +193,16 @@ class CodecParams:
 
 @dataclass
 class SemanticTensor:
-    """Per-kept-patch feature rows, aligned with the original patch indices."""
+    """Per-kept-patch feature rows, aligned with the original patch indices;
+    a stack [..., L, feature_dim] of such rows shares the indices."""
 
-    values: Tensor  # [L, feature_dim]
+    values: Tensor  # [L, feature_dim] or [..., L, feature_dim]
     indices: np.ndarray  # strictly increasing kept patch indices, len L
     num_patches: int
 
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=np.intp)
-        if self.values.ndim != 2 or len(self.indices) != self.values.shape[0]:
+        if self.values.ndim < 2 or len(self.indices) != self.values.shape[-2]:
             raise ContractError("semantic rows and indices disagree")
         if len(self.indices) and (
             np.any(np.diff(self.indices) <= 0)
@@ -206,7 +213,7 @@ class SemanticTensor:
 
     @property
     def length(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-2]
 
     def with_values(self, values: Tensor) -> "SemanticTensor":
         return SemanticTensor(values, self.indices, self.num_patches)
@@ -227,14 +234,19 @@ def _block(x: Tensor, blk: BlockParams, num_heads: int) -> Tensor:
 
     Every array that layer_norm, softmax_attention, matmul, add and gelu
     would check is checked here too, in the same order and with the same
-    NonFiniteError message, with or without a graph.
+    NonFiniteError message, with or without a graph.  A stacked x
+    [..., rows, d] runs forward only.
     """
     d = blk.ln1_gain.shape[0]
-    if x.ndim != 2 or x.shape[1] != d:
-        raise ShapeError(f"block input {x.shape} is not [rows, {d}]")
-    if x.shape[0] == 0:
+    if x.ndim < 2 or x.shape[-1] != d:
+        raise ShapeError(f"block input {x.shape} is not [..., rows, {d}]")
+    if x.shape[-2] == 0:
         raise ContractError("block input has no rows")
     attn = blk.attn
+    parents = (x, blk.ln1_gain, blk.ln1_bias, attn.wq, attn.bq, attn.wk, attn.bk,
+               attn.wv, attn.bv, attn.wo, attn.bo, blk.ln2_gain, blk.ln2_bias,
+               blk.ff_weight, blk.ff_bias)
+    _forward_only(x, parents, "codec block")
     gain1, gain2, weight = blk.ln1_gain.data, blk.ln2_gain.data, blk.ff_weight.data
     normed1, inv1, xhat1 = _layer_norm_fwd(x.data, gain1, blk.ln1_bias.data, LN_EPS)
     _check_finite(normed1)
@@ -265,9 +277,6 @@ def _block(x: Tensor, blk: BlockParams, num_heads: int) -> Tensor:
             normed2.T @ d_pre, np.add.reduce(d_pre, axis=0),
         )
 
-    parents = (x, blk.ln1_gain, blk.ln1_bias, attn.wq, attn.bq, attn.wk, attn.bk,
-               attn.wv, attn.bv, attn.wo, attn.bo, blk.ln2_gain, blk.ln2_bias,
-               blk.ff_weight, blk.ff_bias)
     return _make(act + x1, parents, vjp)
 
 
@@ -285,14 +294,16 @@ def encode(patch_rows: Tensor, keep_indices, params: CodecParams,
 
 
 def zero_fill(sem: SemanticTensor) -> Tensor:
-    """Scatter semantic rows back to original patch order; masked slots are
-    zero vectors.  Position codes are NOT added here (decode does that)."""
+    """Scatter semantic rows (of every item of a stack) back to original
+    patch order; masked slots are zero vectors.  Position codes are NOT added
+    here (decode does that)."""
     return scatter_rows(sem.values, sem.indices, sem.num_patches)
 
 
 def decode(z_full: Tensor, params: CodecParams, cfg: CodecConfig) -> Tensor:
-    """Full-length semantic sequence -> reconstructed patch rows."""
-    if z_full.shape != (cfg.num_patches, cfg.feature_dim):
+    """Full-length semantic sequence [N, d] -> reconstructed patch rows; a
+    stack [..., N, d] decodes in one pass, forward only."""
+    if z_full.shape[-2:] != (cfg.num_patches, cfg.feature_dim):
         raise ShapeError(f"decoder input {z_full.shape} does not match config")
     x = add(z_full, Tensor(params.pos_table))  # re-add position codes
     for blk in params.dec_blocks:

@@ -7,9 +7,12 @@ statistical pass through fading + L-MMSE detection for evaluation.  Each pass
 is composed of the same steps, each written once here: encode, decode, and
 one function per channel stage: surrogate_stage on Tensors, which training
 differentiates, and fading_stage on plain complex arrays (training phase 2
-and multi-user transport call the stages directly).  evaluate_link is
-link_encode, which does not depend on the channel, followed by link_receive,
-so a caller can encode once and send the result over several channels.
+and multi-user transport call the stages directly).  link_encode does the
+channel-independent half of a statistical pass; link_receive sends its
+symbols over a list of channel cells, each through fading_stage on its own,
+and decodes the received sequences as one stack in one decoder pass, forward
+only (under tensor.no_grad()).  evaluate_link is the one-cell case, decoded
+unstacked, so it also runs with a graph recording.
 Images and patch rows are plain ndarrays: the autodiff graph starts at the
 codec's patch embedding.
 
@@ -90,7 +93,7 @@ class LinkModel:
             grid = PatchGrid(g["patch_size"], g["grid_h"], g["grid_w"], g["channels"])
             model = LinkModel.init(
                 grid,
-                RngStream(0),
+                _NO_DRAWS,  # the slots are overwritten below
                 symbol_dim=int(manifest["symbol_dim"]),
                 feature_dim=cfg.feature_dim,
                 enc_layers=cfg.enc_layers,
@@ -113,11 +116,25 @@ class LinkModel:
         return model
 
 
+class _NoDraws:
+    """Stands in for the RngStream of LinkModel.init where every parameter
+    is overwritten afterwards: each substream is itself and each draw zeros."""
+
+    def substream(self, *ids) -> "_NoDraws":
+        return self
+
+    def normal(self, shape=(), mean: float = 0.0, std: float = 1.0) -> np.ndarray:
+        return np.zeros(shape)
+
+
+_NO_DRAWS = _NoDraws()
+
+
 @dataclass
 class LinkResult:
-    image: Tensor  # reconstructed C x H x W
+    image: Tensor  # reconstructed C x H x W; [cells, C, H, W] from link_receive
     z: SemanticTensor  # transmitted semantics
-    z_hat: SemanticTensor  # received semantics
+    z_hat: SemanticTensor  # received semantics; values [cells, L, d] from link_receive
 
 
 def _encode(model: LinkModel, image: np.ndarray, plan: MaskPlan) -> SemanticTensor:
@@ -189,13 +206,30 @@ def link_encode(model: LinkModel, image: np.ndarray,
     return z, chan_encode(z.values.data, model.chan)
 
 
-def link_receive(model: LinkModel, z: SemanticTensor, x: np.ndarray,
-                 chan_cfg: ChannelConfig, rng: RngStream, frame=None) -> LinkResult:
-    """The per-channel half of evaluate_link: send link_encode's symbols x
-    through fading_stage (a stack of one), channel-decode and decode."""
-    x_hat = fading_stage(x[None], chan_cfg, [rng], frame)[0]
-    z_hat = z.with_values(Tensor(chan_decode(x_hat, model.chan)))
+def _cell_rows(model: LinkModel, x: np.ndarray, chan_cfg: ChannelConfig, rng: RngStream,
+               frame=None) -> np.ndarray:
+    """Symbols x sent over one channel cell (fading_stage, a stack of one)
+    and channel-decoded: the received semantic rows."""
+    return chan_decode(fading_stage(x[None], chan_cfg, [rng], frame)[0], model.chan)
+
+
+def _received(model: LinkModel, z: SemanticTensor, rows: np.ndarray) -> LinkResult:
+    """Received rows (or a stack of them) zero-filled, decoded, unpatchified."""
+    z_hat = z.with_values(Tensor(rows))
     return LinkResult(_decode(model, z_hat), z, z_hat)
+
+
+def link_receive(model: LinkModel, z: SemanticTensor, x: np.ndarray, cells) -> LinkResult:
+    """The per-channel half of evaluate_link for C channel cells at once.
+
+    cells lists (chan_cfg, rng, frame) triples, frame None to draw it from
+    rng.  Each cell sends link_encode's symbols x over its own channel and
+    channel-decodes them; the C received sequences are then decoded as one
+    [C, N, d] stack, forward only (call it under no_grad()).  The result's
+    image is [C, ch, H, W] and its z_hat values [C, L, d], item c the same
+    bits as evaluate_link over cell c alone.
+    """
+    return _received(model, z, np.stack([_cell_rows(model, x, *cell) for cell in cells]))
 
 
 def evaluate_link(model: LinkModel, image: np.ndarray, plan: MaskPlan,
@@ -206,4 +240,5 @@ def evaluate_link(model: LinkModel, image: np.ndarray, plan: MaskPlan,
     A pre-drawn one-frame stack can be passed to pair arms of a comparison on
     the same channel realization.
     """
-    return link_receive(model, *link_encode(model, image, plan), chan_cfg, rng, frame)
+    z, x = link_encode(model, image, plan)
+    return _received(model, z, _cell_rows(model, x, chan_cfg, rng, frame))

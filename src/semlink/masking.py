@@ -124,14 +124,16 @@ def patchify(image: np.ndarray, grid: PatchGrid) -> np.ndarray:
 
 
 def unpatchify(rows, grid: PatchGrid) -> Tensor:
-    """Inverse of patchify as an autodiff op, from a Tensor or ndarray of rows."""
-    if rows.shape != (grid.num_patches, grid.patch_dim):
+    """Inverse of patchify as an autodiff op, from a Tensor or ndarray of rows;
+    a stack of rows [..., num_patches, patch_dim] gives [..., C, H, W]."""
+    if rows.shape[-2:] != (grid.num_patches, grid.patch_dim):
         raise ShapeError(f"rows shape {rows.shape} does not match grid {grid}")
-    p = grid.patch_size
-    arr = reshape(rows, (grid.grid_h, grid.grid_w, grid.channels, p, p))
+    lead = rows.shape[:-2]
+    k, p = len(lead), grid.patch_size
+    arr = reshape(rows, (*lead, grid.grid_h, grid.grid_w, grid.channels, p, p))
     return reshape(
-        permute_axes(arr, (2, 0, 3, 1, 4)),
-        (grid.channels, grid.grid_h * p, grid.grid_w * p),
+        permute_axes(arr, (*range(k), *(k + a for a in (2, 0, 3, 1, 4)))),
+        (*lead, grid.channels, grid.grid_h * p, grid.grid_w * p),
     )
 
 

@@ -15,7 +15,8 @@ running sums along each axis.  Global SSIM is the map's mean, region SSIM
 its mean over the windows fully inside the region.  The original's half
 (region pixel mask, windows inside it, window means of x and x²) is a
 ReferenceImage, built once and shared by every reconstruction of that
-original; image_report is one reference scoring one reconstruction.  psnr,
+original; its reports score a stack of reconstructions with one pass of
+the maps, and image_report is one reference scoring one reconstruction.  psnr,
 ssim and region_metric are single-metric views of the same code.  Evaluation
 runs the link under tensor.no_grad(), so the images scored here carry no
 graph.
@@ -105,8 +106,9 @@ def _window_means(a: np.ndarray):
 
 
 def _ssim_map(x: np.ndarray, y: np.ndarray, x_means, max_val: float):
-    """SSIM of every window placement, [C, H-7, W-7], given the original's
-    window means _window_means(x); None when no window fits."""
+    """SSIM of every window placement, [..., C, H-7, W-7], of y or a stack of
+    y [..., C, H, W] against x, given the original's window means
+    _window_means(x); None when no window fits."""
     if x_means is None:
         return None
     mx, exx = x_means
@@ -157,20 +159,28 @@ class ReferenceImage:
             inside = inside if inside.any() else None
         return ReferenceImage(x, mask, x_means, inside, max_val)
 
+    def reports(self, reconstructed) -> list:
+        """PSNR, SSIM and their region variants of each reconstruction of a
+        stack [S, C, H, W], from one squared-error map and one SSIM map of
+        the whole stack; item s equals report of reconstruction s."""
+        x, ys, max_val = self.x, _img(reconstructed), self.max_val
+        if ys.shape[1:] != x.shape:
+            raise ShapeError(f"image report shape mismatch {x.shape} vs {ys.shape[1:]}")
+        err2 = (x - ys) ** 2
+        smaps = _ssim_map(x, ys, self.x_means, max_val)
+        return [
+            MetricReport(
+                psnr_db=_psnr_db(float(np.mean(err2[s])), max_val),
+                ssim=_ssim_mean(x, ys[s], smap, max_val),
+                region_psnr_db=_psnr_db(float(err2[s][:, self.mask].mean()), max_val),
+                region_ssim=_ssim_mean(x, ys[s], smap, max_val, self.mask, self.inside),
+            )
+            for s, smap in enumerate([None] * len(ys) if smaps is None else smaps)
+        ]
+
     def report(self, reconstructed) -> MetricReport:
-        """PSNR, SSIM and their region variants of one reconstruction, from
-        one squared-error map and one SSIM map."""
-        x, y, max_val = self.x, _img(reconstructed), self.max_val
-        if x.shape != y.shape:
-            raise ShapeError(f"image report shape mismatch {x.shape} vs {y.shape}")
-        err2 = (x - y) ** 2
-        smap = _ssim_map(x, y, self.x_means, max_val)
-        return MetricReport(
-            psnr_db=_psnr_db(float(np.mean(err2)), max_val),
-            ssim=_ssim_mean(x, y, smap, max_val),
-            region_psnr_db=_psnr_db(float(err2[:, self.mask].mean()), max_val),
-            region_ssim=_ssim_mean(x, y, smap, max_val, self.mask, self.inside),
-        )
+        """PSNR, SSIM and their region variants of one reconstruction."""
+        return self.reports(_img(reconstructed)[None])[0]
 
 
 def image_report(original, reconstructed, loc, grid: PatchGrid,

@@ -16,6 +16,12 @@ codec's residual block call directly.
 
 Inside a no_grad() block (process-wide) every op returns a constant tensor,
 so forward-only callers run the same ops without building a graph.
+
+The forward kernels and matmul's left operand take leading stack axes
+([..., L, d]) and give each item of a stack the same bits as that item
+alone.  The VJPs of matmul and of the attention kernel stay 2-D, so there a
+stack runs forward only: a stacked matmul (or codec block) that would
+record a graph raises ShapeError.
 """
 
 from __future__ import annotations
@@ -128,10 +134,22 @@ def no_grad():
         _grad_enabled = prev
 
 
+def _records(parents) -> bool:
+    """Whether an op on these parents records a graph node."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _make(data, parents, vjp) -> Tensor:
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _records(parents):
         return Tensor(data, requires_grad=True, _parents=tuple(parents), _vjp=vjp)
     return Tensor(data)
+
+
+def _forward_only(x: Tensor, parents, what: str) -> None:
+    """Reject a stacked input ([..., L, d], ndim > 2) of an op whose VJP is
+    2-D when the op would record a graph."""
+    if x.ndim > 2 and _records(parents):
+        raise ShapeError(f"{what}: stacked input {x.shape} runs forward only (use no_grad())")
 
 
 # -- elementwise arithmetic ---------------------------------------------------
@@ -195,11 +213,13 @@ def power(a, p: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """a @ b for a 2-D b; a may carry leading stack axes (forward only)."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.ndim < 2 or b.ndim != 2:
+        raise ShapeError(f"matmul expects [..., m, k] @ [k, n], got {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
+    _forward_only(a, (a, b), "matmul")
     out = a.data @ b.data
 
     def vjp(g):
@@ -231,24 +251,25 @@ def reshape(a, shape) -> Tensor:
 
 
 def scatter_rows(src, idx, num_rows: int) -> Tensor:
-    """Place row i of src at row idx[i] of a zero matrix with num_rows rows.
+    """Place row i of src at row idx[i] of a zero matrix with num_rows rows,
+    in every item of a [..., L, d] stack.
 
     Duplicate indices are a contract violation (every destination row is
     written at most once).
     """
     src = as_tensor(src)
     idx = np.asarray(idx, dtype=np.intp)
-    if src.ndim != 2 or len(idx) != src.shape[0]:
+    if src.ndim < 2 or len(idx) != src.shape[-2]:
         raise ContractError(f"scatter_rows: {src.shape} rows vs {len(idx)} indices")
     if len(np.unique(idx)) != len(idx):
         raise ContractError("scatter_rows: duplicate destination indices")
     if len(idx) and (idx.min() < 0 or idx.max() >= num_rows):
         raise ContractError("scatter_rows: destination index out of range")
-    out = np.zeros((num_rows, src.shape[1]), dtype=np.float64)
-    out[idx] = src.data
+    out = np.zeros((*src.shape[:-2], num_rows, src.shape[-1]), dtype=np.float64)
+    out[..., idx, :] = src.data
 
     def vjp(g):
-        return (g[idx],)
+        return (g[..., idx, :],)
 
     return _make(out, (src,), vjp)
 
@@ -390,28 +411,30 @@ class AttentionParams:
 
 
 def _split_heads(rows: np.ndarray, num_heads: int) -> np.ndarray:
-    """[L, d] -> [H, L, d/H]"""
-    length, d = rows.shape
-    return rows.reshape(length, num_heads, d // num_heads).transpose(1, 0, 2)
+    """[..., L, d] -> [..., H, L, d/H]"""
+    *lead, length, d = rows.shape
+    return rows.reshape(*lead, length, num_heads, d // num_heads).swapaxes(-3, -2)
 
 
 def _merge_heads(heads: np.ndarray) -> np.ndarray:
-    """[H, L, hd] -> [L, H * hd]"""
-    num_heads, length, hd = heads.shape
-    return heads.transpose(1, 0, 2).reshape(length, num_heads * hd)
+    """[..., H, L, hd] -> [..., L, H * hd]"""
+    *lead, num_heads, length, hd = heads.shape
+    return heads.swapaxes(-3, -2).reshape(*lead, length, num_heads * hd)
 
 
 def _attention_fwd(q: np.ndarray, k: np.ndarray, v: np.ndarray, p: AttentionParams,
                    num_heads: int):
-    """Attention kernel on valid [L, d] arrays: (output, cache for the VJP).
-    Overflowing scores raise."""
+    """Attention kernel on valid [..., L, d] arrays: (output, cache for the
+    VJP, which takes [L, d] only).  Overflowing scores raise."""
     qh = _split_heads(q @ p.wq.data + p.bq.data, num_heads)
     kh = _split_heads(k @ p.wk.data + p.bk.data, num_heads)
     vh = _split_heads(v @ p.wv.data + p.bv.data, num_heads)
-    scores = (qh @ kh.transpose(0, 2, 1)) * (1.0 / math.sqrt(qh.shape[2]))
+    scores = (qh @ kh.swapaxes(-1, -2)) * (1.0 / math.sqrt(qh.shape[-1]))
     _check_finite(scores, "attention scores")
-    e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
-    attn = e / np.add.reduce(e, axis=-1, keepdims=True)
+    # softmax in place: the scores are not needed afterwards
+    attn = np.exp(np.subtract(scores, np.maximum.reduce(scores, axis=-1, keepdims=True),
+                              out=scores), out=scores)
+    attn /= np.add.reduce(attn, axis=-1, keepdims=True)
     merged = _merge_heads(attn @ vh)
     return merged @ p.wo.data + p.bo.data, (qh, kh, vh, attn, merged)
 

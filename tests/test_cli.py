@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from semlink import cli
 from semlink.channel import ChannelConfig, draw_channel
-from semlink.cli import _S_EVAL, _bench_cell, _fresh_scene_with_loc, hash_key, main
+from semlink.cli import _S_EVAL, _S_SWEEP, _bench_cell, _fresh_scene_with_loc, hash_key, main
 from semlink.codec import CodecConfig
 from semlink.config import SCHEMA, RunConfig
 from semlink.errors import ConfigError
@@ -227,8 +227,17 @@ class TestExitCodes:
         ["channel-bench", "--bench.trials", "2"],
         ["sweep-users", "--users.trials", "1", "--users.k_hi", "2"],
         ["gen-scenes", "--gen.count", "1"],
+        ["eval", "--eval.trials", "2"],
+        ["sweep-pr", "--sweep.trials", "2", "--sweep.pr_list", "0.2,0.6"],
     ], ids=lambda args: args[0])
-    def test_out_path_is_a_file_exits_3(self, tmp_path, capsys, args):
+    def test_out_path_is_a_file_exits_3(self, tmp_path, capsys, monkeypatch, request, args):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_trials", no_trial)
+        monkeypatch.setattr(cli, "_bench_cell", no_trial)
+        if args[0] in ("eval", "sweep-pr"):
+            args = [*args, "--checkpoint", request.getfixturevalue("trained_checkpoint")]
         out = tmp_path / "taken"
         out.write_text("")
         assert main([*args, "--out", str(out)]) == 3
@@ -639,7 +648,65 @@ class TestTruncatedCheckpoint:
         assert err.startswith("error:") and err.count("\n") == 1, err
 
 
+def reference_sweep_pr(cfg, models, trials):
+    """sweep_pr.csv rows and the summary rebuilt one (kind, p_r) cell at a
+    time: each trial drawn on its own and sent alone through evaluate_link."""
+    grid = cfg.scene_config().grid()
+    base = RngStream(cfg["seed"], _S_SWEEP)
+    rows, best = [], {}
+    for kind in cfg["sweep.kinds"]:
+        chan_cfg = cfg.channel_config(kind=kind)
+        for p_r in cfg["sweep.pr_list"]:
+            vals = []
+            for t in range(trials):
+                trial_rng = base.substream(t)
+                scene, loc = _fresh_scene_with_loc(cfg, trial_rng.substream(1), grid)
+                plan = sample_nonempty_mask(grid, loc, p_r,
+                                            trial_rng.substream(2, int(round(p_r * 1000))))
+                kind_rng = trial_rng.substream(hash_key(kind))
+                frame = draw_channel(chan_cfg, [kind_rng.substream(4)])
+                with no_grad():
+                    res = evaluate_link(models[p_r], scene.image, plan, chan_cfg,
+                                        kind_rng.substream(5), frame=frame)
+                rep = image_report(scene.image, res.image, loc, grid)
+                vals.append([rep.region_psnr_db, rep.region_ssim])
+            vals = np.asarray(vals)
+            stats = [float(v) for pair in zip(vals.mean(axis=0), vals.std(axis=0)) for v in pair]
+            rows.append([kind, repr(p_r), str(trials), *map(repr, stats)])
+            if kind not in best or stats[0] > best[kind]["region_psnr_mean"]:
+                best[kind] = {"p_r": p_r, "region_psnr_mean": stats[0]}
+    return rows, best
+
+
 class TestSweepPr:
+    def test_rows_match_per_cell_reference_with_checkpoint(self, tmp_path, trained_checkpoint):
+        args = {"seed": "8", "sweep.trials": "3", "sweep.pr_list": "0.1,0.3,0.5",
+                "sweep.kinds": "awgn,rayleigh,rician", "channel.n_t": "2", "channel.n_r": "2",
+                "channel.csi_error_var": "0.02"}
+        assert main(["sweep-pr", "--checkpoint", trained_checkpoint, "--out", str(tmp_path),
+                     *[a for k, v in args.items() for a in (f"--{k}", v)]]) == 0
+        cfg = RunConfig.load(None, args, command="sweep-pr")
+        model = LinkModel.load(trained_checkpoint)
+        rows, best = reference_sweep_pr(cfg, dict.fromkeys(cfg["sweep.pr_list"], model), 3)
+        assert read_csv(tmp_path / "sweep_pr.csv")[1] == rows
+        assert json.loads((tmp_path / "sweep_pr_summary.json").read_text()) == best
+
+    def test_rows_match_per_cell_reference_with_a_model_per_p_r(self, tmp_path, monkeypatch):
+        models = {}
+        train_for_pr = cli._train_for_pr
+        monkeypatch.setattr(cli, "_train_for_pr", lambda cfg, p_r, scenes: models.setdefault(
+            p_r, train_for_pr(cfg, p_r, scenes)))
+        args = {"seed": "9", "sweep.train_per_pr": "true", "sweep.trials": "2",
+                "sweep.pr_list": "0.2,0.6", "sweep.kinds": "awgn,rayleigh",
+                **{k[2:]: v for k, v in zip(FAST_TRAIN[::2], FAST_TRAIN[1::2])}}
+        assert main(["sweep-pr", "--out", str(tmp_path),
+                     *[a for k, v in args.items() for a in (f"--{k}", v)]]) == 0
+        cfg = RunConfig.load(None, args, command="sweep-pr")
+        assert models[0.2] is not models[0.6]
+        rows, best = reference_sweep_pr(cfg, models, 2)
+        assert read_csv(tmp_path / "sweep_pr.csv")[1] == rows
+        assert json.loads((tmp_path / "sweep_pr_summary.json").read_text()) == best
+
     def test_grid_coverage_and_summary(self, tmp_path, trained_checkpoint):
         out = tmp_path / "pr"
         code = main(["sweep-pr", "--checkpoint", trained_checkpoint, "--out", str(out),

@@ -261,3 +261,17 @@ class TestTrainPhase:
         loaded = LinkModel.load(path)
         assert tensor_hash(loaded.all_tensors()) == tensor_hash(model.all_tensors())
         assert loaded.codec_cfg == model.codec_cfg
+
+    def test_checkpoint_load_draws_nothing(self, tmp_path, monkeypatch):
+        grid = toy_scenes(1)[1]
+        model = LinkModel.init(grid, RngStream(15), feature_dim=16, enc_layers=1,
+                               dec_layers=1, num_heads=2, symbol_dim=4)
+        path = tmp_path / "m.ckpt"
+        model.save(path)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load drew a random model")
+
+        monkeypatch.setattr(RngStream, "normal", no_draw)
+        loaded = LinkModel.load(path)
+        assert tensor_hash(loaded.all_tensors()) == tensor_hash(model.all_tensors())
