@@ -13,6 +13,8 @@ also by its p_r), encodes each arm once, and receives the encoding over
 every cell as one stack per arm: one decoder pass and one metrics pass.
 Each kind draws its channel frame and noise from a stream keyed by
 (kind, t), so the SNRs of a kind share H and the standardized noise.
+sweep-users draws the semantics of each (K, trial) once, from a stream keyed
+by (K, trial), and partitions that one draw at every users.eps_list entry.
 Every command but gen-scenes creates --out before its first trial or
 training step, so an unusable path fails at once.
 """
@@ -311,15 +313,12 @@ def _train_for_pr(cfg: RunConfig, p_r: float, scenes: list) -> LinkModel:
     return model
 
 
-def _users_semantics(cfg: RunConfig, k: int, rng) -> MultiUserSemantics:
+def _users_semantics(cfg: RunConfig, ccfg, grid, k: int, rng) -> MultiUserSemantics:
     if cfg["users.source"] == "synthetic":
-        ccfg = cfg.correlated_config()
         return synth_correlated_semantics(
             rng, k, cfg["users.length"], cfg["users.dim"], ccfg.shared_fraction(k), ccfg.jitter,
         )
-    batch = generate_correlated_batch(rng, k, cfg.correlated_config())
-    grid = cfg.scene_config().grid()
-    rows = np.stack([patchify(s.image, grid) for s in batch])
+    rows = np.stack([patchify(s.image, grid) for s in generate_correlated_batch(rng, k, ccfg)])
     # standardize so variance-difference thresholds live on a unit scale
     mu, sd = rows.mean(), rows.std()
     return MultiUserSemantics((rows - mu) / max(sd, 1e-9))
@@ -329,26 +328,27 @@ def cmd_sweep_users(cfg: RunConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     trials = cfg["users.trials"]
     sym_dim = cfg["codec.symbol_dim"]
-    rows = []
-    log_lines = []
-    for eps in cfg["users.eps_list"]:
-        for k in range(cfg["users.k_lo"], cfg["users.k_hi"] + 1):
-            base = RngStream(cfg["seed"], _S_USERS).substream(int(round(eps * 10000)), k)
-
-            def one(t):
-                z = _users_semantics(cfg, k, base.substream(t))
+    eps_list = cfg["users.eps_list"]
+    ks = range(cfg["users.k_lo"], cfg["users.k_hi"] + 1)
+    ccfg, grid = cfg.correlated_config(), cfg.scene_config().grid()
+    base = RngStream(cfg["seed"], _S_USERS)
+    # one draw per (K, trial), partitioned at every eps: vals[e, i, t] = (saving, L_pub)
+    vals = np.empty((len(eps_list), len(ks), trials, 2))
+    for i, k in enumerate(ks):
+        for t in range(trials):
+            z = _users_semantics(cfg, ccfg, grid, k, base.substream(k, t))
+            for e, eps in enumerate(eps_list):
                 part = partition(z, eps, all_pairs=cfg["users.all_pairs"])
                 side = part.l_pub if cfg["users.count_side_info"] else 0
                 saving = bandwidth_savings(part) - side / (k * part.length * sym_dim)
-                return saving, part.l_pub
-
-            vals = np.asarray(run_trials(trials, one))
-            for t in range(trials):
-                log_lines.append(json.dumps({
-                    "trial": t, "K": k, "eps": eps,
-                    "L_pub": int(vals[t, 1]), "savings": float(vals[t, 0]),
-                }))
-            rows.append((k, eps, trials, vals[:, 0].mean(), vals[:, 0].std(), vals[:, 1].mean()))
+                vals[e, i, t] = saving, part.l_pub
+    rows, log_lines = [], []
+    for e, eps in enumerate(eps_list):
+        for i, k in enumerate(ks):
+            savings, l_pub = vals[e, i].T
+            log_lines += [json.dumps({"trial": t, "K": k, "eps": eps, "L_pub": int(l_pub[t]),
+                                      "savings": float(savings[t])}) for t in range(trials)]
+            rows.append((k, eps, trials, savings.mean(), savings.std(), l_pub.mean()))
 
     out = out_dir / "sweep_users.csv"
     _write_csv(out, ["k", "epsilon", "trials", "savings_mean", "savings_std", "l_pub_mean"], rows,

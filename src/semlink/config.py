@@ -168,7 +168,7 @@ class RunConfig:
         """Check every value by building each section.  command, when given,
         limits the check that a channel kind fits the antenna counts to the
         kinds that command draws (one it does not draw is built with n_r =
-        n_t), and the stream-key checks to that command; None checks all."""
+        n_t), and each command's own checks to that command; None checks all."""
         v = self.values
         CodecConfig.for_grid(self.scene_config().grid(), **self.section(CodecConfig))
         self.channel_config("rayleigh", snr_db=math.inf)
@@ -193,8 +193,7 @@ class RunConfig:
             raise ConfigError("user counts need 2 <= k_lo <= k_hi")
         if v["users.source"] not in ("synthetic", "scenes"):
             raise ConfigError("users.source must be synthetic or scenes")
-        # stream keys: int(csi_var * 1e6) in channel-bench (0 for the exact
-        # awgn CSI), int(round(eps * 1e4)) in sweep-users
+        # channel-bench's stream key: int(csi_var * 1e6) (0 for the exact awgn CSI)
         if (command in (None, "channel-bench") and set(v["bench.kinds"]) != {"awgn"}
                 and not math.isfinite(max(map(abs, v["bench.csi_var_list"])) * 1e6)):
             raise ConfigError("bench.csi_var_list entry * 1e6 (its stream key) overflows")
@@ -205,8 +204,6 @@ class RunConfig:
                 raise ConfigError(f"eval.dump_images: cells {', '.join(shared)} would share one "
                                   "dump directory (repeated kind or SNR equal under :g)")
         if command in (None, "sweep-users"):
-            if not math.isfinite(max(v["users.eps_list"]) * 1e4):  # entries >= 0, checked above
-                raise ConfigError("users.eps_list entry * 1e4 (its stream key) overflows")
             try:
                 users.shared_fraction(v["users.k_hi"])
             except OverflowError:

@@ -88,13 +88,16 @@ class LinkModel:
             raise ParseError(f"checkpoint {path} or its manifest is missing")
         try:  # ConfigError is a ValueError: invalid sizes are a malformed manifest too
             manifest = json.loads(manifest_path.read_text())
-            cfg = CodecConfig.from_dict(manifest["codec"])
             g = manifest["grid"]
+            sizes = {**g, **manifest["codec"], "symbol_dim": manifest["symbol_dim"]}
+            if bad := [k for k, v in sizes.items() if type(v) is not int]:  # not isinstance: True
+                raise ValueError(f"{', '.join(bad)} not an integer")
+            cfg = CodecConfig.from_dict(manifest["codec"])
             grid = PatchGrid(g["patch_size"], g["grid_h"], g["grid_w"], g["channels"])
             model = LinkModel.init(
                 grid,
                 _NO_DRAWS,  # the slots are overwritten below
-                symbol_dim=int(manifest["symbol_dim"]),
+                symbol_dim=manifest["symbol_dim"],
                 feature_dim=cfg.feature_dim,
                 enc_layers=cfg.enc_layers,
                 dec_layers=cfg.dec_layers,

@@ -272,11 +272,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("args,code", [
         (["channel-bench", "--bench.csi_var_list", "1e303"], 2),
-        (["sweep-users", "--users.eps_list", "1e308"], 2),
         (["sweep-users", "--users.k_hi", "4", "--users.share_decay", "1e308"], 2),
         (["sweep-users", "--users.source", "scenes", "--users.jitter", "1e308"], 2),
         (["sweep-users", "--users.jitter", "1e200"], 3),
-    ], ids=["csi-key", "eps-key", "share-decay-power", "scenes-jitter", "synthetic-jitter"])
+    ], ids=["csi-key", "share-decay-power", "scenes-jitter", "synthetic-jitter"])
     def test_numeric_setting_outside_float_range_exits_with_one_line(self, tmp_path, capsys,
                                                                      args, code):
         run = [*args, "--out", str(tmp_path), "--bench.trials", "2", "--users.trials", "2"]
@@ -635,6 +634,7 @@ class TestTruncatedCheckpoint:
         ("grid", "patch_size", "4"), ("grid", "patch_size", 4.0),
         (None, "symbol_dim", 0), ("grid", "grid_h", -8),
         ("codec", "num_patches", 100), ("codec", "patch_dim", 3),
+        ("grid", "channels", True), (None, "symbol_dim", 4.5), ("codec", "feature_dim", 16.5),
     ])
     def test_eval_exits_3_on_malformed_manifest(self, tmp_path, trained_checkpoint, capsys,
                                                 section, key, value):
@@ -812,6 +812,34 @@ class TestSweepUsers:
         _, rows = read_csv(out / "sweep_users.csv")
         assert len(rows) == 2
 
+    @pytest.mark.parametrize("source", ["synthetic", "scenes"])
+    def test_every_epsilon_partitions_the_same_draw(self, tmp_path, source):
+        run = ["sweep-users", "--seed", "4", "--users.trials", "50", "--users.k_hi", "4",
+               "--users.source", source]
+        assert main([*run, "--users.eps_list", "0.05,0.1,0.2", "--out", str(tmp_path / "all")]) == 0
+        assert main([*run, "--users.eps_list", "0.1", "--out", str(tmp_path / "one")]) == 0
+        text = (tmp_path / "all" / "sweep_users.jsonl").read_text().splitlines()
+        lines = [json.loads(l) for l in text]
+        per_draw = {}
+        for l in lines:
+            per_draw.setdefault((l["K"], l["trial"]), []).append(l)
+        assert len(per_draw) == 3 * 50
+        for seq in per_draw.values():
+            assert [l["eps"] for l in seq] == [0.05, 0.1, 0.2]
+            for lo, hi in zip(seq, seq[1:]):
+                assert hi["L_pub"] >= lo["L_pub"] and hi["savings"] >= lo["savings"], seq
+        # a run at one eps reproduces that eps's lines of the three-eps run bit for bit
+        alone = (tmp_path / "one" / "sweep_users.jsonl").read_text().splitlines()
+        assert alone == [t for t, l in zip(text, lines) if l["eps"] == 0.1]
+
+    def test_epsilon_above_every_divergence_shares_every_position(self, tmp_path):
+        out = tmp_path / "uall"
+        assert main(["sweep-users", "--out", str(out), "--seed", "4", "--users.trials", "3",
+                     "--users.k_hi", "5", "--users.eps_list", "1e308"]) == 0
+        lines = [json.loads(l) for l in (out / "sweep_users.jsonl").read_text().splitlines()]
+        assert len(lines) == 4 * 3
+        for l in lines:
+            assert l["L_pub"] == 32 and l["savings"] == (l["K"] - 1) / l["K"], l
 
     def test_side_info_count_subtracts_public_rows(self, tmp_path):
         run = ["sweep-users", "--seed", "4", "--users.trials", "5", "--users.k_hi", "5",

@@ -294,6 +294,23 @@ class TestSavings:
             savings = [bandwidth_savings(partition(z, e)) for e in epsilons]
             assert all(a <= b for a, b in zip(savings, savings[1:]))
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(k=st.integers(2, 6), length=st.integers(1, 9), dim=st.integers(2, 6),
+           fraction=st.floats(0.0, 1.0), all_pairs=st.booleans(),
+           eps=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)).map(sorted),
+           symbol_dim=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_shared_set_and_savings_nested_in_epsilon(self, k, length, dim, fraction, all_pairs,
+                                                      eps, symbol_dim, seed):
+        z = synth_correlated_semantics(RngStream(seed, 29), k, length, dim, fraction, jitter=0.5)
+        lo, hi = (partition(z, e, all_pairs=all_pairs) for e in eps)
+        # the shared set is {i : d_i < eps}
+        assert set(lo.shared_idx) <= set(hi.shared_idx)
+        assert bandwidth_savings(lo) <= bandwidth_savings(hi)
+        # with side information the saving is L_pub * (K - 1 - 1/symbol_dim) / (K * L), K >= 2
+        side_lo, side_hi = (bandwidth_savings(p) - p.l_pub / (k * length * symbol_dim)
+                            for p in (lo, hi))
+        assert side_lo <= side_hi
+
     def test_trend_shape_over_users(self):
         # decaying share profile: savings rise from K=2, peak, then decline
         base, decay, n = 0.9, 0.93, 150
