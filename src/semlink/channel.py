@@ -218,14 +218,16 @@ def lmmse_detect(y: np.ndarray, frame: ChannelFrame, out_shape: tuple) -> np.nda
         raise ShapeError(f"received blocks {y.shape} do not match CSI {hh.shape}")
     hh_h = hh.conj().swapaxes(-1, -2)
     reg = max(frame.noise_var / frame.p_s + hh.shape[-1] * frame.csi_error_var, _INV_FLOOR)
-    gram = hh @ hh_h + reg * np.eye(hh.shape[-2])
-    try:
-        w = np.linalg.solve(gram, y)
-    except np.linalg.LinAlgError as exc:
-        if not np.isfinite(hh).all():
-            raise NonFiniteError("detection rejected non-finite CSI") from exc
-        raise NumericError(f"detection system singular: {exc}") from exc
-    xb = hh_h @ w
+    # a CSI error near the float range overflows here; the checks below report it
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = hh @ hh_h + reg * np.eye(hh.shape[-2])
+        try:
+            w = np.linalg.solve(gram, y)
+        except np.linalg.LinAlgError as exc:
+            if not np.isfinite(hh).all():
+                raise NonFiniteError("detection rejected non-finite CSI") from exc
+            raise NumericError(f"detection system singular: {exc}") from exc
+        xb = hh_h @ w
     if not np.isfinite(xb).all():
         raise NonFiniteError("detection produced non-finite symbols")
     t = _check_stack(out_shape, frame, "output")

@@ -8,13 +8,15 @@ fully resolved configuration, and exits 0 on success, 2 on configuration
 errors, 3 on runtime errors.  A loaded checkpoint's grid must match scene.*.
 
 eval and sweep-pr loop over trials outside and channel cells inside.  Trial
-t draws its scene and plans from a stream keyed by t alone (a sweep-pr plan
-also by its p_r), encodes each arm once, and receives the encoding over
-every cell as one stack per arm: one decoder pass and one metrics pass.
-Each kind draws its channel frame and noise from a stream keyed by
-(kind, t), so the SNRs of a kind share H and the standardized noise.
-sweep-users draws the semantics of each (K, trial) once, from a stream keyed
-by (K, trial), and partitions that one draw at every users.eps_list entry.
+t draws its scene and plans from a stream keyed by t alone (every sweep-pr
+plan from one uniform draw), encodes each arm once, and receives the
+encoding over every cell as one stack per arm: one decoder pass and one
+metrics pass.  Each kind draws its channel frame and noise from a stream
+keyed by (kind, t), so the SNRs of a kind share H and the standardized
+noise; channel-bench likewise draws each (kind, t) once for all its SNR and
+CSI cells.  sweep-users draws the semantics of each (K, trial) once, from a
+stream keyed by (K, trial), and partitions that one draw at every
+users.eps_list entry.  No stream is keyed by a swept value.
 Every command but gen-scenes creates --out before its first trial or
 training step, so an unusable path fails at once.
 """
@@ -277,8 +279,7 @@ def cmd_sweep_pr(cfg: RunConfig, out_dir: Path, checkpoint: str | None) -> int:
     pr_list, kinds = cfg["sweep.pr_list"], cfg["sweep.kinds"]
 
     def arms_for(grid, loc, trial_rng):
-        return [(models[p_r], sample_nonempty_mask(grid, loc, p_r,
-                                                   trial_rng.substream(2, int(round(p_r * 1000)))))
+        return [(models[p_r], sample_nonempty_mask(grid, loc, p_r, trial_rng.substream(2)))
                 for p_r in pr_list]
 
     base = RngStream(cfg["seed"], _S_SWEEP)
@@ -358,36 +359,31 @@ def cmd_sweep_users(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _bench_cell(chan_cfg, base: RngStream, trials: int, n_sym: int) -> np.ndarray:
+def _bench_cell(chan_cfg, x: np.ndarray, streams: list) -> np.ndarray:
     """Detection NMSE of every trial of one cell, all trials as one stack.
 
-    Trial t draws CN(0, 1) symbols from base.substream(t) and fading_stage
-    sends them at power p_s over the channel of .substream(1) of that with
-    noise from .substream(2), so each value equals that of the trial alone.
+    fading_stage sends trial t's symbols x[t] at power p_s over the channel
+    of streams[t].substream(1) with noise from .substream(2), so each value
+    equals that of the trial alone, and every cell given the same streams
+    sees the same H and the same standardized noise.
     The NMSE compares symbols at their drawn power, never squaring p_s-size ones.
     """
-    streams = [base.substream(t) for t in range(trials)]
-    x = complex_normal_stack(streams, (n_sym, 1), 0.0, 1.0)
     return nmse(x, fading_stage(x, chan_cfg, streams))
 
 
 def cmd_channel_bench(cfg: RunConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     trials = cfg["bench.trials"]
-    n_sym = cfg["bench.symbols"]
+    base = RngStream(cfg["seed"], _S_BENCH)
     rows = []
     for kind in cfg["bench.kinds"]:
+        # trial t of every cell of a kind sends the same CN(0, 1) symbols
+        streams = [base.substream(hash_key(kind), t) for t in range(trials)]
+        x = complex_normal_stack(streams, (cfg["bench.symbols"], 1), 0.0, 1.0)
         for snr_db in cfg["bench.snr_db_list"]:
             for csi_var in cfg["bench.csi_var_list"]:
                 chan_cfg = cfg.channel_config(kind=kind, snr_db=snr_db, csi_error_var=csi_var)
-                # keyed by the CSI error the channel has, so the awgn cells at
-                # every csi_var are one experiment with one set of draws
-                base = RngStream(cfg["seed"], _S_BENCH).substream(
-                    hash_key(kind), int(snr_db * 1000) & 0xFFFFFFFF,
-                    int(chan_cfg.effective_csi_error_var * 1e6),
-                )
-
-                vals = _bench_cell(chan_cfg, base, trials, n_sym)
+                vals = _bench_cell(chan_cfg, x, streams)
                 rows.append((kind, snr_db, csi_var, vals.mean(), vals.std()))
 
     out = out_dir / "channel_bench.csv"

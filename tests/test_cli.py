@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 
 from semlink import cli
 from semlink.channel import ChannelConfig, draw_channel
-from semlink.cli import _S_EVAL, _S_SWEEP, _bench_cell, _fresh_scene_with_loc, hash_key, main
+from semlink.cli import (_S_BENCH, _S_EVAL, _S_SWEEP, _bench_cell, _fresh_scene_with_loc,
+                         hash_key, main)
 from semlink.codec import CodecConfig
 from semlink.config import SCHEMA, RunConfig
 from semlink.errors import ConfigError
 from semlink.link import LinkModel, evaluate_link, fading_stage
 from semlink.masking import random_mask
 from semlink.metrics import image_report, nmse
-from semlink.rng import RngStream
+from semlink.rng import RngStream, complex_normal_stack
 from semlink.scenes import CorrelatedConfig, SceneConfig, load_annotated
 from semlink.tensor import no_grad
 from semlink.training import PHASES, TrainConfig, sample_nonempty_mask
@@ -236,6 +237,7 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "run_trials", no_trial)
         monkeypatch.setattr(cli, "_bench_cell", no_trial)
+        monkeypatch.setattr(cli, "complex_normal_stack", no_trial)
         if args[0] in ("eval", "sweep-pr"):
             args = [*args, "--checkpoint", request.getfixturevalue("trained_checkpoint")]
         out = tmp_path / "taken"
@@ -271,17 +273,35 @@ class TestExitCodes:
         assert err.startswith("config error:") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("args,code", [
-        (["channel-bench", "--bench.csi_var_list", "1e303"], 2),
+        # at seed 4 a drawn 1x1 CSI error overflows detection to NaN
+        (["channel-bench", "--seed", "4", "--bench.csi_var_list", "1.7e308"], 3),
         (["sweep-users", "--users.k_hi", "4", "--users.share_decay", "1e308"], 2),
         (["sweep-users", "--users.source", "scenes", "--users.jitter", "1e308"], 2),
         (["sweep-users", "--users.jitter", "1e200"], 3),
-    ], ids=["csi-key", "share-decay-power", "scenes-jitter", "synthetic-jitter"])
+    ], ids=["csi-overflow", "share-decay-power", "scenes-jitter", "synthetic-jitter"])
     def test_numeric_setting_outside_float_range_exits_with_one_line(self, tmp_path, capsys,
                                                                      args, code):
         run = [*args, "--out", str(tmp_path), "--bench.trials", "2", "--users.trials", "2"]
         assert main(run) == code
         err = capsys.readouterr().err
         assert err.startswith(("config error:", "error:")) and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("command", ["eval", "sweep-pr", "channel-bench"])
+    def test_csi_error_overflowing_detection_exits_3_with_one_line(self, tmp_path, capsys,
+                                                                   trained_checkpoint, command):
+        # n_t * csi_error_var is inf, so the L-MMSE system of every fading trial is NaN
+        mimo = ["--channel.n_t", "4", "--channel.n_r", "4"]
+        run = {
+            "eval": ["eval", "--checkpoint", trained_checkpoint, "--eval.kinds", "rayleigh",
+                     "--eval.trials", "2", "--channel.csi_error_var", "1.7e308"],
+            "sweep-pr": ["sweep-pr", "--checkpoint", trained_checkpoint, "--sweep.kinds",
+                         "rayleigh", "--sweep.trials", "2", "--channel.csi_error_var", "1.7e308"],
+            "channel-bench": ["channel-bench", "--bench.trials", "2",
+                              "--bench.csi_var_list", "1.7e308"],
+        }[command]
+        assert main([*run, *mimo, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 _FLOAT_TEXT = st.one_of(
@@ -300,6 +320,12 @@ _TINY_RUNS = {
                     "--users.length", "4", "--users.dim", "3"],
     "sweep-users-scenes": ["sweep-users", "--users.trials", "1", "--users.k_hi", "3",
                            "--users.source", "scenes"],
+}
+
+# the commands that load a model, run with the trained_checkpoint fixture
+_CHECKPOINT_RUNS = {
+    "eval": ["eval", "--eval.trials", "1"],
+    "sweep-pr": ["sweep-pr", "--sweep.trials", "2"],
 }
 
 
@@ -323,6 +349,14 @@ class TestExitCodeProperty:
         # RuntimeWarning is an error under the test settings, so an overflow
         # that a run lets pass silently fails here too
         assert main([*_TINY_RUNS[run], *overrides, "--out", str(tmp_path)]) in (0, 2, 3)
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(run=st.sampled_from(sorted(_CHECKPOINT_RUNS)), overrides=_overrides())
+    def test_checkpoint_commands_exit_0_2_or_3(self, tmp_path, trained_checkpoint, run,
+                                               overrides):
+        assert main([*_CHECKPOINT_RUNS[run], *overrides, "--checkpoint", trained_checkpoint,
+                     "--out", str(tmp_path)]) in (0, 2, 3)
 
 
 class TestGenScenes:
@@ -661,8 +695,7 @@ def reference_sweep_pr(cfg, models, trials):
             for t in range(trials):
                 trial_rng = base.substream(t)
                 scene, loc = _fresh_scene_with_loc(cfg, trial_rng.substream(1), grid)
-                plan = sample_nonempty_mask(grid, loc, p_r,
-                                            trial_rng.substream(2, int(round(p_r * 1000))))
+                plan = sample_nonempty_mask(grid, loc, p_r, trial_rng.substream(2))
                 kind_rng = trial_rng.substream(hash_key(kind))
                 frame = draw_channel(chan_cfg, [kind_rng.substream(4)])
                 with no_grad():
@@ -879,13 +912,36 @@ class TestChannelBench:
         chan_cfg = ChannelConfig(kind=kind, snr_db=10.0, n_t=n_t, n_r=n_r,
                                  csi_error_var=csi_var, p_s=p_s)
         base = RngStream(6, 0x5B).substream(11)
-        batched = _bench_cell(chan_cfg, base, 25, n_sym)
+        streams = [base.substream(t) for t in range(25)]
+        batched = _bench_cell(chan_cfg, complex_normal_stack(streams, (n_sym, 1), 0.0, 1.0),
+                              streams)
         looped = []
         for t in range(25):
             rng = base.substream(t)
             x = rng.complex_normal((n_sym, 1), 0.0, 1.0)[None]
             looped.append(nmse(x, fading_stage(x, chan_cfg, [rng]))[0])
         np.testing.assert_array_equal(batched, np.asarray(looped))
+
+    def test_rows_match_bench_cell_over_per_kind_trial_streams(self, tmp_path):
+        args = {"seed": "7", "bench.trials": "5", "bench.symbols": "9",
+                "bench.kinds": "awgn,rayleigh,rician", "bench.snr_db_list": "0,10,10.0004",
+                "bench.csi_var_list": "0,4e-7,0.05", "channel.n_t": "2", "channel.n_r": "2"}
+        assert main(["channel-bench", "--out", str(tmp_path),
+                     *[a for k, v in args.items() for a in (f"--{k}", v)]]) == 0
+        cfg = RunConfig.load(None, args, command="channel-bench")
+        rows = []
+        for kind in cfg["bench.kinds"]:
+            for snr_db in cfg["bench.snr_db_list"]:
+                for csi_var in cfg["bench.csi_var_list"]:
+                    # fresh streams per cell: no cell may depend on the cells before it
+                    streams = [RngStream(7, _S_BENCH).substream(hash_key(kind), t)
+                               for t in range(5)]
+                    x = complex_normal_stack(streams, (9, 1), 0.0, 1.0)
+                    vals = _bench_cell(cfg.channel_config(kind=kind, snr_db=snr_db,
+                                                          csi_error_var=csi_var), x, streams)
+                    rows.append([kind, repr(snr_db), repr(csi_var),
+                                 repr(float(vals.mean())), repr(float(vals.std()))])
+        assert read_csv(tmp_path / "channel_bench.csv")[1] == rows
 
     def test_huge_symbol_power_gives_the_unit_power_nmse(self, tmp_path):
         run = ["channel-bench", "--seed", "3", "--bench.trials", "40"]

@@ -633,7 +633,8 @@ class TestRngCost:
 
     def test_bench_cell_builds_no_philox(self, philox_builds):
         cfg = ChannelConfig(kind="rician", n_t=2, n_r=3, snr_db=10.0, csi_error_var=0.05)
-        vals = _bench_cell(cfg, RngStream(5, 6), 8, 16)
+        streams = [RngStream(5, 6).substream(t) for t in range(8)]
+        vals = _bench_cell(cfg, complex_normal_stack(streams, (16, 1), 0.0, 1.0), streams)
         assert vals.shape == (8,)
         assert philox_builds == []
 
