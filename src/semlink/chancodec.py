@@ -98,8 +98,8 @@ def chan_encode(values: np.ndarray, params: ChanCodecParams) -> np.ndarray:
 
 
 def chan_decode(x_hat: np.ndarray, params: ChanCodecParams) -> np.ndarray:
-    """Detected complex symbols [L, symbol_dim] -> semantic rows; NonFiniteError if not finite."""
-    if x_hat.ndim != 2 or x_hat.shape[1] != params.symbol_dim:
+    """Detected symbols [..., L, symbol_dim] -> semantic rows; NonFiniteError if not finite."""
+    if x_hat.ndim < 2 or x_hat.shape[-1] != params.symbol_dim:
         raise ShapeError(f"symbols {x_hat.shape} vs symbol_dim {params.symbol_dim}")
     out = complex_to_real_view(x_hat) @ params.dec_weight.data + params.dec_bias.data
     if not np.isfinite(out).all():

@@ -10,7 +10,10 @@ signal's symbols are serialized row-major, zero-padded to a multiple of n_t,
 and reshaped into n_t-row blocks under its frame's block-fading channel
 matrix.  Detection applies
 X_hat = H_hatᴴ (H_hat H_hatᴴ + (noise_var / p_s + n_t csi_error_var) I)⁻¹ Y
-blockwise with the estimated CSI and strips the padding.  This is the L-MMSE
+blockwise with the estimated CSI, its regularizer set per frame, and strips
+the padding.  fading_cells draws H, the standardized CSI error and noise once
+for C cells that differ in SNR and CSI error, scales them to every cell, and
+detects all C * T frames as one stack.  This is the L-MMSE
 estimator for i.i.d. symbols of power p_s when H = H_hat - E with E i.i.d.
 CN(0, csi_error_var): the term E X adds p_s n_t csi_error_var to the noise
 power a detector built from H_hat sees.  The identity (awgn) channel is
@@ -25,11 +28,11 @@ channel, so noise_var scales exactly with SNR.  A ChannelConfig checks its
 fields when constructed, so the functions here take every instance as valid.
 
 Signals, channel matrices and detected symbols are plain complex128
-ndarrays.  Finiteness is checked twice per pass, once each with
-np.isfinite(...).all(): on the signal where it enters transmit, and on the
-detector's output in lmmse_detect.  A NaN or Inf in H or H_hat propagates
-into that output (or makes the solve fail, which lmmse_detect then reports
-as non-finite CSI), so it raises NonFiniteError before reaching a decoder.
+ndarrays.  Finiteness is checked three times per pass, each with
+np.isfinite(...).all(): on the signal where it enters transmit, on the
+detector's gram H_hat H_hatᴴ + reg I, and on the detector's output.  A NaN
+or Inf in H or H_hat, or a CSI error so large that the gram overflows,
+raises NonFiniteError before reaching a decoder.
 
 Training never touches this statistical channel; it uses surrogate_channel,
 a differentiable per-entry gain-plus-noise map over the interleaved real
@@ -58,6 +61,7 @@ __all__ = [
     "transmit",
     "lmmse_detect",
     "transmit_detect",
+    "fading_cells",
     "surrogate_channel",
 ]
 
@@ -108,13 +112,16 @@ class ChannelFrame:
 def power_scale(x: np.ndarray, p_s: float) -> np.ndarray:
     """Per-signal factors bringing the mean per-symbol power of each signal
     of the stack x [T, ...] exactly to p_s, shaped [T, 1, ..., 1]."""
-    mean_pow = np.mean(np.abs(x) ** 2, axis=tuple(range(1, x.ndim)), keepdims=True)
+    # np.mean's arithmetic without its wrapper's overhead
+    mean_pow = ((np.abs(x) ** 2).sum(axis=tuple(range(1, x.ndim)), keepdims=True)
+                / math.prod(x.shape[1:]))
     if np.any(mean_pow == 0.0):
         raise ContractError("cannot normalize an all-zero signal")
     with np.errstate(over="ignore"):
         s = np.sqrt(p_s / mean_pow)
     # p_s near either end of the float range: the ratio of the roots stays inside
-    return np.where(np.isinf(s) | (s == 0.0), np.sqrt(p_s) / np.sqrt(mean_pow), s)
+    bad = np.isinf(s) | (s == 0.0)
+    return np.where(bad, np.sqrt(p_s) / np.sqrt(mean_pow), s) if bad.any() else s
 
 
 def normalize_power(x: np.ndarray, p_s: float) -> np.ndarray:
@@ -142,6 +149,18 @@ def calibrate_noise(cfg: ChannelConfig) -> float:
 # -- channel draws -------------------------------------------------------------
 
 
+def _draw_h(cfg: ChannelConfig, rngs, with_csi: bool):
+    """H [T, n_r, n_t], and with_csi the standardized CSI error drawn after it."""
+    shape = (cfg.n_r, cfg.n_t)
+    if cfg.kind == "awgn":
+        return np.broadcast_to(np.eye(*shape, dtype=complex), (len(rngs), *shape)).copy(), None
+    # [T, H | CSI error, re | im, n_r, n_t]; Rayleigh is the Rician law at r = 0
+    buf = _normal_rows(rngs, (2 if with_csi else 1, 2, *shape))
+    r = cfg.rician_r if cfg.kind == "rician" else 0.0
+    h = _complex_rows(buf[:, 0], math.sqrt(r / (r + 1.0)), 1.0 / (r + 1.0))
+    return h, (buf[:, 1] if with_csi else None)
+
+
 def draw_channel(cfg: ChannelConfig, rngs) -> ChannelFrame:
     """One block-fading realization plus its (possibly corrupted) CSI from
     each of T >= 1 streams, as a frame of [T, n_r, n_t] matrices.  Stream t
@@ -149,21 +168,9 @@ def draw_channel(cfg: ChannelConfig, rngs) -> ChannelFrame:
     stream listed twice draws both for one frame, then both for the next)."""
     if len(rngs) < 1:
         raise ShapeError("a channel draw needs at least one stream")
-    shape = (cfg.n_r, cfg.n_t)
     csi_var = cfg.effective_csi_error_var
-    if cfg.kind == "awgn":
-        eye = np.eye(cfg.n_r, cfg.n_t, dtype=np.complex128)
-        h = np.broadcast_to(eye, (len(rngs), *shape)).copy()
-        h_hat = h.copy()  # exact CSI, in its own array
-    else:
-        # [T, H | CSI error, re | im, n_r, n_t]
-        buf = _normal_rows(rngs, (2 if csi_var > 0 else 1, 2, *shape))
-        if cfg.kind == "rayleigh":
-            h = _complex_rows(buf[:, 0], 0.0, 1.0)
-        else:
-            r = cfg.rician_r
-            h = _complex_rows(buf[:, 0], math.sqrt(r / (r + 1.0)), 1.0 / (r + 1.0))
-        h_hat = h + _complex_rows(buf[:, 1], 0.0, csi_var) if csi_var > 0 else h.copy()
+    h, err = _draw_h(cfg, rngs, csi_var > 0)
+    h_hat = h + _complex_rows(err, 0.0, csi_var) if csi_var > 0 else h.copy()
     return ChannelFrame(h, h_hat, calibrate_noise(cfg), cfg.p_s, csi_var)
 
 
@@ -179,13 +186,14 @@ def _check_stack(shape: tuple, frame: ChannelFrame, what: str) -> int:
 
 
 def _to_blocks(x: np.ndarray, t: int, n_t: int) -> np.ndarray:
-    """[T, n_t, m] blocks filled column-wise, zero-padded to m * n_t."""
+    """[T, n_t, m] blocks filled column-wise, zero-padded to m * n_t (or a view of x)."""
     flat = x.reshape(t, -1)
     count = flat.shape[-1]
     m = -(-count // n_t)  # ceil
-    padded = np.zeros((t, m * n_t), dtype=np.complex128)
-    padded[:, :count] = flat
-    return padded.reshape(t, m, n_t).swapaxes(-1, -2)
+    if count < m * n_t or not (flat.flags.c_contiguous and flat.dtype == np.complex128):
+        flat = np.zeros((t, m * n_t), dtype=np.complex128)
+        flat[:, :count] = x.reshape(t, -1)
+    return flat.reshape(t, m, n_t).swapaxes(-1, -2)
 
 
 def transmit(x: np.ndarray, frame: ChannelFrame, rngs) -> np.ndarray:
@@ -206,42 +214,82 @@ def transmit(x: np.ndarray, frame: ChannelFrame, rngs) -> np.ndarray:
     return y
 
 
+def _detect(y: np.ndarray, hh: np.ndarray, reg, out_shape: tuple) -> np.ndarray:
+    """L-MMSE symbols [..., *out_shape] from y under hh, reg a float or per frame."""
+    hh_h = hh.conj().swapaxes(-1, -2)
+    # a CSI error near the float range overflows here; the checks below report it
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = hh @ hh_h + reg * np.eye(hh.shape[-2])
+        if not np.isfinite(gram).all():
+            raise NonFiniteError("detection rejected a non-finite CSI gram")
+        try:
+            xb = hh_h @ np.linalg.solve(gram, y)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"detection system singular: {exc}") from exc
+    if not np.isfinite(xb).all():
+        raise NonFiniteError("detection produced non-finite symbols")
+    count = math.prod(out_shape[1:])
+    flat = xb.swapaxes(-1, -2).reshape(*xb.shape[:-2], -1)
+    if count > flat.shape[-1]:
+        raise ShapeError(f"requested {count} symbols from {flat.shape[-1]} detected")
+    return flat[..., :count].reshape(*xb.shape[:-3], *out_shape)
+
+
 def lmmse_detect(y: np.ndarray, frame: ChannelFrame, out_shape: tuple) -> np.ndarray:
     """L-MMSE detection with estimated CSI, counting its error as noise.
 
     Strips the zero-padding and returns the symbols in the [T, ...] layout
-    out_shape.  A non-finite output (from non-finite y, H or H_hat) raises
-    NonFiniteError.
+    out_shape.  A non-finite gram or output (from non-finite y, H or H_hat,
+    or a CSI error overflowing the gram) raises NonFiniteError.
     """
     hh = frame.h_hat
     if y.ndim != hh.ndim or y.shape[:-1] != hh.shape[:-1]:
         raise ShapeError(f"received blocks {y.shape} do not match CSI {hh.shape}")
-    hh_h = hh.conj().swapaxes(-1, -2)
+    _check_stack(out_shape, frame, "output")
     reg = max(frame.noise_var / frame.p_s + hh.shape[-1] * frame.csi_error_var, _INV_FLOOR)
-    # a CSI error near the float range overflows here; the checks below report it
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = hh @ hh_h + reg * np.eye(hh.shape[-2])
-        try:
-            w = np.linalg.solve(gram, y)
-        except np.linalg.LinAlgError as exc:
-            if not np.isfinite(hh).all():
-                raise NonFiniteError("detection rejected non-finite CSI") from exc
-            raise NumericError(f"detection system singular: {exc}") from exc
-        xb = hh_h @ w
-    if not np.isfinite(xb).all():
-        raise NonFiniteError("detection produced non-finite symbols")
-    t = _check_stack(out_shape, frame, "output")
-    count = math.prod(out_shape[1:])
-    flat = xb.swapaxes(-1, -2).reshape(t, -1)
-    if count > flat.shape[-1]:
-        raise ShapeError(f"requested {count} symbols from {flat.shape[-1]} detected")
-    return flat[..., :count].reshape(out_shape)
+    return _detect(y, hh, reg, out_shape)
 
 
 def transmit_detect(x: np.ndarray, frame: ChannelFrame, rngs) -> np.ndarray:
     """Round trip preserving the input layout exactly."""
     y = transmit(x, frame, rngs)
     return lmmse_detect(y, frame, out_shape=x.shape)
+
+
+def fading_cells(x: np.ndarray, cfgs: list, rngs, frame=None) -> np.ndarray:
+    """T signals [T, ...] over C cells of one kind differing only in SNR and
+    CSI error -> [C, T, ...] detected symbols at their original power.  One
+    draw of H (rngs[t].substream(1), or a given frame's H and H_hat), CSI
+    error and noise (substream(2)) is scaled to every cell: item (c, t) has
+    the bits of signal t sent alone over cell c."""
+    cfg, t = cfgs[0], len(x)
+    if len(cfgs) > 1 and len({(c.kind, c.n_t, c.n_r, c.rician_r, c.p_s) for c in cfgs}) > 1:
+        raise ContractError("the cells of one fading pass differ beyond SNR and CSI error")
+    if len(rngs) != t:
+        raise ShapeError(f"{len(rngs)} streams do not match {t} signals")
+    s = power_scale(x, cfg.p_s)
+    xs = x * s
+    if not np.isfinite(xs).all():
+        raise NonFiniteError("transmit rejected a non-finite signal")
+    csi, noise = [c.effective_csi_error_var for c in cfgs], [calibrate_noise(c) for c in cfgs]
+    if frame is None:
+        h, err = _draw_h(cfg, [r.substream(1) for r in rngs], max(csi) > 0)
+    else:
+        _check_stack(x.shape, frame, "signal")
+        h = frame.h
+    hx = h @ _to_blocks(xs, t, cfg.n_t)
+    if max(noise) > 0:
+        std = _normal_rows([r.substream(2) for r in rngs], (2, *hx.shape[1:]))
+    hh = np.empty((len(cfgs), *h.shape), dtype=complex)
+    y = np.empty((len(cfgs), *hx.shape), dtype=complex)
+    for c, (e, v) in enumerate(zip(csi, noise)):  # each cell scales a copy of the one draw
+        hh[c] = (frame.h_hat if frame is not None else
+                 h + _complex_rows(err.copy(), 0.0, e) if e > 0 else h)
+        y[c] = hx
+        if v > 0:  # the last noisy cell scales the draw itself
+            y[c] += _complex_rows(std.copy() if any(noise[c + 1:]) else std, 0.0, v)
+    reg = np.array([max(v / cfg.p_s + cfg.n_t * e, _INV_FLOOR) for v, e in zip(noise, csi)])
+    return _detect(y, hh, reg[:, None, None, None], x.shape) * (1.0 / s)
 
 
 # -- differentiable training surrogate ------------------------------------------

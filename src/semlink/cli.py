@@ -12,11 +12,12 @@ t draws its scene and plans from a stream keyed by t alone (every sweep-pr
 plan from one uniform draw), encodes each arm once, and receives the
 encoding over every cell as one stack per arm: one decoder pass and one
 metrics pass.  Each kind draws its channel frame and noise from a stream
-keyed by (kind, t), so the SNRs of a kind share H and the standardized
-noise; channel-bench likewise draws each (kind, t) once for all its SNR and
-CSI cells.  sweep-users draws the semantics of each (K, trial) once, from a
-stream keyed by (K, trial), and partitions that one draw at every
-users.eps_list entry.  No stream is keyed by a swept value.
+keyed by (kind, t), drawn once, so the SNRs of a kind share H and the
+standardized noise; channel-bench likewise draws each (kind, t) once for all
+its SNR and CSI cells.  Both send the cells of a kind through the channel as
+one stack (channel.fading_cells).  sweep-users draws the semantics of each
+(K, trial) once, from a stream keyed by (K, trial), and partitions that one
+draw at every users.eps_list entry.  No stream is keyed by a swept value.
 Every command but gen-scenes creates --out before its first trial or
 training step, so an unusable path fails at once.
 """
@@ -28,15 +29,16 @@ import csv
 import json
 import sys
 from dataclasses import replace
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
-from .channel import draw_channel
+from .channel import draw_channel, fading_cells
 from .codec import CodecConfig
 from .config import RunConfig, eval_cell_name
 from .errors import ConfigError, SemlinkError
-from .link import LinkModel, fading_stage, link_encode, link_receive
+from .link import LinkModel, link_encode, link_receive
 from .masking import patchify, random_mask
 from .metrics import ReferenceImage, nmse
 from .rng import RngStream, complex_normal_stack
@@ -196,10 +198,11 @@ def _score_trial(cfg: RunConfig, base: RngStream, trial: int, arms_for, chan_cfg
     arms = arms_for(grid, loc, trial_rng)
     reference = ReferenceImage.of(scene.image, loc, grid)
     cells = []
-    for chan_cfg in chan_cfgs:
-        kind_rng = trial_rng.substream(hash_key(chan_cfg.kind))
-        cells.append((chan_cfg, kind_rng.substream(5),
-                      draw_channel(chan_cfg, [kind_rng.substream(4)])))
+    for kind, kind_cfgs in groupby(chan_cfgs, key=lambda c: c.kind):
+        kind_rng = trial_rng.substream(hash_key(kind))
+        kind_cfgs = list(kind_cfgs)
+        rng, frame = kind_rng.substream(5), draw_channel(kind_cfgs[0], [kind_rng.substream(4)])
+        cells += [(chan_cfg, rng, frame) for chan_cfg in kind_cfgs]
     per_arm = []
     with no_grad():
         for a, (model, plan) in enumerate(arms):
@@ -359,32 +362,22 @@ def cmd_sweep_users(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _bench_cell(chan_cfg, x: np.ndarray, streams: list) -> np.ndarray:
-    """Detection NMSE of every trial of one cell, all trials as one stack.
-
-    fading_stage sends trial t's symbols x[t] at power p_s over the channel
-    of streams[t].substream(1) with noise from .substream(2), so each value
-    equals that of the trial alone, and every cell given the same streams
-    sees the same H and the same standardized noise.
-    The NMSE compares symbols at their drawn power, never squaring p_s-size ones.
-    """
-    return nmse(x, fading_stage(x, chan_cfg, streams))
-
-
 def cmd_channel_bench(cfg: RunConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     trials = cfg["bench.trials"]
     base = RngStream(cfg["seed"], _S_BENCH)
+    cells = [(snr_db, csi_var) for snr_db in cfg["bench.snr_db_list"]
+             for csi_var in cfg["bench.csi_var_list"]]
     rows = []
     for kind in cfg["bench.kinds"]:
         # trial t of every cell of a kind sends the same CN(0, 1) symbols
         streams = [base.substream(hash_key(kind), t) for t in range(trials)]
         x = complex_normal_stack(streams, (cfg["bench.symbols"], 1), 0.0, 1.0)
-        for snr_db in cfg["bench.snr_db_list"]:
-            for csi_var in cfg["bench.csi_var_list"]:
-                chan_cfg = cfg.channel_config(kind=kind, snr_db=snr_db, csi_error_var=csi_var)
-                vals = _bench_cell(chan_cfg, x, streams)
-                rows.append((kind, snr_db, csi_var, vals.mean(), vals.std()))
+        chan_cfgs = [cfg.channel_config(kind=kind, snr_db=snr_db, csi_error_var=csi_var)
+                     for snr_db, csi_var in cells]
+        # the NMSE compares symbols at their drawn power, never squaring p_s-size ones
+        vals = [nmse(x, x_hat) for x_hat in fading_cells(x, chan_cfgs, streams)]
+        rows += [(kind, *cell, v.mean(), v.std()) for cell, v in zip(cells, vals)]
 
     out = out_dir / "channel_bench.csv"
     _write_csv(out, ["kind", "snr_db", "csi_var", "nmse_mean", "nmse_std"], rows,

@@ -9,10 +9,11 @@ one function per channel stage: surrogate_stage on Tensors, which training
 differentiates, and fading_stage on plain complex arrays (training phase 2
 and multi-user transport call the stages directly).  link_encode does the
 channel-independent half of a statistical pass; link_receive sends its
-symbols over a list of channel cells, each through fading_stage on its own,
-and decodes the received sequences as one stack in one decoder pass, forward
-only (under tensor.no_grad()).  evaluate_link is the one-cell case, decoded
-unstacked, so it also runs with a graph recording.
+symbols over a list of channel cells, the cells of a kind in one
+channel.fading_cells pass (fading_stage is its one-cell case), and
+channel-decodes and decodes the received sequences as one stack each,
+forward only (under tensor.no_grad()).  evaluate_link is the one-cell case,
+decoded unstacked, so it also runs with a graph recording.
 Images and patch rows are plain ndarrays: the autodiff graph starts at the
 codec's patch embedding.
 
@@ -24,12 +25,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
 from .chancodec import ChanCodecParams, chan_decode, chan_encode, chan_decode_real, chan_encode_real
-from .channel import ChannelConfig, draw_channel, power_scale, surrogate_channel, transmit_detect
+from .channel import ChannelConfig, fading_cells, surrogate_channel
 from .codec import CodecConfig, CodecParams, SemanticTensor, decode, encode, zero_fill
 from .errors import ContractError, ParseError
 from .masking import MaskPlan, PatchGrid, patchify, unpatchify
@@ -175,16 +177,13 @@ def surrogate_stage(values: Tensor, chan: ChanCodecParams, chan_cfg: ChannelConf
 
 def fading_stage(x: np.ndarray, chan_cfg: ChannelConfig, rngs, frame=None) -> np.ndarray:
     """Stack of T signals [T, ...] -> power normalization, fading, L-MMSE
-    detection -> symbols at their original power.
+    detection -> symbols at their original power: the one-cell fading_cells.
 
     Signal t is normalized on its own and crosses the channel drawn from
     rngs[t].substream(1) (or frame t of a given frame) with noise from
     rngs[t].substream(2), with the same result as sending it alone.
     """
-    s = power_scale(x, chan_cfg.p_s)
-    if frame is None:
-        frame = draw_channel(chan_cfg, [r.substream(1) for r in rngs])
-    return transmit_detect(x * s, frame, [r.substream(2) for r in rngs]) * (1.0 / s)
+    return fading_cells(x, [chan_cfg], rngs, frame)[0]
 
 
 def codec_only_pass(model: LinkModel, image: np.ndarray, plan: MaskPlan):
@@ -209,13 +208,6 @@ def link_encode(model: LinkModel, image: np.ndarray,
     return z, chan_encode(z.values.data, model.chan)
 
 
-def _cell_rows(model: LinkModel, x: np.ndarray, chan_cfg: ChannelConfig, rng: RngStream,
-               frame=None) -> np.ndarray:
-    """Symbols x sent over one channel cell (fading_stage, a stack of one)
-    and channel-decoded: the received semantic rows."""
-    return chan_decode(fading_stage(x[None], chan_cfg, [rng], frame)[0], model.chan)
-
-
 def _received(model: LinkModel, z: SemanticTensor, rows: np.ndarray) -> LinkResult:
     """Received rows (or a stack of them) zero-filled, decoded, unpatchified."""
     z_hat = z.with_values(Tensor(rows))
@@ -226,13 +218,19 @@ def link_receive(model: LinkModel, z: SemanticTensor, x: np.ndarray, cells) -> L
     """The per-channel half of evaluate_link for C channel cells at once.
 
     cells lists (chan_cfg, rng, frame) triples, frame None to draw it from
-    rng.  Each cell sends link_encode's symbols x over its own channel and
-    channel-decodes them; the C received sequences are then decoded as one
-    [C, N, d] stack, forward only (call it under no_grad()).  The result's
-    image is [C, ch, H, W] and its z_hat values [C, L, d], item c the same
-    bits as evaluate_link over cell c alone.
+    rng.  Consecutive cells of a kind that share their rng and frame objects
+    (its SNRs, which must share antennas, p_s and rician_r) cross the channel
+    in one fading_cells pass; all C are channel-decoded as one [C, L, 2
+    symbol_dim] stack and decoded as one [C, N, d] stack, forward only (call
+    it under no_grad()).  The result's image is [C, ch, H, W] and its z_hat values
+    [C, L, d], item c the same bits as evaluate_link over cell c alone.
     """
-    return _received(model, z, np.stack([_cell_rows(model, x, *cell) for cell in cells]))
+    symbols = []
+    for _, run in groupby(cells, key=lambda cell: (cell[0].kind, id(cell[1]), id(cell[2]))):
+        run = list(run)
+        _, rng, frame = run[0]
+        symbols.append(fading_cells(x[None], [cell[0] for cell in run], [rng], frame)[:, 0])
+    return _received(model, z, chan_decode(np.concatenate(symbols), model.chan))
 
 
 def evaluate_link(model: LinkModel, image: np.ndarray, plan: MaskPlan,
@@ -244,4 +242,5 @@ def evaluate_link(model: LinkModel, image: np.ndarray, plan: MaskPlan,
     the same channel realization.
     """
     z, x = link_encode(model, image, plan)
-    return _received(model, z, _cell_rows(model, x, chan_cfg, rng, frame))
+    return _received(model, z, chan_decode(fading_stage(x[None], chan_cfg, [rng], frame)[0],
+                                           model.chan))

@@ -11,6 +11,7 @@ from semlink.channel import (
     ChannelFrame,
     calibrate_noise,
     draw_channel,
+    fading_cells,
     lmmse_detect,
     normalize_power,
     power_scale,
@@ -448,6 +449,62 @@ class TestStackConvention:
         for t in range(shape[0]):
             alone = fading_stage(x[t:t + 1], cfg, [streams[t]])
             assert alone.tobytes() == out[t:t + 1].tobytes()
+
+
+def per_cell(x, cfg, rng, frame=None):
+    """One cell sent on its own through the public one-frame functions: power
+    scale, the channel of rng.substream(1) unless given, transmit_detect with
+    noise from rng.substream(2), and the scale undone."""
+    s = power_scale(x, cfg.p_s)
+    if frame is None:
+        frame = draw_channel(cfg, [rng.substream(1)])
+    return transmit_detect(x * s, frame, [rng.substream(2)]) * (1.0 / s)
+
+
+@st.composite
+def kind_cells(draw):
+    """(the cells of one kind and geometry, T, symbol count, given frame?, seed)."""
+    kind = draw(st.sampled_from(["awgn", "rayleigh", "rician"]))
+    n_t = draw(st.integers(1, 4))
+    n_r = n_t if kind == "awgn" else draw(st.integers(1, 4))
+    p_s, rician_r = draw(st.floats(0.25, 4.0)), draw(st.sampled_from([0.0, 0.5, 3.0]))
+    snrs = draw(st.lists(st.sampled_from([-5.0, 0.0, 7.5, 30.0, math.inf]), min_size=1,
+                         max_size=4, unique=True))
+    given_frame = draw(st.booleans())
+    # a given frame carries one CSI error, as in eval; drawn frames take 0 and up to two more
+    csis = ([draw(st.sampled_from([0.0, 0.01, 0.3]))] if given_frame else
+            [0.0, *draw(st.lists(st.sampled_from([0.01, 0.3]), max_size=2, unique=True))])
+    cells = [ChannelConfig(kind=kind, snr_db=snr, n_t=n_t, n_r=n_r, rician_r=rician_r,
+                           csi_error_var=csi, p_s=p_s) for snr in snrs for csi in csis]
+    # padding: the count is never a multiple of n_t > 1
+    count = n_t * draw(st.integers(0, 4)) + draw(st.integers(1, max(n_t - 1, 1)))
+    return cells, draw(st.integers(1, 4)), count, given_frame, draw(st.integers(0, 2**32 - 1))
+
+
+class TestFadingCells:
+    """The cells of one kind cross the channel as one stack: item (c, t)
+    equals signal t sent alone over cell c on the per-cell path."""
+
+    @given(kind_cells())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_item_equals_the_per_cell_path(self, case):
+        cells, t, count, given_frame, seed = case
+        x = RngStream(seed).complex_normal((t, count), 0.0, 1.0)
+        rngs = [RngStream(seed, 1 + i) for i in range(t)]
+        # fresh frame streams per draw, as eval draws each kind's frame
+        frame = draw_channel(cells[0], [RngStream(seed, 100 + i) for i in range(t)])
+        out = fading_cells(x, cells, rngs, frame if given_frame else None)
+        assert out.shape == (len(cells), t, count)
+        for c, cfg in enumerate(cells):
+            for i in range(t):
+                cell_frame = draw_channel(cfg, [RngStream(seed, 100 + i)]) if given_frame else None
+                assert per_cell(x[i:i + 1], cfg, rngs[i], cell_frame).tobytes() == \
+                    out[c, i:i + 1].tobytes()
+
+    def test_cells_of_two_geometries_rejected(self):
+        cells = [ChannelConfig(kind="rayleigh"), ChannelConfig(kind="rician")]
+        with pytest.raises(ContractError):
+            fading_cells(np.ones((1, 4), dtype=complex), cells, [RngStream(60)])
 
 
 class TestCalibration:

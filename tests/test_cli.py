@@ -10,8 +10,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from semlink import cli
-from semlink.channel import ChannelConfig, draw_channel
-from semlink.cli import (_S_BENCH, _S_EVAL, _S_SWEEP, _bench_cell, _fresh_scene_with_loc,
+from semlink.channel import ChannelConfig, draw_channel, fading_cells
+from semlink.cli import (_S_BENCH, _S_EVAL, _S_SWEEP, _fresh_scene_with_loc,
                          hash_key, main)
 from semlink.codec import CodecConfig
 from semlink.config import SCHEMA, RunConfig
@@ -236,7 +236,7 @@ class TestExitCodes:
             raise AssertionError("a trial ran before --out was checked")
 
         monkeypatch.setattr(cli, "run_trials", no_trial)
-        monkeypatch.setattr(cli, "_bench_cell", no_trial)
+        monkeypatch.setattr(cli, "fading_cells", no_trial)
         monkeypatch.setattr(cli, "complex_normal_stack", no_trial)
         if args[0] in ("eval", "sweep-pr"):
             args = [*args, "--checkpoint", request.getfixturevalue("trained_checkpoint")]
@@ -300,6 +300,14 @@ class TestExitCodes:
                               "--bench.csi_var_list", "1.7e308"],
         }[command]
         assert main([*run, *mimo, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_overflowing_1x1_csi_gram_exits_3_at_every_seed(self, tmp_path, capsys, seed):
+        # |h_hat|^2 + reg overflows to inf; the detector must not return zeros
+        assert main(["channel-bench", "--seed", str(seed), "--bench.trials", "2",
+                     "--bench.csi_var_list", "1.7e308", "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
 
@@ -913,8 +921,8 @@ class TestChannelBench:
                                  csi_error_var=csi_var, p_s=p_s)
         base = RngStream(6, 0x5B).substream(11)
         streams = [base.substream(t) for t in range(25)]
-        batched = _bench_cell(chan_cfg, complex_normal_stack(streams, (n_sym, 1), 0.0, 1.0),
-                              streams)
+        x = complex_normal_stack(streams, (n_sym, 1), 0.0, 1.0)
+        batched = nmse(x, fading_cells(x, [chan_cfg], streams)[0])
         looped = []
         for t in range(25):
             rng = base.substream(t)
@@ -937,8 +945,8 @@ class TestChannelBench:
                     streams = [RngStream(7, _S_BENCH).substream(hash_key(kind), t)
                                for t in range(5)]
                     x = complex_normal_stack(streams, (9, 1), 0.0, 1.0)
-                    vals = _bench_cell(cfg.channel_config(kind=kind, snr_db=snr_db,
-                                                          csi_error_var=csi_var), x, streams)
+                    chan_cfg = cfg.channel_config(kind=kind, snr_db=snr_db, csi_error_var=csi_var)
+                    vals = nmse(x, fading_stage(x, chan_cfg, streams))
                     rows.append([kind, repr(snr_db), repr(csi_var),
                                  repr(float(vals.mean())), repr(float(vals.std()))])
         assert read_csv(tmp_path / "channel_bench.csv")[1] == rows
@@ -978,3 +986,42 @@ class TestChannelBench:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "n_t == n_r" in err
+
+
+class TestOneChannelPassPerKind:
+    """channel-bench and eval draw each kind's channel and noise once for all
+    of its SNR and CSI cells."""
+
+    @pytest.mark.parametrize("snr_list,csi_list", [("10", "0.01"), ("0,10,20", "0,0.01,0.05")],
+                             ids=["1x1", "3x3"])
+    def test_channel_bench_fills_symbols_channel_and_noise_once_per_kind(
+            self, tmp_path, monkeypatch, snr_list, csi_list):
+        from semlink import channel, rng
+
+        fills = []
+
+        def counted(streams, shape):
+            fills.append(shape)
+            return normal_rows(streams, shape)
+
+        normal_rows = rng._normal_rows
+        monkeypatch.setattr(rng, "_normal_rows", counted)
+        monkeypatch.setattr(channel, "_normal_rows", counted)
+        assert main(["channel-bench", "--out", str(tmp_path), "--bench.trials", "3",
+                     "--bench.kinds", "awgn,rayleigh,rician", "--bench.snr_db_list", snr_list,
+                     "--bench.csi_var_list", csi_list]) == 0
+        assert len(fills) == 2 + 3 + 3  # awgn draws no H
+
+    def test_eval_draws_each_kind_frame_once_per_trial(self, tmp_path, monkeypatch,
+                                                       trained_checkpoint):
+        frames = []
+
+        def counted(chan_cfg, rngs):
+            frames.append(chan_cfg.kind)
+            return draw_channel(chan_cfg, rngs)
+
+        monkeypatch.setattr(cli, "draw_channel", counted)
+        assert main(["eval", "--checkpoint", trained_checkpoint, "--seed", "4",
+                     "--out", str(tmp_path), "--eval.trials", "2", "--eval.snr_db_list", "0,10",
+                     "--eval.kinds", "awgn,rayleigh,rician"]) == 0
+        assert frames == ["awgn", "rayleigh", "rician"] * 2

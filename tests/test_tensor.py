@@ -10,10 +10,10 @@ from hypothesis.extra import numpy as hnp
 from gradcheck import check_grads, fd_grad, rel_err
 from semlink import training
 from semlink.chancodec import ChanCodecParams
-from semlink.channel import ChannelConfig
-from semlink.cli import _bench_cell
+from semlink.channel import ChannelConfig, fading_cells
 from semlink.errors import ConfigError, ContractError, NonFiniteError, ParseError, ShapeError
 from semlink.link import LinkModel
+from semlink.metrics import nmse
 from semlink.rng import RngStream, _PhiloxKey, complex_normal_stack
 from semlink.scenes import SceneConfig, generate_scene
 from semlink.sharing import partition, synth_correlated_semantics, transport
@@ -634,7 +634,8 @@ class TestRngCost:
     def test_bench_cell_builds_no_philox(self, philox_builds):
         cfg = ChannelConfig(kind="rician", n_t=2, n_r=3, snr_db=10.0, csi_error_var=0.05)
         streams = [RngStream(5, 6).substream(t) for t in range(8)]
-        vals = _bench_cell(cfg, complex_normal_stack(streams, (16, 1), 0.0, 1.0), streams)
+        x = complex_normal_stack(streams, (16, 1), 0.0, 1.0)
+        vals = nmse(x, fading_cells(x, [cfg], streams)[0])
         assert vals.shape == (8,)
         assert philox_builds == []
 
