@@ -7,15 +7,17 @@ outputs), writes CSV results with a trailing .meta.json sidecar carrying the
 fully resolved configuration, and exits 0 on success, 2 on configuration
 errors, 3 on runtime errors.  A loaded checkpoint's grid must match scene.*.
 
-eval and sweep-pr loop over trials outside and channel cells inside.  Trial
-t draws its scene and plans from a stream keyed by t alone (every sweep-pr
-plan from one uniform draw), encodes each arm once, and receives the
-encoding over every cell as one stack per arm: one decoder pass and one
-metrics pass.  Each kind draws its channel frame and noise from a stream
-keyed by (kind, t), drawn once, so the SNRs of a kind share H and the
-standardized noise; channel-bench likewise draws each (kind, t) once for all
-its SNR and CSI cells.  Both send the cells of a kind through the channel as
-one stack (channel.fading_cells).  sweep-users draws the semantics of each
+eval, sweep-pr and channel-bench run the cells of RunConfig.channel_cells, a
+group of one kind per entry of their kind list, in CSV row order.  eval and
+sweep-pr loop over trials outside and groups inside.  Trial t draws its scene
+and plans from a stream keyed by t alone (every sweep-pr plan from one
+uniform draw), encodes each arm once, and receives the encoding over every
+cell as one stack per arm: one decoder pass and one metrics pass.  Each group
+draws its channel frame and noise from a stream keyed by (kind, t), once, so
+the SNRs of a kind share H and the standardized noise; channel-bench likewise
+draws each (kind, t) once for all its SNR and CSI cells, _BENCH_SLICE trials
+at a time.  Both send a group through the channel as one fading_cells stack.
+sweep-users draws the semantics of each
 (K, trial) once, from a stream keyed by (K, trial), and partitions that one
 draw at every users.eps_list entry.  No stream is keyed by a swept value.
 Every command but gen-scenes creates --out before its first trial or
@@ -29,7 +31,6 @@ import csv
 import json
 import sys
 from dataclasses import replace
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -179,34 +180,33 @@ _MASKINGS = ("adaptive", "random")
 _EVAL_FIELDS = ("psnr_db", "ssim", "region_psnr_db", "region_ssim")
 
 
-def _score_trial(cfg: RunConfig, base: RngStream, trial: int, arms_for, chan_cfgs: list,
+def _score_trial(cfg: RunConfig, base: RngStream, trial: int, arms_for, cells: list,
                  dump_dirs: list | None = None) -> list:
     """Reports [cell][arm] of one trial, drawn and encoded once for every cell.
 
     The scene and location come from trial_rng = base.substream(trial) at (1);
     arms_for(grid, loc, trial_rng) gives the arms' (model, plan) pairs, each
-    encoded once.  Cell c is chan_cfgs[c] with the frame and noise stream of
-    trial_rng.substream(hash_key(kind)) at (4) and (5), so every SNR of a
-    kind sees the same H and the same standardized noise.  Each arm is
-    received over all cells as one stack (link_receive) and scored against
-    the original's half of the metrics, computed once.  With dump_dirs, arm
-    a of cell c is dumped to dump_dirs[c][a].
+    encoded once.  Each group of cells (one kind) crosses the frame and noise
+    stream of trial_rng.substream(hash_key(kind)) at (4) and (5), so every SNR
+    of a kind sees the same H and the same standardized noise.  Each arm is
+    received over all cells, c counting them in group order, as one stack
+    (link_receive) and scored against the original's half of the metrics,
+    computed once.  With dump_dirs, arm a of cell c is dumped to dump_dirs[c][a].
     """
     trial_rng = base.substream(trial)
     grid = cfg.scene_config().grid()
     scene, loc = _fresh_scene_with_loc(cfg, trial_rng.substream(1), grid)
     arms = arms_for(grid, loc, trial_rng)
     reference = ReferenceImage.of(scene.image, loc, grid)
-    cells = []
-    for kind, kind_cfgs in groupby(chan_cfgs, key=lambda c: c.kind):
-        kind_rng = trial_rng.substream(hash_key(kind))
-        kind_cfgs = list(kind_cfgs)
-        rng, frame = kind_rng.substream(5), draw_channel(kind_cfgs[0], [kind_rng.substream(4)])
-        cells += [(chan_cfg, rng, frame) for chan_cfg in kind_cfgs]
+    groups = []
+    for chan_cfgs in cells:
+        kind_rng = trial_rng.substream(hash_key(chan_cfgs[0].kind))
+        groups.append((chan_cfgs, kind_rng.substream(5),
+                       draw_channel(chan_cfgs[0], [kind_rng.substream(4)])))
     per_arm = []
     with no_grad():
         for a, (model, plan) in enumerate(arms):
-            images = link_receive(model, *link_encode(model, scene.image, plan), cells).image
+            images = link_receive(model, *link_encode(model, scene.image, plan), groups).image
             if dump_dirs is not None:
                 for c, image in enumerate(images.data):
                     _dump_arm(dump_dirs[c][a], trial, scene, loc, grid, plan, Tensor(image))
@@ -229,8 +229,8 @@ def cmd_eval(cfg: RunConfig, out_dir: Path, checkpoint: str) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     model = _load_model(cfg, checkpoint)
     trials, mask_prob = cfg["eval.trials"], cfg["eval.mask_prob"]
-    chan_cfgs = [cfg.channel_config(kind=kind, snr_db=snr_db)
-                 for kind in cfg["eval.kinds"] for snr_db in cfg["eval.snr_db_list"]]
+    cells = cfg.channel_cells("eval")
+    chan_cfgs = sum(cells, [])  # flattened in group order
     dump_dirs = None
     if cfg["eval.dump_images"]:
         dump_dirs = [[out_dir / "images" / f"{eval_cell_name(c.kind, c.snr_db)}_{masking}"
@@ -242,7 +242,7 @@ def cmd_eval(cfg: RunConfig, out_dir: Path, checkpoint: str) -> int:
                 (model, random_mask(grid, adaptive.keep_count, trial_rng.substream(3)))]
 
     base = RngStream(cfg["seed"], _S_EVAL)
-    per_trial = run_trials(trials, lambda t: _score_trial(cfg, base, t, arms_for, chan_cfgs,
+    per_trial = run_trials(trials, lambda t: _score_trial(cfg, base, t, arms_for, cells,
                                                           dump_dirs))
     rows = []
     for c, chan_cfg in enumerate(chan_cfgs):
@@ -279,20 +279,20 @@ def cmd_sweep_pr(cfg: RunConfig, out_dir: Path, checkpoint: str | None) -> int:
         scenes = _training_scenes(cfg)
         models = {p_r: _train_for_pr(cfg, p_r, scenes) for p_r in cfg["sweep.pr_list"]}
 
-    pr_list, kinds = cfg["sweep.pr_list"], cfg["sweep.kinds"]
+    pr_list = cfg["sweep.pr_list"]
 
     def arms_for(grid, loc, trial_rng):
         return [(models[p_r], sample_nonempty_mask(grid, loc, p_r, trial_rng.substream(2)))
                 for p_r in pr_list]
 
     base = RngStream(cfg["seed"], _S_SWEEP)
-    chan_cfgs = [cfg.channel_config(kind=kind) for kind in kinds]
-    per_trial = run_trials(trials, lambda t: _score_trial(cfg, base, t, arms_for, chan_cfgs))
+    cells = cfg.channel_cells("sweep-pr")
+    per_trial = run_trials(trials, lambda t: _score_trial(cfg, base, t, arms_for, cells))
     rows = []
-    for c, kind in enumerate(kinds):
+    for c, (chan_cfg,) in enumerate(cells):  # one cell per kind
         for a, p_r in enumerate(pr_list):
-            rows.append((kind, p_r, trials, *_mean_std([r[c][a] for r in per_trial],
-                                                       ("region_psnr_db", "region_ssim"))))
+            rows.append((chan_cfg.kind, p_r, trials, *_mean_std([r[c][a] for r in per_trial],
+                                                                ("region_psnr_db", "region_ssim"))))
 
     out = out_dir / "sweep_pr.csv"
     _write_csv(out, ["kind", "p_r", "trials",
@@ -362,22 +362,24 @@ def cmd_sweep_users(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
+_BENCH_SLICE = 512  # trials of a kind per fading_cells pass: bounds channel-bench's memory
+
+
 def cmd_channel_bench(cfg: RunConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     trials = cfg["bench.trials"]
     base = RngStream(cfg["seed"], _S_BENCH)
-    cells = [(snr_db, csi_var) for snr_db in cfg["bench.snr_db_list"]
-             for csi_var in cfg["bench.csi_var_list"]]
     rows = []
-    for kind in cfg["bench.kinds"]:
-        # trial t of every cell of a kind sends the same CN(0, 1) symbols
-        streams = [base.substream(hash_key(kind), t) for t in range(trials)]
-        x = complex_normal_stack(streams, (cfg["bench.symbols"], 1), 0.0, 1.0)
-        chan_cfgs = [cfg.channel_config(kind=kind, snr_db=snr_db, csi_error_var=csi_var)
-                     for snr_db, csi_var in cells]
-        # the NMSE compares symbols at their drawn power, never squaring p_s-size ones
-        vals = [nmse(x, x_hat) for x_hat in fading_cells(x, chan_cfgs, streams)]
-        rows += [(kind, *cell, v.mean(), v.std()) for cell, v in zip(cells, vals)]
+    for chan_cfgs in cfg.channel_cells("channel-bench"):
+        key, vals = hash_key(chan_cfgs[0].kind), []
+        for lo in range(0, trials, _BENCH_SLICE):
+            # trial t of every cell of a kind sends the same CN(0, 1) symbols
+            streams = [base.substream(key, t) for t in range(lo, min(lo + _BENCH_SLICE, trials))]
+            x = complex_normal_stack(streams, (cfg["bench.symbols"], 1), 0.0, 1.0)
+            # the NMSE compares symbols at their drawn power, never squaring p_s-size ones
+            vals.append([nmse(x, x_hat) for x_hat in fading_cells(x, chan_cfgs, streams)])
+        for c, v in zip(chan_cfgs, np.concatenate(vals, axis=1)):
+            rows.append((c.kind, c.snr_db, c.csi_error_var, v.mean(), v.std()))
 
     out = out_dir / "channel_bench.csv"
     _write_csv(out, ["kind", "snr_db", "csi_var", "nmse_mean", "nmse_std"], rows,

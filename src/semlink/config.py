@@ -4,7 +4,7 @@ Format: one `key = value` per line, `#` starts a comment.  Every key must be
 in the schema; values are coerced to the declared type and validated before
 any computation starts, by building the typed sections (which check their
 own fields when constructed).  Lists are comma-separated and hold at least
-one entry.
+one entry.  RunConfig.channel_cells is each command's channel-cell grid.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-
-import numpy as np
 
 from .channel import ChannelConfig
 from .codec import CodecConfig
@@ -81,10 +79,8 @@ SCHEMA = {
 }
 
 
-# the channel-kind list each command draws statistical channels from, and its SNR(s)
-_COMMAND_KINDS = {"eval": ("eval.kinds", "eval.snr_db_list"),
-                  "sweep-pr": ("sweep.kinds", "channel.snr_db"),
-                  "channel-bench": ("bench.kinds", "bench.snr_db_list")}
+# the channel-kind list each command draws statistical channels from
+_COMMAND_KINDS = {"eval": "eval.kinds", "sweep-pr": "sweep.kinds", "channel-bench": "bench.kinds"}
 
 
 def eval_cell_name(kind: str, snr_db: float) -> str:
@@ -165,22 +161,16 @@ class RunConfig:
         return self.values[key]
 
     def validate(self, command: str | None = None) -> None:
-        """Check every value by building each section.  command, when given,
-        limits the check that a channel kind fits the antenna counts to the
-        kinds that command draws (one it does not draw is built with n_r =
-        n_t), and each command's own checks to that command; None checks all."""
+        """Check every value by building each section and every command's
+        channel cells.  command, when given, limits the check that a channel
+        kind fits the antenna counts to the cells that command draws (those of
+        another command are built with n_r = n_t), and each command's own
+        checks to that command; None checks all."""
         v = self.values
         CodecConfig.for_grid(self.scene_config().grid(), **self.section(CodecConfig))
         self.channel_config("rayleigh", snr_db=math.inf)
-        for cmd, (key, snr_key) in _COMMAND_KINDS.items():
-            drawn = {} if command in (None, cmd) else {"n_r": v["channel.n_t"]}
-            # channel-bench draws every cell at each of its CSI error variances
-            csi = ([{"csi_error_var": c} for c in v["bench.csi_var_list"]]
-                   if cmd == "channel-bench" and not drawn else [{}])
-            for kind in v[key]:
-                for snr_db in np.atleast_1d(v[snr_key]):
-                    for given in csi:
-                        self.channel_config(kind, snr_db=float(snr_db), **drawn, **given)
+        for cmd in _COMMAND_KINDS:
+            self.channel_cells(cmd, **({} if command in (None, cmd) else {"n_r": v["channel.n_t"]}))
         self.train_config("codec")
         users = self.correlated_config()
         if not 0.0 <= v["eval.mask_prob"] <= 1.0:
@@ -193,8 +183,10 @@ class RunConfig:
             raise ConfigError("user counts need 2 <= k_lo <= k_hi")
         if v["users.source"] not in ("synthetic", "scenes"):
             raise ConfigError("users.source must be synthetic or scenes")
+        if command in (None, "eval", "sweep-pr") and v["scene.max_objects"] < 1:
+            raise ConfigError("scene.max_objects 0 leaves no scene a located region to score")
         if command in (None, "eval") and v["eval.dump_images"]:
-            names = [eval_cell_name(k, s) for k in v["eval.kinds"] for s in v["eval.snr_db_list"]]
+            names = [eval_cell_name(c.kind, c.snr_db) for c in sum(self.channel_cells("eval"), [])]
             shared = sorted({n for n in names if names.count(n) > 1})
             if shared:
                 raise ConfigError(f"eval.dump_images: cells {', '.join(shared)} would share one "
@@ -234,6 +226,18 @@ class RunConfig:
     def channel_config(self, kind: str = "awgn", **given) -> ChannelConfig:
         """The channel section for one kind; given overrides named fields."""
         return ChannelConfig(kind, **{**self.section(ChannelConfig), **given})
+
+    def channel_cells(self, command: str, **given) -> list:
+        """The ChannelConfig cells command runs, one list per entry of its kind
+        list, in the row order of its CSV: eval at each eval.snr_db_list entry,
+        sweep-pr at channel.snr_db, channel-bench at each (bench.snr_db_list,
+        bench.csi_var_list) pair.  given overrides named fields."""
+        v = self.values
+        cells = {"eval": [{"snr_db": s} for s in v["eval.snr_db_list"]], "sweep-pr": [{}],
+                 "channel-bench": [{"snr_db": s, "csi_error_var": c} for s in v["bench.snr_db_list"]
+                                   for c in v["bench.csi_var_list"]]}[command]
+        return [[self.channel_config(kind, **cell, **given) for cell in cells]
+                for kind in v[_COMMAND_KINDS[command]]]
 
     def train_config(self, phase: str) -> TrainConfig:
         return TrainConfig(phase, seed=self.values["seed"], **self.section(TrainConfig),

@@ -5,15 +5,15 @@ provides the forward passes the rest of the system uses: a noiseless codec
 pass, a differentiable pass through the surrogate channel for training, and a
 statistical pass through fading + L-MMSE detection for evaluation.  Each pass
 is composed of the same steps, each written once here: encode, decode, and
-one function per channel stage: surrogate_stage on Tensors, which training
-differentiates, and fading_stage on plain complex arrays (training phase 2
-and multi-user transport call the stages directly).  link_encode does the
-channel-independent half of a statistical pass; link_receive sends its
-symbols over a list of channel cells, the cells of a kind in one
-channel.fading_cells pass (fading_stage is its one-cell case), and
-channel-decodes and decodes the received sequences as one stack each,
-forward only (under tensor.no_grad()).  evaluate_link is the one-cell case,
-decoded unstacked, so it also runs with a graph recording.
+the differentiable channel stage surrogate_stage on Tensors, which training
+differentiates (training phase 2 calls it directly).  The statistical
+channel is channel.fading_cells on plain complex arrays.  link_encode does
+the channel-independent half of a statistical pass; link_receive sends its
+symbols over groups of channel cells, each group (the cells of one kind
+sharing a stream and a frame) in one fading_cells pass, and channel-decodes
+and decodes the received sequences as one stack each, forward only (under
+tensor.no_grad()).  evaluate_link is the one-cell case, decoded unstacked,
+so it also runs with a graph recording.
 Images and patch rows are plain ndarrays: the autodiff graph starts at the
 codec's patch embedding.
 
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +39,7 @@ from .snapshot import load_tensors, save_tensors
 from .tensor import Tensor, div, mul, power, tmean
 
 __all__ = ["LinkModel", "LinkResult", "surrogate_link", "evaluate_link", "codec_only_pass",
-           "surrogate_stage", "fading_stage", "link_encode", "link_receive"]
+           "surrogate_stage", "link_encode", "link_receive"]
 
 
 @dataclass
@@ -175,17 +174,6 @@ def surrogate_stage(values: Tensor, chan: ChanCodecParams, chan_cfg: ChannelConf
     return chan_decode_real(div(received, scale), chan)
 
 
-def fading_stage(x: np.ndarray, chan_cfg: ChannelConfig, rngs, frame=None) -> np.ndarray:
-    """Stack of T signals [T, ...] -> power normalization, fading, L-MMSE
-    detection -> symbols at their original power: the one-cell fading_cells.
-
-    Signal t is normalized on its own and crosses the channel drawn from
-    rngs[t].substream(1) (or frame t of a given frame) with noise from
-    rngs[t].substream(2), with the same result as sending it alone.
-    """
-    return fading_cells(x, [chan_cfg], rngs, frame)[0]
-
-
 def codec_only_pass(model: LinkModel, image: np.ndarray, plan: MaskPlan):
     """Mask, encode, zero-fill, decode; no channel.  Returns (Q, Z)."""
     z = _encode(model, image, plan)
@@ -214,23 +202,20 @@ def _received(model: LinkModel, z: SemanticTensor, rows: np.ndarray) -> LinkResu
     return LinkResult(_decode(model, z_hat), z, z_hat)
 
 
-def link_receive(model: LinkModel, z: SemanticTensor, x: np.ndarray, cells) -> LinkResult:
+def link_receive(model: LinkModel, z: SemanticTensor, x: np.ndarray, groups) -> LinkResult:
     """The per-channel half of evaluate_link for C channel cells at once.
 
-    cells lists (chan_cfg, rng, frame) triples, frame None to draw it from
-    rng.  Consecutive cells of a kind that share their rng and frame objects
-    (its SNRs, which must share antennas, p_s and rician_r) cross the channel
-    in one fading_cells pass; all C are channel-decoded as one [C, L, 2
-    symbol_dim] stack and decoded as one [C, N, d] stack, forward only (call
-    it under no_grad()).  The result's image is [C, ch, H, W] and its z_hat values
+    groups lists (chan_cfgs, rng, frame) triples, frame None to draw it from
+    rng: the cells of one kind (they may differ in SNR and CSI error only)
+    that share a stream and a frame, sent in one fading_cells pass.  All C
+    cells, in group order, are channel-decoded as one [C, L, 2 symbol_dim]
+    stack and decoded as one [C, N, d] stack, forward only (call it under
+    no_grad()).  The result's image is [C, ch, H, W] and its z_hat values
     [C, L, d], item c the same bits as evaluate_link over cell c alone.
     """
-    symbols = []
-    for _, run in groupby(cells, key=lambda cell: (cell[0].kind, id(cell[1]), id(cell[2]))):
-        run = list(run)
-        _, rng, frame = run[0]
-        symbols.append(fading_cells(x[None], [cell[0] for cell in run], [rng], frame)[:, 0])
-    return _received(model, z, chan_decode(np.concatenate(symbols), model.chan))
+    symbols = np.concatenate([fading_cells(x[None], chan_cfgs, [rng], frame)[:, 0]
+                              for chan_cfgs, rng, frame in groups])
+    return _received(model, z, chan_decode(symbols, model.chan))
 
 
 def evaluate_link(model: LinkModel, image: np.ndarray, plan: MaskPlan,
@@ -242,5 +227,5 @@ def evaluate_link(model: LinkModel, image: np.ndarray, plan: MaskPlan,
     the same channel realization.
     """
     z, x = link_encode(model, image, plan)
-    return _received(model, z, chan_decode(fading_stage(x[None], chan_cfg, [rng], frame)[0],
+    return _received(model, z, chan_decode(fading_cells(x[None], [chan_cfg], [rng], frame)[0, 0],
                                            model.chan))

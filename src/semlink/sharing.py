@@ -4,7 +4,8 @@ Sequence position i is declared shared when the per-user feature variances
 at that position stay close: d_i, the mean absolute difference of variances
 between consecutive users, falls below a threshold.  Shared rows are averaged
 across users, broadcast once through a public channel, and re-inserted at
-every receiver; private rows travel per user.  The saving is the fraction of
+every receiver; private rows travel per user.  Both cross one fading channel
+cell straight through channel.fading_cells.  The saving is the fraction of
 baseline symbols (K * L_s rows) eliminated by broadcasting.
 
 Variance closeness is a proxy for semantic similarity; this module implements
@@ -18,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chancodec import ChanCodecParams, chan_decode, chan_encode
-from .channel import ChannelConfig
+from .channel import ChannelConfig, fading_cells
 from .errors import ConfigError, ContractError, NumericError
-from .link import fading_stage
 from .rng import RngStream
 
 __all__ = [
@@ -139,7 +139,7 @@ def transport(part: SharePartition, user_codecs: list, pub_codec: ChanCodecParam
               cfg: ChannelConfig, rng: RngStream) -> TransportResult:
     """Broadcast the shared rows once, send private rows per user, reassemble.
 
-    Forward only, on plain arrays.  The public stream is one fading_stage
+    Forward only, on plain arrays.  The public stream is one fading_cells
     signal on rng.substream(0), a channel realization shared by all
     receivers; private stream u uses rng.substream(100 + u), and all K cross
     the channel as one stack.  Receiver k decodes the detected streams with
@@ -156,12 +156,12 @@ def transport(part: SharePartition, user_codecs: list, pub_codec: ChanCodecParam
     x_pub_hat = None
     if part.l_pub:
         x_pub = chan_encode(part.z_pub, pub_codec)[None]
-        x_pub_hat = fading_stage(x_pub, cfg, [rng.substream(0)])[0]
+        x_pub_hat = fading_cells(x_pub, [cfg], [rng.substream(0)])[0, 0]
 
     x_pri_hat = None
     if part.l_pri:
         x_pri = np.stack([chan_encode(part.z_pri[u], user_codecs[u]) for u in range(k)])
-        x_pri_hat = fading_stage(x_pri, cfg, [rng.substream(100 + u) for u in range(k)])
+        x_pri_hat = fading_cells(x_pri, [cfg], [rng.substream(100 + u) for u in range(k)])[0]
 
     z_hat = []
     for u in range(k):

@@ -21,7 +21,6 @@ from semlink.channel import (
     transmit_detect,
 )
 from semlink.errors import ConfigError, ContractError, NonFiniteError, NumericError, ShapeError
-from semlink.link import fading_stage
 from semlink.metrics import nmse
 from semlink.rng import RngStream
 from semlink.tensor import Tensor
@@ -436,7 +435,7 @@ def stack_cases(draw):
 
 class TestStackConvention:
     """One frame is the stack T = 1: each signal of a stack comes out of
-    fading_stage exactly as when sent alone with its own stream."""
+    a one-cell fading_cells pass exactly as when sent alone with its own stream."""
 
     @given(stack_cases())
     @settings(max_examples=60, deadline=None)
@@ -444,10 +443,10 @@ class TestStackConvention:
         cfg, shape, seed = case
         x = RngStream(seed).complex_normal(shape, 0.0, 1.0)
         streams = [RngStream(seed, 1 + t) for t in range(shape[0])]
-        out = fading_stage(x, cfg, streams)
+        out = fading_cells(x, [cfg], streams)[0]
         assert out.shape == x.shape
         for t in range(shape[0]):
-            alone = fading_stage(x[t:t + 1], cfg, [streams[t]])
+            alone = fading_cells(x[t:t + 1], [cfg], [streams[t]])[0]
             assert alone.tobytes() == out[t:t + 1].tobytes()
 
 

@@ -16,7 +16,7 @@ from semlink.cli import (_S_BENCH, _S_EVAL, _S_SWEEP, _fresh_scene_with_loc,
 from semlink.codec import CodecConfig
 from semlink.config import SCHEMA, RunConfig
 from semlink.errors import ConfigError
-from semlink.link import LinkModel, evaluate_link, fading_stage
+from semlink.link import LinkModel, evaluate_link
 from semlink.masking import random_mask
 from semlink.metrics import image_report, nmse
 from semlink.rng import RngStream, complex_normal_stack
@@ -175,7 +175,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("command", [None, "channel-bench"])
+    @pytest.mark.parametrize("command", [None, "channel-bench", "eval", "train"])
     def test_negative_csi_var_rejected_at_load(self, command):
         with pytest.raises(ConfigError, match="csi_error_var"):
             RunConfig.load(None, {"bench.csi_var_list": "0,-1"}, command=command)
@@ -245,6 +245,22 @@ class TestExitCodes:
         assert main([*args, "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("args", [["eval", "--checkpoint", "unused.ckpt"],
+                                      ["sweep-pr", "--sweep.train_per_pr", "true"]],
+                             ids=["eval", "sweep-pr"])
+    def test_scenes_without_objects_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                           args):
+        # no scene can hold a located region: fail before --out or any p_r model exists
+        trained = []
+        monkeypatch.setattr(cli, "train_phase", lambda *a, **k: trained.append(a))
+        out = tmp_path / "out"
+        assert main([*args, "--out", str(out), "--scene.min_objects", "0",
+                     "--scene.max_objects", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        assert "scene.max_objects" in err
+        assert not trained and not out.exists()
 
     @pytest.mark.parametrize("args", [
         ["--eval.kinds", "awgn,rayleigh,awgn"],
@@ -927,7 +943,7 @@ class TestChannelBench:
         for t in range(25):
             rng = base.substream(t)
             x = rng.complex_normal((n_sym, 1), 0.0, 1.0)[None]
-            looped.append(nmse(x, fading_stage(x, chan_cfg, [rng]))[0])
+            looped.append(nmse(x, fading_cells(x, [chan_cfg], [rng])[0])[0])
         np.testing.assert_array_equal(batched, np.asarray(looped))
 
     def test_rows_match_bench_cell_over_per_kind_trial_streams(self, tmp_path):
@@ -946,7 +962,7 @@ class TestChannelBench:
                                for t in range(5)]
                     x = complex_normal_stack(streams, (9, 1), 0.0, 1.0)
                     chan_cfg = cfg.channel_config(kind=kind, snr_db=snr_db, csi_error_var=csi_var)
-                    vals = nmse(x, fading_stage(x, chan_cfg, streams))
+                    vals = nmse(x, fading_cells(x, [chan_cfg], streams)[0])
                     rows.append([kind, repr(snr_db), repr(csi_var),
                                  repr(float(vals.mean())), repr(float(vals.std()))])
         assert read_csv(tmp_path / "channel_bench.csv")[1] == rows
@@ -986,6 +1002,52 @@ class TestChannelBench:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "n_t == n_r" in err
+
+
+_KINDS_TWICE = "rayleigh,awgn,rayleigh"
+
+
+class TestChannelCells:
+    """Each command runs the cells of cfg.channel_cells(command), in order."""
+
+    @pytest.mark.parametrize("command,overrides,csv_name,columns,rows_per_cell", [
+        ("eval", {"eval.trials": "1", "eval.kinds": _KINDS_TWICE, "eval.snr_db_list": "0,10"},
+         "eval.csv", 2, 2),
+        ("sweep-pr", {"sweep.trials": "1", "sweep.kinds": _KINDS_TWICE,
+                      "sweep.pr_list": "0.3,0.7"}, "sweep_pr.csv", 1, 2),
+        ("channel-bench", {"bench.trials": "2", "bench.kinds": _KINDS_TWICE,
+                           "bench.snr_db_list": "0,10", "bench.csi_var_list": "0,0.02"},
+         "channel_bench.csv", 3, 1),
+    ], ids=["eval", "sweep-pr", "channel-bench"])
+    def test_csv_cell_columns_follow_channel_cells(self, tmp_path, request, command, overrides,
+                                                   csv_name, columns, rows_per_cell):
+        args = [a for k, v in overrides.items() for a in (f"--{k}", v)]
+        if command != "channel-bench":
+            args += ["--checkpoint", request.getfixturevalue("trained_checkpoint")]
+        assert main([command, "--out", str(tmp_path), "--seed", "3", *args]) == 0
+        cfg = RunConfig.load(None, overrides, command=command)
+        cells = [[c.kind, repr(c.snr_db), repr(c.csi_error_var)][:columns]
+                 for group in cfg.channel_cells(command) for c in group]
+        assert [c[0] for c in cells[::len(cells) // 3]] == _KINDS_TWICE.split(",")
+        _, rows = read_csv(tmp_path / csv_name)
+        assert [r[:columns] for r in rows] == [c for c in cells for _ in range(rows_per_cell)]
+
+    def test_channel_bench_slices_match_one_slice(self, tmp_path, monkeypatch):
+        run = ["channel-bench", "--seed", "8", "--bench.trials", "20",
+               "--channel.n_t", "2", "--channel.n_r", "2"]
+        assert main([*run, "--out", str(tmp_path / "whole")]) == 0
+        sent = []
+
+        def counted(x, *args):
+            sent.append(len(x))
+            return fading_cells(x, *args)
+
+        monkeypatch.setattr(cli, "fading_cells", counted)
+        monkeypatch.setattr(cli, "_BENCH_SLICE", 7)
+        assert main([*run, "--out", str(tmp_path / "sliced")]) == 0
+        assert sent == [7, 7, 6] * 3
+        assert ((tmp_path / "sliced" / "channel_bench.csv").read_bytes()
+                == (tmp_path / "whole" / "channel_bench.csv").read_bytes())
 
 
 class TestOneChannelPassPerKind:

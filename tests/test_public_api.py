@@ -1,8 +1,11 @@
 """Every name a semlink module lists in __all__ is defined in that module, so
-a deletion that leaves a stale entry fails here, not at a star-import."""
+a deletion that leaves a stale entry fails here, not at a star-import.  The
+module dependencies kept out on purpose stay out."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -20,3 +23,23 @@ def test_all_entries_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ lists undefined names {missing}"
+
+
+def _imported_modules(path: Path) -> set:
+    """Every module path a file imports, with each from-imported name appended."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["semlink" if node.level else "", node.module]))
+            found.add(base)
+            found.update(f"{base}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_sharing_does_not_import_the_link_module():
+    # multi-user transport reaches the channel through semlink.channel alone
+    imported = _imported_modules(Path(semlink.__path__[0]) / "sharing.py")
+    assert "semlink.channel" in imported
+    assert not {m for m in imported if m == "semlink.link" or m.startswith("semlink.link.")}

@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semlink.chancodec import ChanCodecParams, chan_encode, inverse_params
-from semlink.channel import ChannelConfig
+from semlink.channel import ChannelConfig, fading_cells
 from semlink.errors import ConfigError, ContractError
-from semlink.link import fading_stage
 from semlink.rng import RngStream
 from semlink.sharing import (
     MultiUserSemantics,
@@ -196,8 +195,8 @@ class TestTransport:
 
         for u in range(3):
             direct = chan_decode(
-                fading_stage(chan_encode(z.values[u], self.codec)[None], self.clean,
-                             [RngStream(15).substream(100 + u)])[0],
+                fading_cells(chan_encode(z.values[u], self.codec)[None], [self.clean],
+                             [RngStream(15).substream(100 + u)])[0, 0],
                 self.codec,
             )
             np.testing.assert_array_equal(res.z_hat[u], direct)
@@ -215,8 +214,8 @@ class TestTransport:
 
         for u in range(3):
             direct = chan_decode(
-                fading_stage(chan_encode(part.z_pri[u], codecs[u])[None], noisy,
-                             [RngStream(25).substream(100 + u)])[0],
+                fading_cells(chan_encode(part.z_pri[u], codecs[u])[None], [noisy],
+                             [RngStream(25).substream(100 + u)])[0, 0],
                 codecs[u],
             )
             np.testing.assert_array_equal(res.z_hat[u][part.private_idx], direct)

@@ -107,7 +107,8 @@ class TestForwardOnly:
 
 
 def test_link_receive_equals_evaluate_link_per_cell():
-    """One stacked receive over three cells gives each cell's image and
+    """One stacked receive over four groups (three single cells and two SNRs
+    of one kind sharing a stream and a frame) gives each cell's image and
     received semantics bit for bit as evaluate_link over that cell alone."""
     scene_cfg = SceneConfig(height=16, width=16, channels=3, patch_size=4)
     grid = scene_cfg.grid()
@@ -115,15 +116,18 @@ def test_link_receive_equals_evaluate_link_per_cell():
                            num_heads=2, symbol_dim=4)
     scene = generate_scene(RngStream(22), scene_cfg)
     plan = sample_mask(grid, locate_any(scene, grid), 0.3, RngStream(23))
-    cells = []
-    for i, (kind, snr_db) in enumerate([("awgn", 0.0), ("rayleigh", 10.0), ("rician", 20.0)]):
-        chan_cfg = ChannelConfig(kind=kind, snr_db=snr_db, n_t=2, n_r=2, csi_error_var=0.02)
-        frame = None if i == 0 else draw_channel(chan_cfg, [RngStream(24, i)])
-        cells.append((chan_cfg, RngStream(25, i), frame))
+    groups = []
+    for i, (kind, snrs) in enumerate([("awgn", [0.0]), ("rayleigh", [10.0]), ("rician", [20.0]),
+                                      ("rayleigh", [-3.0, 7.0])]):
+        chan_cfgs = [ChannelConfig(kind=kind, snr_db=snr_db, n_t=2, n_r=2, csi_error_var=0.02)
+                     for snr_db in snrs]
+        frame = None if i == 0 else draw_channel(chan_cfgs[0], [RngStream(24, i)])
+        groups.append((chan_cfgs, RngStream(25, i), frame))
+    cells = [(chan_cfg, rng, frame) for chan_cfgs, rng, frame in groups for chan_cfg in chan_cfgs]
     with no_grad():
-        stacked = link_receive(model, *link_encode(model, scene.image, plan), cells)
+        stacked = link_receive(model, *link_encode(model, scene.image, plan), groups)
         alone = [evaluate_link(model, scene.image, plan, *cell) for cell in cells]
-    assert stacked.image.shape == (3, *scene.image.shape)
+    assert stacked.image.shape == (len(cells), *scene.image.shape) and len(cells) == 5
     for c, res in enumerate(alone):
         np.testing.assert_array_equal(stacked.image.data[c], res.image.data)
         np.testing.assert_array_equal(stacked.z_hat.values.data[c], res.z_hat.values.data)
