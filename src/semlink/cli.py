@@ -6,22 +6,22 @@ overrides, honors --seed deterministically (reruns produce byte-identical
 outputs), writes CSV results with a trailing .meta.json sidecar carrying the
 fully resolved configuration, and exits 0 on success, 2 on configuration
 errors, 3 on runtime errors.  A loaded checkpoint's grid must match scene.*.
-
-eval, sweep-pr and channel-bench run the cells of RunConfig.channel_cells, a
-group of one kind per entry of their kind list, in CSV row order.  eval and
-sweep-pr loop over trials outside and groups inside.  Trial t draws its scene
-and plans from a stream keyed by t alone (every sweep-pr plan from one
-uniform draw), encodes each arm once, and receives the encoding over every
-cell as one stack per arm: one decoder pass and one metrics pass.  Each group
-draws its channel frame and noise from a stream keyed by (kind, t), once, so
-the SNRs of a kind share H and the standardized noise; channel-bench likewise
-draws each (kind, t) once for all its SNR and CSI cells, _BENCH_SLICE trials
-at a time.  Both send a group through the channel as one fading_cells stack.
-sweep-users draws the semantics of each
-(K, trial) once, from a stream keyed by (K, trial), and partitions that one
-draw at every users.eps_list entry.  No stream is keyed by a swept value.
 Every command but gen-scenes creates --out before its first trial or
 training step, so an unusable path fails at once.
+
+The grid commands (eval, sweep-pr, channel-bench, sweep-users) each fill one
+per-trial array [cells, arms, trials, fields] over the distinct entries of
+their lists, and _summary turns it into one mean/std row per position of the
+product of the lists.  No stream is keyed by a swept value, so each row is a
+function of the seed and its own cell, and a repeated list entry is computed
+once and written at each of its positions.  eval and sweep-pr draw trial t's
+scene and plans from a stream keyed by t alone, encode each arm once, and
+receive it over the kind groups of RunConfig.channel_cells as one stack; a
+group's frame and noise come from a stream keyed by (kind, t), so the SNRs of
+a kind share H and the standardized noise.  channel-bench likewise draws each
+(kind, t) once for all its SNR and CSI cells, _BENCH_SLICE trials at a time.
+sweep-users draws each (K, trial) once, and all the users.eps_list rows of a
+draw threshold its one divergence.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import csv
 import json
 import sys
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,8 @@ from .metrics import ReferenceImage, nmse
 from .rng import RngStream, complex_normal_stack
 from .snapshot import save_tensors
 from .scenes import generate_correlated_batch, generate_scene, locate, locate_any, save_scene
-from .sharing import MultiUserSemantics, bandwidth_savings, partition, synth_correlated_semantics
+from .sharing import (MultiUserSemantics, share_divergence, shared_positions,
+                      synth_correlated_semantics)
 from .tensor import Tensor, no_grad
 from .training import sample_nonempty_mask, train_phase
 
@@ -65,30 +67,36 @@ def run_trials(n: int, fn):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+    return repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
 
 
 def _write_csv(path: Path, header: list, rows: list, cfg: RunConfig, command: str,
                extra: dict | None = None) -> None:
-    """The CSV and its .meta.json sidecar (in an existing directory):
-    command, resolved config and extra."""
+    """The CSV and its .meta.json sidecar (command, resolved config and extra)."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        csv.writer(fh).writerows([header, *([_fmt(v) for v in row] for row in rows)])
     meta = {"command": command, "config": cfg.to_dict(), **(extra or {})}
     Path(str(path) + ".meta.json").write_text(json.dumps(meta, indent=1, sort_keys=True))
 
 
-def _mean_std(reports: list, fields: tuple) -> list:
-    """Mean and std over the trials of each report field, interleaved."""
-    vals = np.asarray([[getattr(r, f) for f in fields] for r in reports])
-    return [v for pair in zip(vals.mean(axis=0), vals.std(axis=0)) for v in pair]
+def _distinct(cfg: RunConfig) -> RunConfig:
+    """cfg with every list cut to its distinct entries, in first-occurrence order."""
+    return RunConfig({k: tuple(dict.fromkeys(v)) if isinstance(v, tuple) else v
+                      for k, v in cfg.values.items()})
+
+
+def _summary(lists: list, vals: np.ndarray) -> list:
+    """(entries, columns) for each position of the product of lists, in order.
+
+    vals [cells, arms, trials, fields] holds per-trial values over the product
+    of the distinct entries of lists; columns interleave the mean and std
+    over trials of each field at the entries' cell.  The trials axis reduces
+    as each command's rows always have, and a one-field slice as a 1-D row."""
+    distinct = [list(dict.fromkeys(entries)) for entries in lists]
+    stats = np.stack([vals.mean(axis=-2), vals.std(axis=-2)], axis=-1)
+    stats = stats.reshape(*map(len, distinct), -1)
+    return [(entries, stats[tuple(map(list.index, distinct, entries))])
+            for entries in product(*lists)]
 
 
 def _load_model(cfg: RunConfig, path) -> LinkModel:
@@ -169,8 +177,7 @@ def cmd_train(cfg: RunConfig, out_dir: Path, phase: str, checkpoint: str | None)
         model.save(out_dir / f"{ph}.ckpt")
         print(f"phase {ph}: final batch loss {records[-1].loss:.6f}")
 
-    loss_csv = out_dir / "loss.csv"
-    _write_csv(loss_csv, ["phase", "epoch", "batch", "loss"],
+    _write_csv(out_dir / "loss.csv", ["phase", "epoch", "batch", "loss"],
                [(r.phase, r.epoch, r.batch, r.loss) for r in all_records],
                cfg, f"train --phase {phase}")
     return 0
@@ -181,17 +188,16 @@ _EVAL_FIELDS = ("psnr_db", "ssim", "region_psnr_db", "region_ssim")
 
 
 def _score_trial(cfg: RunConfig, base: RngStream, trial: int, arms_for, cells: list,
-                 dump_dirs: list | None = None) -> list:
-    """Reports [cell][arm] of one trial, drawn and encoded once for every cell.
+                 fields: tuple, dump_dirs: list | None = None) -> np.ndarray:
+    """Report fields [cell, arm, field] of one trial, drawn and encoded once.
 
     The scene and location come from trial_rng = base.substream(trial) at (1);
-    arms_for(grid, loc, trial_rng) gives the arms' (model, plan) pairs, each
-    encoded once.  Each group of cells (one kind) crosses the frame and noise
-    stream of trial_rng.substream(hash_key(kind)) at (4) and (5), so every SNR
-    of a kind sees the same H and the same standardized noise.  Each arm is
-    received over all cells, c counting them in group order, as one stack
-    (link_receive) and scored against the original's half of the metrics,
-    computed once.  With dump_dirs, arm a of cell c is dumped to dump_dirs[c][a].
+    arms_for(grid, loc, trial_rng) gives the arms' (model, plan) pairs.  Each
+    kind group of cells crosses the frame and noise stream of
+    trial_rng.substream(hash_key(kind)) at (4) and (5).  Each arm is received
+    over all cells, c counting them in group order, as one stack (link_receive)
+    and scored against the original's half of the metrics, computed once.
+    With dump_dirs, arm a of cell c is dumped to dump_dirs[c][a].
     """
     trial_rng = base.substream(trial)
     grid = cfg.scene_config().grid()
@@ -210,8 +216,8 @@ def _score_trial(cfg: RunConfig, base: RngStream, trial: int, arms_for, cells: l
             if dump_dirs is not None:
                 for c, image in enumerate(images.data):
                     _dump_arm(dump_dirs[c][a], trial, scene, loc, grid, plan, Tensor(image))
-            per_arm.append(reference.reports(images))
-    return [list(cell) for cell in zip(*per_arm)]
+            per_arm.append([[getattr(r, f) for f in fields] for r in reference.reports(images)])
+    return np.swapaxes(per_arm, 0, 1)
 
 
 def _dump_arm(arm_dir: Path, trial: int, scene, loc, grid, plan, image) -> None:
@@ -229,12 +235,11 @@ def cmd_eval(cfg: RunConfig, out_dir: Path, checkpoint: str) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     model = _load_model(cfg, checkpoint)
     trials, mask_prob = cfg["eval.trials"], cfg["eval.mask_prob"]
-    cells = cfg.channel_cells("eval")
-    chan_cfgs = sum(cells, [])  # flattened in group order
+    cells = _distinct(cfg).channel_cells("eval")
     dump_dirs = None
     if cfg["eval.dump_images"]:
         dump_dirs = [[out_dir / "images" / f"{eval_cell_name(c.kind, c.snr_db)}_{masking}"
-                      for masking in _MASKINGS] for c in chan_cfgs]
+                      for masking in _MASKINGS] for c in sum(cells, [])]
 
     def arms_for(grid, loc, trial_rng):
         adaptive = sample_nonempty_mask(grid, loc, mask_prob, trial_rng.substream(2))
@@ -242,19 +247,14 @@ def cmd_eval(cfg: RunConfig, out_dir: Path, checkpoint: str) -> int:
                 (model, random_mask(grid, adaptive.keep_count, trial_rng.substream(3)))]
 
     base = RngStream(cfg["seed"], _S_EVAL)
-    per_trial = run_trials(trials, lambda t: _score_trial(cfg, base, t, arms_for, cells,
-                                                          dump_dirs))
-    rows = []
-    for c, chan_cfg in enumerate(chan_cfgs):
-        for a, masking in enumerate(_MASKINGS):
-            rows.append((chan_cfg.kind, chan_cfg.snr_db, masking, trials,
-                         *_mean_std([r[c][a] for r in per_trial], _EVAL_FIELDS)))
+    vals = np.stack(run_trials(trials, lambda t: _score_trial(cfg, base, t, arms_for, cells,
+                                                              _EVAL_FIELDS, dump_dirs)), axis=2)
+    rows = [(kind, snr_db, masking, trials, *columns) for (kind, snr_db, masking), columns
+            in _summary([cfg["eval.kinds"], cfg["eval.snr_db_list"], _MASKINGS], vals)]
     out = out_dir / "eval.csv"
-    _write_csv(out, ["kind", "snr_db", "masking", "trials",
-                     "psnr_mean", "psnr_std", "ssim_mean", "ssim_std",
-                     "region_psnr_mean", "region_psnr_std",
-                     "region_ssim_mean", "region_ssim_std"], rows,
-               cfg, "eval", {"checkpoint": str(checkpoint)})
+    _write_csv(out, ["kind", "snr_db", "masking", "trials", "psnr_mean", "psnr_std", "ssim_mean",
+                     "ssim_std", "region_psnr_mean", "region_psnr_std", "region_ssim_mean",
+                     "region_ssim_std"], rows, cfg, "eval", {"checkpoint": str(checkpoint)})
     print(f"wrote {out} ({len(rows)} cells x {trials} trials)")
     return 0
 
@@ -271,39 +271,33 @@ def cmd_sweep_pr(cfg: RunConfig, out_dir: Path, checkpoint: str | None) -> int:
     if (checkpoint is not None) == cfg["sweep.train_per_pr"]:
         raise ConfigError("sweep-pr takes exactly one of --checkpoint and sweep.train_per_pr true")
     out_dir.mkdir(parents=True, exist_ok=True)
-    trials = cfg["sweep.trials"]
+    trials, pr_list = cfg["sweep.trials"], _distinct(cfg)["sweep.pr_list"]
     # a model trained per p_r does not depend on the kind: train each once
     if checkpoint is not None:
-        models = dict.fromkeys(cfg["sweep.pr_list"], _load_model(cfg, checkpoint))
+        models = [_load_model(cfg, checkpoint)] * len(pr_list)
     else:
         scenes = _training_scenes(cfg)
-        models = {p_r: _train_for_pr(cfg, p_r, scenes) for p_r in cfg["sweep.pr_list"]}
-
-    pr_list = cfg["sweep.pr_list"]
+        models = [_train_for_pr(cfg, p_r, scenes) for p_r in pr_list]
 
     def arms_for(grid, loc, trial_rng):
-        return [(models[p_r], sample_nonempty_mask(grid, loc, p_r, trial_rng.substream(2)))
-                for p_r in pr_list]
+        return [(model, sample_nonempty_mask(grid, loc, p_r, trial_rng.substream(2)))
+                for model, p_r in zip(models, pr_list)]
 
     base = RngStream(cfg["seed"], _S_SWEEP)
-    cells = cfg.channel_cells("sweep-pr")
-    per_trial = run_trials(trials, lambda t: _score_trial(cfg, base, t, arms_for, cells))
-    rows = []
-    for c, (chan_cfg,) in enumerate(cells):  # one cell per kind
-        for a, p_r in enumerate(pr_list):
-            rows.append((chan_cfg.kind, p_r, trials, *_mean_std([r[c][a] for r in per_trial],
-                                                                ("region_psnr_db", "region_ssim"))))
+    cells = _distinct(cfg).channel_cells("sweep-pr")  # one cell per kind
+    vals = np.stack(run_trials(trials, lambda t: _score_trial(
+        cfg, base, t, arms_for, cells, ("region_psnr_db", "region_ssim"))), axis=2)
+    rows = [(kind, p_r, trials, *columns) for (kind, p_r), columns
+            in _summary([cfg["sweep.kinds"], cfg["sweep.pr_list"]], vals)]
 
     out = out_dir / "sweep_pr.csv"
-    _write_csv(out, ["kind", "p_r", "trials",
-                     "region_psnr_mean", "region_psnr_std",
+    _write_csv(out, ["kind", "p_r", "trials", "region_psnr_mean", "region_psnr_std",
                      "region_ssim_mean", "region_ssim_std"], rows,
                cfg, "sweep-pr", {"checkpoint": str(checkpoint)})
     best = {}
-    for kind in cfg["sweep.kinds"]:
-        kind_rows = [r for r in rows if r[0] == kind]
-        top = max(kind_rows, key=lambda r: r[3])
-        best[kind] = {"p_r": top[1], "region_psnr_mean": top[3]}
+    for kind, p_r, _, psnr_mean, *_ in rows:  # a kind's first row of the highest mean
+        if kind not in best or psnr_mean > best[kind]["region_psnr_mean"]:
+            best[kind] = {"p_r": p_r, "region_psnr_mean": psnr_mean}
     summary = out_dir / "sweep_pr_summary.json"
     summary.write_text(json.dumps(best, indent=1, sort_keys=True))
     print(f"wrote {out} and {summary}")
@@ -319,9 +313,8 @@ def _train_for_pr(cfg: RunConfig, p_r: float, scenes: list) -> LinkModel:
 
 def _users_semantics(cfg: RunConfig, ccfg, grid, k: int, rng) -> MultiUserSemantics:
     if cfg["users.source"] == "synthetic":
-        return synth_correlated_semantics(
-            rng, k, cfg["users.length"], cfg["users.dim"], ccfg.shared_fraction(k), ccfg.jitter,
-        )
+        return synth_correlated_semantics(rng, k, cfg["users.length"], cfg["users.dim"],
+                                          ccfg.shared_fraction(k), ccfg.jitter)
     rows = np.stack([patchify(s.image, grid) for s in generate_correlated_batch(rng, k, ccfg)])
     # standardize so variance-difference thresholds live on a unit scale
     mu, sd = rows.mean(), rows.std()
@@ -330,29 +323,31 @@ def _users_semantics(cfg: RunConfig, ccfg, grid, k: int, rng) -> MultiUserSemant
 
 def cmd_sweep_users(cfg: RunConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    trials = cfg["users.trials"]
-    sym_dim = cfg["codec.symbol_dim"]
-    eps_list = cfg["users.eps_list"]
+    trials, sym_dim = cfg["users.trials"], cfg["codec.symbol_dim"]
+    eps_list, eps = cfg["users.eps_list"], _distinct(cfg)["users.eps_list"]
     ks = range(cfg["users.k_lo"], cfg["users.k_hi"] + 1)
     ccfg, grid = cfg.correlated_config(), cfg.scene_config().grid()
     base = RngStream(cfg["seed"], _S_USERS)
-    # one draw per (K, trial), partitioned at every eps: vals[e, i, t] = (saving, L_pub)
-    vals = np.empty((len(eps_list), len(ks), trials, 2))
+    # vals[e, i, t] = (saving, L_pub): one draw and divergence per (K, t), each eps once
+    vals = np.empty((len(eps), len(ks), trials, 2))
     for i, k in enumerate(ks):
         for t in range(trials):
             z = _users_semantics(cfg, ccfg, grid, k, base.substream(k, t))
-            for e, eps in enumerate(eps_list):
-                part = partition(z, eps, all_pairs=cfg["users.all_pairs"])
-                side = part.l_pub if cfg["users.count_side_info"] else 0
-                saving = bandwidth_savings(part) - side / (k * part.length * sym_dim)
-                vals[e, i, t] = saving, part.l_pub
-    rows, log_lines = [], []
-    for e, eps in enumerate(eps_list):
-        for i, k in enumerate(ks):
-            savings, l_pub = vals[e, i].T
-            log_lines += [json.dumps({"trial": t, "K": k, "eps": eps, "L_pub": int(l_pub[t]),
-                                      "savings": float(savings[t])}) for t in range(trials)]
-            rows.append((k, eps, trials, savings.mean(), savings.std(), l_pub.mean()))
+            d = share_divergence(z, all_pairs=cfg["users.all_pairs"])
+            for e, epsilon in enumerate(eps):
+                l_pub = len(shared_positions(d, epsilon))
+                side = l_pub if cfg["users.count_side_info"] else 0
+                # bandwidth_savings' expression, so the saving keeps its bits
+                saving = (k - 1) * l_pub / (k * z.length) - side / (k * z.length * sym_dim)
+                vals[e, i, t] = saving, l_pub
+    log_lines = [json.dumps({"trial": t, "K": k, "eps": epsilon, "L_pub": int(vals[e, i, t, 1]),
+                             "savings": float(vals[e, i, t, 0])})
+                 for epsilon in eps_list for e in [eps.index(epsilon)] for i, k in enumerate(ks)
+                 for t in range(trials)]
+    # each field reduces as its own one-field slice, as its 1-D row would
+    savings, l_pub = (_summary([eps_list, ks], vals[..., f:f + 1]) for f in (0, 1))
+    rows = [(k, epsilon, trials, *columns, l_pub_columns[0])
+            for ((epsilon, k), columns), (_, l_pub_columns) in zip(savings, l_pub)]
 
     out = out_dir / "sweep_users.csv"
     _write_csv(out, ["k", "epsilon", "trials", "savings_mean", "savings_std", "l_pub_mean"], rows,
@@ -369,17 +364,19 @@ def cmd_channel_bench(cfg: RunConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     trials = cfg["bench.trials"]
     base = RngStream(cfg["seed"], _S_BENCH)
-    rows = []
-    for chan_cfgs in cfg.channel_cells("channel-bench"):
-        key, vals = hash_key(chan_cfgs[0].kind), []
+    groups = _distinct(cfg).channel_cells("channel-bench")
+    vals = np.empty((len(groups), len(groups[0]), trials, 1))  # [kind, (SNR, CSI), trial, NMSE]
+    for chan_cfgs, kind_vals in zip(groups, vals):
+        key = hash_key(chan_cfgs[0].kind)
         for lo in range(0, trials, _BENCH_SLICE):
             # trial t of every cell of a kind sends the same CN(0, 1) symbols
             streams = [base.substream(key, t) for t in range(lo, min(lo + _BENCH_SLICE, trials))]
             x = complex_normal_stack(streams, (cfg["bench.symbols"], 1), 0.0, 1.0)
             # the NMSE compares symbols at their drawn power, never squaring p_s-size ones
-            vals.append([nmse(x, x_hat) for x_hat in fading_cells(x, chan_cfgs, streams)])
-        for c, v in zip(chan_cfgs, np.concatenate(vals, axis=1)):
-            rows.append((c.kind, c.snr_db, c.csi_error_var, v.mean(), v.std()))
+            for v, x_hat in zip(kind_vals, fading_cells(x, chan_cfgs, streams)):
+                v[lo:lo + len(streams), 0] = nmse(x, x_hat)
+    lists = [cfg["bench.kinds"], cfg["bench.snr_db_list"], cfg["bench.csi_var_list"]]
+    rows = [(*cell, *columns) for cell, columns in _summary(lists, vals)]
 
     out = out_dir / "channel_bench.csv"
     _write_csv(out, ["kind", "snr_db", "csi_var", "nmse_mean", "nmse_std"], rows,
@@ -392,17 +389,13 @@ def cmd_channel_bench(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _parse_overrides(extras: list) -> dict:
-    overrides = {}
-    i = 0
-    while i < len(extras):
-        key = extras[i]
+    keys = extras[::2]
+    for key in keys:
         if not key.startswith("--") or "." not in key:
             raise ConfigError(f"unrecognized argument {key!r} (expected --section.key value)")
-        if i + 1 >= len(extras):
-            raise ConfigError(f"override {key!r} is missing a value")
-        overrides[key[2:]] = extras[i + 1]
-        i += 2
-    return overrides
+    if len(extras) % 2:
+        raise ConfigError(f"override {keys[-1]!r} is missing a value")
+    return {key[2:]: value for key, value in zip(keys, extras[1::2])}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -440,21 +433,14 @@ def main(argv=None) -> int:
         cfg = RunConfig.load(args.config, overrides, command=args.command)
         out_dir = Path(args.out)
 
-        if args.command == "gen-scenes":
-            return cmd_gen_scenes(cfg, out_dir)
-        if args.command == "train":
-            return cmd_train(cfg, out_dir, args.phase, args.checkpoint)
-        if args.command == "eval":
-            if args.checkpoint is None:
-                raise ConfigError("eval needs --checkpoint")
-            return cmd_eval(cfg, out_dir, args.checkpoint)
-        if args.command == "sweep-pr":
-            return cmd_sweep_pr(cfg, out_dir, args.checkpoint)
-        if args.command == "sweep-users":
-            return cmd_sweep_users(cfg, out_dir)
-        if args.command == "channel-bench":
-            return cmd_channel_bench(cfg, out_dir)
-        raise ConfigError(f"unknown command {args.command!r}")
+        if args.command == "eval" and args.checkpoint is None:
+            raise ConfigError("eval needs --checkpoint")
+        return {"gen-scenes": lambda: cmd_gen_scenes(cfg, out_dir),
+                "train": lambda: cmd_train(cfg, out_dir, args.phase, args.checkpoint),
+                "eval": lambda: cmd_eval(cfg, out_dir, args.checkpoint),
+                "sweep-pr": lambda: cmd_sweep_pr(cfg, out_dir, args.checkpoint),
+                "sweep-users": lambda: cmd_sweep_users(cfg, out_dir),
+                "channel-bench": lambda: cmd_channel_bench(cfg, out_dir)}[args.command]()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -28,6 +28,8 @@ __all__ = [
     "SharePartition",
     "variance_profile",
     "divergence",
+    "share_divergence",
+    "shared_positions",
     "partition",
     "transport",
     "TransportResult",
@@ -113,16 +115,26 @@ def divergence(sigma2: np.ndarray, all_pairs: bool = False) -> np.ndarray:
     return np.cumsum(np.abs(sigma2[a] - sigma2[b]), axis=0)[-1] / len(a)
 
 
-def partition(z: MultiUserSemantics, epsilon: float, all_pairs: bool = False) -> SharePartition:
-    """Split sequence positions into shared (d_i < epsilon) and private."""
-    if epsilon < 0:
-        raise ContractError("epsilon must be >= 0")
+def share_divergence(z: MultiUserSemantics, all_pairs: bool = False) -> np.ndarray:
+    """The epsilon-independent step of partition: d_i of every position of z."""
     with np.errstate(over="ignore", invalid="ignore"):
         d = divergence(variance_profile(z), all_pairs=all_pairs)
     if not np.isfinite(d).all():
         raise NumericError("feature variances or their differences leave the float range")
-    shared = np.flatnonzero(d < epsilon)
-    private = np.flatnonzero(d >= epsilon)
+    return d
+
+
+def shared_positions(d: np.ndarray, epsilon: float) -> np.ndarray:
+    """The threshold step of partition: sorted positions with d_i < epsilon."""
+    if epsilon < 0:
+        raise ContractError("epsilon must be >= 0")
+    return np.flatnonzero(d < epsilon)
+
+
+def partition(z: MultiUserSemantics, epsilon: float, all_pairs: bool = False) -> SharePartition:
+    """Split sequence positions into shared (d_i < epsilon) and private."""
+    d = share_divergence(z, all_pairs)
+    shared, private = shared_positions(d, epsilon), np.flatnonzero(d >= epsilon)
     z_pub = z.values[:, shared, :].mean(axis=0) if len(shared) else np.zeros((0, z.feature_dim))
     z_pri = z.values[:, private, :]
     return SharePartition(shared, private, z_pub, z_pri)

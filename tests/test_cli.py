@@ -2,12 +2,15 @@ import csv
 import json
 import struct
 from dataclasses import FrozenInstanceError, replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+
+from cli_runs import assert_runs_match, run as run_cli
 
 from semlink import cli
 from semlink.channel import ChannelConfig, draw_channel, fading_cells
@@ -1087,3 +1090,132 @@ class TestOneChannelPassPerKind:
                      "--out", str(tmp_path), "--eval.trials", "2", "--eval.snr_db_list", "0,10",
                      "--eval.kinds", "awgn,rayleigh,rician"]) == 0
         assert frames == ["awgn", "rayleigh", "rician"] * 2
+
+
+def _cell_rows(lists, columns):
+    """expect() for cli_runs: a CSV's header, then for each position of the
+    product of lists the row whose columns (in list order) name that cell."""
+    def expect(name, lines):
+        by_cell = {tuple(next(csv.reader([line.decode()]))[c] for c in columns): line
+                   for line in lines[1:]}
+        return [lines[0], *(by_cell[tuple(map(str, cell))] for cell in product(*lists))]
+    return expect
+
+
+def _arg(entries) -> str:
+    return ",".join(map(str, entries))
+
+
+@st.composite
+def _sub_list(draw, full):
+    """A subset of full in any order, with one of its entries repeated."""
+    entries = draw(st.permutations(full))[:draw(st.integers(1, len(full)))]
+    at = draw(st.integers(0, len(entries)))
+    return [*entries[:at], draw(st.sampled_from(entries)), *entries[at:]]
+
+
+_ALL_KINDS = ("awgn", "rayleigh", "rician")
+_SNRS = (0.0, 10.0, 20.0)
+_MIMO = ["--channel.n_t", "2", "--channel.n_r", "2", "--channel.csi_error_var", "0.02"]
+_GRID_SETTINGS = settings(max_examples=5, deadline=None, derandomize=True)
+
+
+class TestRowsOfOwnCell:
+    """A row is a function of the seed and its own cell: a run over a
+    sub-grid (a subset of each list, in any order, with a repeated entry)
+    writes, byte for byte, the full run's row of each of its cells."""
+
+    @_GRID_SETTINGS
+    @given(kinds=_sub_list(_ALL_KINDS), snrs=_sub_list(_SNRS))
+    def test_eval(self, trained_checkpoint, kinds, snrs):
+        run = ["eval", "--checkpoint", trained_checkpoint, "--seed", "3", "--eval.trials", "2",
+               *_MIMO]
+        assert_runs_match([*run, "--eval.kinds", _arg(_ALL_KINDS), "--eval.snr_db_list", _arg(_SNRS)],
+                          [*run, "--eval.kinds", _arg(kinds), "--eval.snr_db_list", _arg(snrs)],
+                          ["eval.csv"], _cell_rows([kinds, snrs, ("adaptive", "random")], (0, 1, 2)))
+
+    @_GRID_SETTINGS
+    @given(kinds=_sub_list(_ALL_KINDS), prs=_sub_list((0.2, 0.5, 0.8)))
+    def test_sweep_pr(self, trained_checkpoint, kinds, prs):
+        run = ["sweep-pr", "--checkpoint", trained_checkpoint, "--seed", "3", "--sweep.trials", "2",
+               *_MIMO]
+        assert_runs_match([*run, "--sweep.kinds", _arg(_ALL_KINDS), "--sweep.pr_list", "0.2,0.5,0.8"],
+                          [*run, "--sweep.kinds", _arg(kinds), "--sweep.pr_list", _arg(prs)],
+                          ["sweep_pr.csv"], _cell_rows([kinds, prs], (0, 1)))
+
+    @_GRID_SETTINGS
+    @given(kinds=_sub_list(_ALL_KINDS), snrs=_sub_list(_SNRS), csis=_sub_list((0.0, 0.01, 0.05)))
+    def test_channel_bench(self, kinds, snrs, csis):
+        run = ["channel-bench", "--seed", "3", "--bench.trials", "20", "--bench.symbols", "8",
+               *_MIMO[:4], "--channel.p_s", "2"]
+        assert_runs_match([*run, "--bench.kinds", _arg(_ALL_KINDS), "--bench.snr_db_list",
+                           _arg(_SNRS), "--bench.csi_var_list", "0.0,0.01,0.05"],
+                          [*run, "--bench.kinds", _arg(kinds), "--bench.snr_db_list", _arg(snrs),
+                           "--bench.csi_var_list", _arg(csis)],
+                          ["channel_bench.csv"], _cell_rows([kinds, snrs, csis], (0, 1, 2)))
+
+    @_GRID_SETTINGS
+    @given(eps=_sub_list((0.05, 0.1, 0.2)),
+           ks=st.tuples(st.integers(2, 5), st.integers(2, 5)).map(sorted),
+           trials=st.integers(1, 6))
+    def test_sweep_users(self, eps, ks, trials):
+        names = ["sweep_users.csv", "sweep_users.jsonl"]
+        run = ["sweep-users", "--seed", "3", "--users.length", "12", "--users.dim", "6"]
+        full = [*run, "--users.trials", "6", "--users.k_hi", "5", "--users.eps_list", "0.05,0.1,0.2"]
+        sub = [*run, "--users.k_lo", str(ks[0]), "--users.k_hi", str(ks[1]),
+               "--users.eps_list", _arg(eps)]
+        rows = _cell_rows([eps, range(ks[0], ks[1] + 1)], (1, 0))
+
+        def expect(name, lines, t_max=6):
+            if name.endswith(".csv"):
+                return rows(name, lines)
+            by_draw = {tuple(json.loads(line)[f] for f in ("eps", "K", "trial")): line
+                       for line in lines}
+            return [by_draw[e, k, t] for e in eps for k in range(ks[0], ks[1] + 1)
+                    for t in range(t_max)]
+
+        assert_runs_match(full, [*sub, "--users.trials", "6"], names, expect)
+        # a T'-trial run writes the lines of the full run's first T' trials of each draw
+        assert_runs_match(full, [*sub, "--users.trials", str(trials)], names[1:],
+                          lambda name, lines: expect(name, lines, trials))
+
+
+class TestRepeatedEntryComputedOnce:
+    """A list entry named twice costs no channel pass or encoding more than
+    naming it once, and each of its rows is the row of the distinct list."""
+
+    @pytest.mark.parametrize("command,key,repeated,run,lists,columns,name", [
+        ("eval", "eval.kinds", "rayleigh,awgn,rayleigh", ["--eval.trials", "1"],
+         lambda r: [r, _SNRS, ("adaptive", "random")], (0, 1, 2), "eval.csv"),
+        ("sweep-pr", "sweep.pr_list", "0.3,0.3,0.7", ["--sweep.trials", "1"],
+         lambda r: [("awgn", "rayleigh"), r], (0, 1), "sweep_pr.csv"),
+        ("channel-bench", "bench.kinds", "awgn,awgn", ["--bench.trials", "3"],
+         lambda r: [r, _SNRS, (0.0, 0.01, 0.05)], (0, 1, 2), "channel_bench.csv"),
+    ], ids=["eval", "sweep-pr", "channel-bench"])
+    def test_counts_and_rows_equal_the_distinct_list(self, monkeypatch, request, command, key,
+                                                     repeated, run, lists, columns, name):
+        from semlink import link
+
+        calls = []
+
+        def counted(what, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(what)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(link, "encode", counted("encode", link.encode))
+        for module in (cli, link):
+            monkeypatch.setattr(module, "fading_cells", counted("fading_cells", fading_cells))
+        if command != "channel-bench":
+            run = [*run, "--checkpoint", request.getfixturevalue("trained_checkpoint")]
+        distinct = ",".join(dict.fromkeys(repeated.split(",")))
+        outputs, counts = {}, {}
+        for entries in (repeated, distinct):
+            calls.clear()
+            outputs[entries] = run_cli([command, "--seed", "4", *run, f"--{key}", entries],
+                                       [name])[name]
+            counts[entries] = sorted(calls)
+        assert counts[repeated] == counts[distinct] and "fading_cells" in calls, counts
+        expect = _cell_rows(lists(repeated.split(",")), columns)
+        assert outputs[repeated] == expect(name, outputs[distinct])

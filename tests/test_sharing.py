@@ -12,6 +12,8 @@ from semlink.sharing import (
     bandwidth_savings,
     divergence,
     partition,
+    share_divergence,
+    shared_positions,
     synth_correlated_semantics,
     transport,
     variance_profile,
@@ -309,6 +311,21 @@ class TestSavings:
         side_lo, side_hi = (bandwidth_savings(p) - p.l_pub / (k * length * symbol_dim)
                             for p in (lo, hi))
         assert side_lo <= side_hi
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(k=st.integers(2, 6), length=st.integers(1, 9), dim=st.integers(2, 6),
+           fraction=st.floats(0.0, 1.0), all_pairs=st.booleans(),
+           eps=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4).flatmap(
+               lambda es: st.integers(0, len(es)).map(lambda i: [*es[:i], es[0], *es[i:]])),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_divergence_thresholded_at_each_epsilon_is_partition(
+            self, k, length, dim, fraction, all_pairs, eps, seed):
+        z = synth_correlated_semantics(RngStream(seed, 31), k, length, dim, fraction, jitter=0.5)
+        d = share_divergence(z, all_pairs=all_pairs)
+        for e in eps:  # the list holds a repeated entry
+            part, shared = partition(z, e, all_pairs=all_pairs), shared_positions(d, e)
+            np.testing.assert_array_equal(shared, part.shared_idx)
+            assert len(shared) == part.l_pub
 
     def test_trend_shape_over_users(self):
         # decaying share profile: savings rise from K=2, peak, then decline
