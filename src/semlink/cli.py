@@ -41,13 +41,12 @@ from .codec import CodecConfig
 from .config import RunConfig, eval_cell_name
 from .errors import ConfigError, SemlinkError
 from .link import LinkModel, link_encode, link_receive
-from .masking import patchify, random_mask
+from .masking import random_mask
 from .metrics import ReferenceImage, nmse
 from .rng import RngStream, complex_normal_stack
 from .snapshot import save_tensors
-from .scenes import generate_correlated_batch, generate_scene, locate, locate_any, save_scene
-from .sharing import (MultiUserSemantics, share_divergence, shared_positions,
-                      synth_correlated_semantics)
+from .scenes import generate_scene, locate, locate_any, save_scene
+from .sharing import share_divergence, shared_positions, synth_correlated_semantics
 from .tensor import Tensor, no_grad
 from .training import sample_nonempty_mask, train_phase
 
@@ -311,28 +310,19 @@ def _train_for_pr(cfg: RunConfig, p_r: float, scenes: list) -> LinkModel:
     return model
 
 
-def _users_semantics(cfg: RunConfig, ccfg, grid, k: int, rng) -> MultiUserSemantics:
-    if cfg["users.source"] == "synthetic":
-        return synth_correlated_semantics(rng, k, cfg["users.length"], cfg["users.dim"],
-                                          ccfg.shared_fraction(k), ccfg.jitter)
-    rows = np.stack([patchify(s.image, grid) for s in generate_correlated_batch(rng, k, ccfg)])
-    # standardize so variance-difference thresholds live on a unit scale
-    mu, sd = rows.mean(), rows.std()
-    return MultiUserSemantics((rows - mu) / max(sd, 1e-9))
-
-
 def cmd_sweep_users(cfg: RunConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     trials, sym_dim = cfg["users.trials"], cfg["codec.symbol_dim"]
     eps_list, eps = cfg["users.eps_list"], _distinct(cfg)["users.eps_list"]
     ks = range(cfg["users.k_lo"], cfg["users.k_hi"] + 1)
-    ccfg, grid = cfg.correlated_config(), cfg.scene_config().grid()
+    ccfg = cfg.correlated_config()
     base = RngStream(cfg["seed"], _S_USERS)
     # vals[e, i, t] = (saving, L_pub): one draw and divergence per (K, t), each eps once
     vals = np.empty((len(eps), len(ks), trials, 2))
     for i, k in enumerate(ks):
         for t in range(trials):
-            z = _users_semantics(cfg, ccfg, grid, k, base.substream(k, t))
+            z = synth_correlated_semantics(base.substream(k, t), k, cfg["users.length"],
+                                           cfg["users.dim"], ccfg.shared_fraction(k), ccfg.jitter)
             d = share_divergence(z, all_pairs=cfg["users.all_pairs"])
             for e, epsilon in enumerate(eps):
                 l_pub = len(shared_positions(d, epsilon))

@@ -64,7 +64,6 @@ SCHEMA = {
     "users.k_hi": ("int", 10),
     "users.eps_list": ("floats", (0.05, 0.1, 0.2)),
     "users.trials": ("int", 1000),
-    "users.source": ("str", "synthetic"),  # synthetic | scenes
     "users.length": ("int", 32),
     "users.dim": ("int", 48),
     **_section_keys(CorrelatedConfig),
@@ -181,28 +180,24 @@ class RunConfig:
             raise ConfigError("users.eps_list entries must be >= 0")
         if v["users.k_lo"] < 2 or v["users.k_hi"] < v["users.k_lo"]:
             raise ConfigError("user counts need 2 <= k_lo <= k_hi")
-        if v["users.source"] not in ("synthetic", "scenes"):
-            raise ConfigError("users.source must be synthetic or scenes")
         if command in (None, "eval", "sweep-pr") and v["scene.max_objects"] < 1:
             raise ConfigError("scene.max_objects 0 leaves no scene a located region to score")
         if command in (None, "eval") and v["eval.dump_images"]:
-            names = [eval_cell_name(c.kind, c.snr_db) for c in sum(self.channel_cells("eval"), [])]
+            # eval dumps each distinct (kind, SNR) cell once
+            names = [eval_cell_name(*cell) for cell in dict.fromkeys(
+                (c.kind, c.snr_db) for c in sum(self.channel_cells("eval"), []))]
             shared = sorted({n for n in names if names.count(n) > 1})
             if shared:
                 raise ConfigError(f"eval.dump_images: cells {', '.join(shared)} would share one "
-                                  "dump directory (repeated kind or SNR equal under :g)")
+                                  "dump directory (SNRs equal under :g)")
         if command in (None, "sweep-users"):
             try:
                 users.shared_fraction(v["users.k_hi"])
             except OverflowError:
                 raise ConfigError("users.share_decay ** (users.k_hi - 2) overflows") from None
-            if v["users.source"] == "scenes" and not math.isfinite(2.0 * users.jitter):
-                raise ConfigError("users.jitter: the width of the scene jitter range overflows")
         # sharing compares per-row feature variances, which need two features
         if v["users.dim"] < 2:
             raise ConfigError("users.dim must be >= 2")
-        if v["users.source"] == "scenes" and self.scene_config().grid().patch_dim < 2:
-            raise ConfigError("users.source scenes needs scene.channels * scene.patch_size**2 >= 2")
         if v["scene.target_label"] != "any" and v["scene.target_label"] not in VOCABULARY:
             raise ConfigError(f"scene.target_label must be 'any' or one of {VOCABULARY}")
         for key in ("codec.symbol_dim", "eval.trials", "sweep.trials", "users.trials",

@@ -24,6 +24,7 @@ from semlink.masking import random_mask
 from semlink.metrics import image_report, nmse
 from semlink.rng import RngStream, complex_normal_stack
 from semlink.scenes import CorrelatedConfig, SceneConfig, load_annotated
+from semlink.sharing import bandwidth_savings, partition, synth_correlated_semantics
 from semlink.tensor import no_grad
 from semlink.training import PHASES, TrainConfig, sample_nonempty_mask
 
@@ -266,9 +267,8 @@ class TestExitCodes:
         assert not trained and not out.exists()
 
     @pytest.mark.parametrize("args", [
-        ["--eval.kinds", "awgn,rayleigh,awgn"],
         ["--eval.snr_db_list", "10,10.000001"],
-    ], ids=["kind-twice", "snr-equal-under-g"])
+    ], ids=["snr-equal-under-g"])
     def test_eval_dumps_sharing_a_directory_exit_2(self, tmp_path, capsys, args):
         code = main(["eval", "--checkpoint", str(tmp_path / "missing.ckpt"), "--out",
                      str(tmp_path), "--eval.dump_images", "true", *args])
@@ -282,8 +282,6 @@ class TestExitCodes:
           for key, (tag, _) in SCHEMA.items() if tag in ("floats", "strs") for raw in (",", "")],
         # sharing needs two features a row to compare variances
         pytest.param(["--users.dim", "1"], id="users.dim=1"),
-        pytest.param(["--users.source", "scenes", "--scene.patch_size", "1",
-                      "--scene.channels", "1"], id="scenes-patch_dim=1"),
     ])
     def test_empty_list_or_single_feature_exits_2(self, tmp_path, capsys, args):
         run = ["sweep-users", "--out", str(tmp_path), "--users.trials", "1", "--users.k_hi", "2"]
@@ -295,9 +293,8 @@ class TestExitCodes:
         # at seed 4 a drawn 1x1 CSI error overflows detection to NaN
         (["channel-bench", "--seed", "4", "--bench.csi_var_list", "1.7e308"], 3),
         (["sweep-users", "--users.k_hi", "4", "--users.share_decay", "1e308"], 2),
-        (["sweep-users", "--users.source", "scenes", "--users.jitter", "1e308"], 2),
         (["sweep-users", "--users.jitter", "1e200"], 3),
-    ], ids=["csi-overflow", "share-decay-power", "scenes-jitter", "synthetic-jitter"])
+    ], ids=["csi-overflow", "share-decay-power", "synthetic-jitter"])
     def test_numeric_setting_outside_float_range_exits_with_one_line(self, tmp_path, capsys,
                                                                      args, code):
         run = [*args, "--out", str(tmp_path), "--bench.trials", "2", "--users.trials", "2"]
@@ -345,8 +342,6 @@ _TINY_RUNS = {
     "channel-bench": ["channel-bench", "--bench.trials", "2", "--bench.symbols", "3"],
     "sweep-users": ["sweep-users", "--users.trials", "1", "--users.k_hi", "3",
                     "--users.length", "4", "--users.dim", "3"],
-    "sweep-users-scenes": ["sweep-users", "--users.trials", "1", "--users.k_hi", "3",
-                           "--users.source", "scenes"],
 }
 
 # the commands that load a model, run with the trained_checkpoint fixture
@@ -863,19 +858,16 @@ class TestSweepUsers:
         for k in lo:
             assert hi[k] >= lo[k]
 
-    def test_scene_source_mode(self, tmp_path):
-        out = tmp_path / "us"
-        code = main(["sweep-users", "--out", str(out), "--seed", "4",
-                     "--users.trials", "2", "--users.eps_list", "0.1",
-                     "--users.k_hi", "3", "--users.source", "scenes"])
-        assert code == 0
-        _, rows = read_csv(out / "sweep_users.csv")
-        assert len(rows) == 2
+    @pytest.mark.parametrize("source", ["scenes", "synthetic"])
+    def test_semantics_source_key_is_gone(self, tmp_path, capsys, source):
+        # sweep-users measures synthetic semantics only; users.source is no key
+        assert main(["sweep-users", "--out", str(tmp_path), "--users.source", source]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        assert "users.source" in err
 
-    @pytest.mark.parametrize("source", ["synthetic", "scenes"])
-    def test_every_epsilon_partitions_the_same_draw(self, tmp_path, source):
-        run = ["sweep-users", "--seed", "4", "--users.trials", "50", "--users.k_hi", "4",
-               "--users.source", source]
+    def test_every_epsilon_partitions_the_same_draw(self, tmp_path):
+        run = ["sweep-users", "--seed", "4", "--users.trials", "50", "--users.k_hi", "4"]
         assert main([*run, "--users.eps_list", "0.05,0.1,0.2", "--out", str(tmp_path / "all")]) == 0
         assert main([*run, "--users.eps_list", "0.1", "--out", str(tmp_path / "one")]) == 0
         text = (tmp_path / "all" / "sweep_users.jsonl").read_text().splitlines()
@@ -891,6 +883,24 @@ class TestSweepUsers:
         # a run at one eps reproduces that eps's lines of the three-eps run bit for bit
         alone = (tmp_path / "one" / "sweep_users.jsonl").read_text().splitlines()
         assert alone == [t for t, l in zip(text, lines) if l["eps"] == 0.1]
+
+    @pytest.mark.parametrize("all_pairs", [False, True])
+    def test_lines_equal_the_library_partition_of_each_draw(self, tmp_path, all_pairs):
+        args = {"seed": "5", "users.trials": "30", "users.k_hi": "6",
+                "users.all_pairs": str(all_pairs).lower()}
+        assert main(["sweep-users", "--out", str(tmp_path),
+                     *[a for k, v in args.items() for a in (f"--{k}", v)]]) == 0
+        cfg = RunConfig.load(None, args, command="sweep-users")
+        ccfg = cfg.correlated_config()
+        lines = [json.loads(l) for l in (tmp_path / "sweep_users.jsonl").read_text().splitlines()]
+        assert len(lines) == 3 * 5 * 30
+        for l in lines:
+            k = l["K"]
+            z = synth_correlated_semantics(RngStream(5, cli._S_USERS).substream(k, l["trial"]), k,
+                                           cfg["users.length"], cfg["users.dim"],
+                                           ccfg.shared_fraction(k), ccfg.jitter)
+            part = partition(z, l["eps"], all_pairs)
+            assert (l["L_pub"], l["savings"]) == (part.l_pub, bandwidth_savings(part)), l
 
     def test_epsilon_above_every_divergence_shares_every_position(self, tmp_path):
         out = tmp_path / "uall"
@@ -1219,3 +1229,20 @@ class TestRepeatedEntryComputedOnce:
         assert counts[repeated] == counts[distinct] and "fading_cells" in calls, counts
         expect = _cell_rows(lists(repeated.split(",")), columns)
         assert outputs[repeated] == expect(name, outputs[distinct])
+
+    def test_eval_dumps_a_repeated_kind_once(self, tmp_path, trained_checkpoint):
+        def run(kinds):
+            out = tmp_path / kinds
+            assert main(["eval", "--checkpoint", trained_checkpoint, "--seed", "4",
+                         "--eval.trials", "2", "--eval.kinds", kinds, "--eval.dump_images", "true",
+                         "--out", str(out)]) == 0
+            images = out / "images"
+            tree = {p.relative_to(images): p.read_bytes() for p in images.rglob("*") if p.is_file()}
+            return tree, (out / "eval.csv").read_bytes().splitlines(keepends=True)
+
+        (tree, rows), (distinct_tree, distinct_rows) = map(run, ("awgn,awgn,rayleigh",
+                                                                 "awgn,rayleigh"))
+        assert tree == distinct_tree
+        expect = _cell_rows([("awgn", "awgn", "rayleigh"), _SNRS, ("adaptive", "random")],
+                            (0, 1, 2))
+        assert rows == expect("eval.csv", distinct_rows)

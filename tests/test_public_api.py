@@ -1,6 +1,8 @@
 """Every name a semlink module lists in __all__ is defined in that module, so
-a deletion that leaves a stale entry fails here, not at a star-import.  The
-module dependencies kept out on purpose stay out."""
+a deletion that leaves a stale entry fails here, not at a star-import.  Every
+name a module (not the package's __init__, which re-exports) imports is used
+there, so a deletion that leaves a stale import fails here too.  The module
+dependencies kept out on purpose stay out."""
 
 import ast
 import importlib
@@ -23,6 +25,18 @@ def test_all_entries_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ lists undefined names {missing}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_imported_name_is_used(name):
+    tree = ast.parse(Path(importlib.import_module(name).__file__).read_text())
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not imported - used, f"{name} imports unused names {sorted(imported - used)}"
 
 
 def _imported_modules(path: Path) -> set:
