@@ -261,7 +261,8 @@ def fading_cells(x: np.ndarray, cfgs: list, rngs, frame=None) -> np.ndarray:
     CSI error -> [C, T, ...] detected symbols at their original power.  One
     draw of H (rngs[t].substream(1), or a given frame's H and H_hat), CSI
     error and noise (substream(2)) is scaled to every cell: item (c, t) has
-    the bits of signal t sent alone over cell c."""
+    the bits of signal t sent alone over cell c.  A given frame's H must be
+    [T, n_r, n_t] of the cells."""
     cfg, t = cfgs[0], len(x)
     if len(cfgs) > 1 and len({(c.kind, c.n_t, c.n_r, c.rician_r, c.p_s) for c in cfgs}) > 1:
         raise ContractError("the cells of one fading pass differ beyond SNR and CSI error")
@@ -275,7 +276,9 @@ def fading_cells(x: np.ndarray, cfgs: list, rngs, frame=None) -> np.ndarray:
     if frame is None:
         h, err = _draw_h(cfg, [r.substream(1) for r in rngs], max(csi) > 0)
     else:
-        _check_stack(x.shape, frame, "signal")
+        if frame.h.shape != (t, cfg.n_r, cfg.n_t):
+            raise ShapeError(f"frame channels {frame.h.shape} do not fit {t} signals over "
+                             f"{cfg.n_r}x{cfg.n_t} cells")
         h = frame.h
     hx = h @ _to_blocks(xs, t, cfg.n_t)
     if max(noise) > 0:

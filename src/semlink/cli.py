@@ -194,8 +194,9 @@ def _score_trial(cfg: RunConfig, base: RngStream, trial: int, arms_for, cells: l
     arms_for(grid, loc, trial_rng) gives the arms' (model, plan) pairs.  Each
     kind group of cells crosses the frame and noise stream of
     trial_rng.substream(hash_key(kind)) at (4) and (5).  Each arm is received
-    over all cells, c counting them in group order, as one stack (link_receive)
-    and scored against the original's half of the metrics, computed once.
+    over all cells, c counting them in group order, as one stack (link_receive);
+    all arms' images are scored in one call against the original's half of
+    the metrics, computed once.
     With dump_dirs, arm a of cell c is dumped to dump_dirs[c][a].
     """
     trial_rng = base.substream(trial)
@@ -211,12 +212,14 @@ def _score_trial(cfg: RunConfig, base: RngStream, trial: int, arms_for, cells: l
     per_arm = []
     with no_grad():
         for a, (model, plan) in enumerate(arms):
-            images = link_receive(model, *link_encode(model, scene.image, plan), groups).image
+            images = link_receive(model, *link_encode(model, scene.image, plan), groups).image.data
             if dump_dirs is not None:
-                for c, image in enumerate(images.data):
+                for c, image in enumerate(images):
                     _dump_arm(dump_dirs[c][a], trial, scene, loc, grid, plan, Tensor(image))
-            per_arm.append([[getattr(r, f) for f in fields] for r in reference.reports(images)])
-    return np.swapaxes(per_arm, 0, 1)
+            per_arm.append(images)
+    reports = reference.reports(np.concatenate(per_arm))
+    vals = np.array([[getattr(r, f) for f in fields] for r in reports])
+    return vals.reshape(len(arms), -1, len(fields)).swapaxes(0, 1)
 
 
 def _dump_arm(arm_dir: Path, trial: int, scene, loc, grid, plan, image) -> None:

@@ -252,16 +252,18 @@ def _block(x: Tensor, blk: BlockParams, num_heads: int) -> Tensor:
     _check_finite(normed1)
     attended, cache = _attention_fwd(normed1, normed1, normed1, attn, num_heads)
     _check_finite(attended)
-    x1 = attended + x.data
+    x1 = attended
+    x1 += x.data
     _check_finite(x1)
     normed2, inv2, xhat2 = _layer_norm_fwd(x1, gain2, blk.ln2_bias.data, LN_EPS)
     _check_finite(normed2)
-    projected = normed2 @ weight
-    _check_finite(projected)
-    pre = projected + blk.ff_bias.data
+    pre = normed2 @ weight
+    _check_finite(pre)
+    pre += blk.ff_bias.data
     _check_finite(pre)
     act, phi_cdf = _gelu_fwd(pre)
     _check_finite(act)
+    act += x1
 
     def vjp(g):
         d_pre = _gelu_bwd(g, pre, phi_cdf)
@@ -277,7 +279,7 @@ def _block(x: Tensor, blk: BlockParams, num_heads: int) -> Tensor:
             normed2.T @ d_pre, np.add.reduce(d_pre, axis=0),
         )
 
-    return _make(act + x1, parents, vjp)
+    return _make(act, parents, vjp)
 
 
 def encode(patch_rows: Tensor, keep_indices, params: CodecParams,

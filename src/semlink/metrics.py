@@ -16,7 +16,10 @@ its mean over the windows fully inside the region.  The original's half
 (region pixel mask, windows inside it, window means of x and x²) is a
 ReferenceImage, built once and shared by every reconstruction of that
 original; its reports score a stack of reconstructions with one pass of
-the maps, and image_report is one reference scoring one reconstruction.  psnr,
+the maps and one reduction per field over the whole stack, each image's
+values summed in the element order of its own per-image mean (so item s has
+the bits of reconstruction s scored alone), and image_report is one
+reference scoring one reconstruction.  psnr,
 ssim and region_metric are single-metric views of the same code.  Evaluation
 runs the link under tensor.no_grad(), so the images scored here carry no
 graph.
@@ -116,20 +119,26 @@ def _ssim_map(x: np.ndarray, y: np.ndarray, x_means, max_val: float):
     return _ssim_value(mx, my, exx - mx * mx, eyy - my * my, exy - mx * my, max_val)
 
 
-def _ssim_mean(x, y, smap, max_val, mask=None, inside=None) -> float:
-    """Channel mean of the SSIM map's mean over the windows inside mask
-    (all windows without one); global statistics of the masked pixels when
-    there is no map or, with a mask, inside (the windows fully inside it)
-    is None because none is."""
-    if mask is not None and inside is None:
-        smap = None
+def _flat_means(a: np.ndarray) -> np.ndarray:
+    """Means over the last axis of a contiguous array: each row summed as
+    np.mean sums the same values as one contiguous run."""
+    return np.add.reduce(a, axis=-1) / a.shape[-1]
+
+
+def _ssim_mean(smaps: np.ndarray) -> np.ndarray:
+    """Channel mean of the mean of each SSIM map, [..., C, h, w] -> [...].
+    The map is a swapped view; like np.mean of one map, the reduction runs
+    in its memory order."""
+    return _flat_means(np.add.reduce(smaps, axis=(-2, -1)) / (smaps.shape[-2] * smaps.shape[-1]))
+
+
+def _global_ssim(x, y, max_val, mask=None) -> float:
+    """Channel mean of the SSIM of each channel's global statistics over its
+    (masked) pixels: the fallback when no window fits (inside the region)."""
     vals = []
     for ch in range(x.shape[0]):
-        if smap is None:
-            xs, ys = (x[ch], y[ch]) if mask is None else (x[ch][mask], y[ch][mask])
-            vals.append(_ssim_value(*_ssim_stats(xs, ys), max_val))
-        else:
-            vals.append(np.mean(smap[ch] if inside is None else smap[ch][inside]))
+        xs, ys = (x[ch], y[ch]) if mask is None else (x[ch][mask], y[ch][mask])
+        vals.append(_ssim_value(*_ssim_stats(xs, ys), max_val))
     return float(np.mean(vals))
 
 
@@ -162,21 +171,28 @@ class ReferenceImage:
     def reports(self, reconstructed) -> list:
         """PSNR, SSIM and their region variants of each reconstruction of a
         stack [S, C, H, W], from one squared-error map and one SSIM map of
-        the whole stack; item s equals report of reconstruction s."""
-        x, ys, max_val = self.x, _img(reconstructed), self.max_val
+        the whole stack, each field one reduction over the stack; item s
+        equals report of reconstruction s."""
+        x, ys, max_val = self.x, np.ascontiguousarray(_img(reconstructed)), self.max_val
         if ys.shape[1:] != x.shape:
             raise ShapeError(f"image report shape mismatch {x.shape} vs {ys.shape[1:]}")
+        n = len(ys)
+        if n == 0:
+            return []
         err2 = (x - ys) ** 2
+        mse = _flat_means(err2.reshape(n, -1))
+        # pixel-major, the memory order of one image's err2[:, mask]
+        region_mse = _flat_means(np.ascontiguousarray(
+            err2.transpose(0, 2, 3, 1)[:, self.mask]).reshape(n, -1))
         smaps = _ssim_map(x, ys, self.x_means, max_val)
-        return [
-            MetricReport(
-                psnr_db=_psnr_db(float(np.mean(err2[s])), max_val),
-                ssim=_ssim_mean(x, ys[s], smap, max_val),
-                region_psnr_db=_psnr_db(float(err2[s][:, self.mask].mean()), max_val),
-                region_ssim=_ssim_mean(x, ys[s], smap, max_val, self.mask, self.inside),
-            )
-            for s, smap in enumerate([None] * len(ys) if smaps is None else smaps)
-        ]
+        ssims = [_global_ssim(x, y, max_val) for y in ys] if smaps is None else _ssim_mean(smaps)
+        if smaps is None or self.inside is None:
+            region_ssims = [_global_ssim(x, y, max_val, self.mask) for y in ys]
+        else:  # each channel's inside windows, in the order of the per-map smap[inside]
+            region_ssims = _flat_means(_flat_means(np.ascontiguousarray(smaps[:, :, self.inside])))
+        return [MetricReport(_psnr_db(float(m), max_val), float(s),
+                             _psnr_db(float(rm), max_val), float(rs))
+                for m, s, rm, rs in zip(mse, ssims, region_mse, region_ssims)]
 
     def report(self, reconstructed) -> MetricReport:
         """PSNR, SSIM and their region variants of one reconstruction."""
@@ -201,7 +217,8 @@ def ssim(a, b, max_val: float = 1.0) -> float:
     x, y = _pair(a, b, "ssim", max_val)
     if x.ndim == 2:
         x, y = x[None], y[None]
-    return _ssim_mean(x, y, _ssim_map(x, y, _window_means(x), max_val), max_val)
+    smap = _ssim_map(x, y, _window_means(x), max_val)
+    return _global_ssim(x, y, max_val) if smap is None else float(_ssim_mean(smap))
 
 
 def region_metric(a, b, loc, grid: PatchGrid, which: str, max_val: float = 1.0) -> float:

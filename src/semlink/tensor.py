@@ -12,7 +12,11 @@ The fused ops (layer_norm, softmax_attention) also check the intermediates
 whose overflow their later arithmetic would hide.  Their maths lives in
 private forward/backward kernels on plain arrays (_layer_norm_fwd/_bwd,
 _attention_fwd/_bwd, _gelu_fwd/_bwd), which larger fused nodes such as the
-codec's residual block call directly.
+codec's residual block call directly.  The forward kernels allocate each
+intermediate once and update it in place (bias adds, scalings, the GeLU
+CDF), with the same operations in the same order as the out-of-place
+formulas; they never write their inputs, a parameter, or an array the VJP
+reads.
 
 Inside a no_grad() block (process-wide) every op returns a constant tensor,
 so forward-only callers run the same ops without building a graph.
@@ -314,7 +318,10 @@ def _gelu_fwd(x: np.ndarray):
     """GeLU kernel: (x * Phi(x), Phi(x)); the CDF is reused by the VJP."""
     from scipy.special import erf  # here, not at module top: only the codec needs scipy
 
-    phi_cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    phi_cdf = x * _INV_SQRT2
+    erf(phi_cdf, out=phi_cdf)
+    phi_cdf += 1.0
+    phi_cdf *= 0.5
     return x * phi_cdf, phi_cdf
 
 
@@ -343,12 +350,15 @@ def _row_mean(a: np.ndarray) -> np.ndarray:
 def _layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
     """Layer-norm kernel: (output, inv, xhat), inv the rows' 1/sqrt(var + eps)
     and xhat the normalized rows.  An overflowing row variance raises."""
-    centered = x - _row_mean(x)
-    var = _row_mean(centered * centered)
+    xhat = x - _row_mean(x)  # centered here, normalized below
+    out = np.multiply(xhat, xhat)
+    var = _row_mean(out)
     _check_finite(var, "layer_norm row variance")
     inv = (var + eps) ** -0.5
-    xhat = centered * inv
-    return xhat * gain + bias, inv, xhat
+    xhat *= inv
+    np.multiply(xhat, gain, out=out)
+    out += bias
+    return out, inv, xhat
 
 
 def _layer_norm_bwd(g: np.ndarray, gain: np.ndarray, inv: np.ndarray,
@@ -422,21 +432,29 @@ def _merge_heads(heads: np.ndarray) -> np.ndarray:
     return heads.swapaxes(-3, -2).reshape(*lead, length, num_heads * hd)
 
 
+def _affine(rows: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """rows @ weight + bias, the bias added in place."""
+    out = rows @ weight
+    out += bias
+    return out
+
+
 def _attention_fwd(q: np.ndarray, k: np.ndarray, v: np.ndarray, p: AttentionParams,
                    num_heads: int):
     """Attention kernel on valid [..., L, d] arrays: (output, cache for the
     VJP, which takes [L, d] only).  Overflowing scores raise."""
-    qh = _split_heads(q @ p.wq.data + p.bq.data, num_heads)
-    kh = _split_heads(k @ p.wk.data + p.bk.data, num_heads)
-    vh = _split_heads(v @ p.wv.data + p.bv.data, num_heads)
-    scores = (qh @ kh.swapaxes(-1, -2)) * (1.0 / math.sqrt(qh.shape[-1]))
+    qh = _split_heads(_affine(q, p.wq.data, p.bq.data), num_heads)
+    kh = _split_heads(_affine(k, p.wk.data, p.bk.data), num_heads)
+    vh = _split_heads(_affine(v, p.wv.data, p.bv.data), num_heads)
+    scores = qh @ kh.swapaxes(-1, -2)
+    scores *= 1.0 / math.sqrt(qh.shape[-1])
     _check_finite(scores, "attention scores")
     # softmax in place: the scores are not needed afterwards
     attn = np.exp(np.subtract(scores, np.maximum.reduce(scores, axis=-1, keepdims=True),
                               out=scores), out=scores)
     attn /= np.add.reduce(attn, axis=-1, keepdims=True)
     merged = _merge_heads(attn @ vh)
-    return merged @ p.wo.data + p.bo.data, (qh, kh, vh, attn, merged)
+    return _affine(merged, p.wo.data, p.bo.data), (qh, kh, vh, attn, merged)
 
 
 def _attention_bwd(g: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray,

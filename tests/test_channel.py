@@ -500,6 +500,15 @@ class TestFadingCells:
                 assert per_cell(x[i:i + 1], cfg, rngs[i], cell_frame).tobytes() == \
                     out[c, i:i + 1].tobytes()
 
+    @pytest.mark.parametrize("n_t,n_r", [(2, 2), (2, 1)])
+    def test_frame_that_does_not_fit_the_cells_rejected(self, n_t, n_r):
+        """A 1x1 frame over 2x2 cells (numpy's matmul error before the check)
+        and over 1x2 cells (accepted silently before it) raise ShapeError."""
+        frame = draw_channel(ChannelConfig(kind="rayleigh"), [RngStream(61)])
+        cells = [ChannelConfig(kind="rayleigh", n_t=n_t, n_r=n_r)]
+        with pytest.raises(ShapeError, match="do not fit"):
+            fading_cells(np.ones((1, 4), dtype=complex), cells, [RngStream(62)], frame)
+
     def test_cells_of_two_geometries_rejected(self):
         cells = [ChannelConfig(kind="rayleigh"), ChannelConfig(kind="rician")]
         with pytest.raises(ContractError):

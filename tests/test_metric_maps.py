@@ -114,7 +114,8 @@ def one_shot_report(x, y, mask, max_val=1.0):
 def test_shared_reference_reports_bit_identical(case, seed):
     """One ReferenceImage scores several reconstructions of its original
     exactly as one image_report per reconstruction, and as the one-shot
-    computation, also below the SSIM window and where no window fits."""
+    computation, also below the SSIM window and where no window fits; so
+    does one reports call over the stack of them."""
     x, y, grid, loc, mask = case
     rng = np.random.default_rng(seed)
     recons = [y, x.copy(), rng.uniform(size=x.shape), np.clip(y + 0.1, 0, 1)]
@@ -123,6 +124,7 @@ def test_shared_reference_reports_bit_identical(case, seed):
         shared = reference.report(recon)
         assert shared == image_report(x, recon, loc, grid)
         assert shared == one_shot_report(x, recon, mask)
+    assert reference.reports(np.stack(recons)) == [one_shot_report(x, r, mask) for r in recons]
 
 
 @settings(max_examples=100, deadline=None)
