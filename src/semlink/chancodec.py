@@ -88,8 +88,8 @@ def chan_decode_real(view: Tensor, params: ChanCodecParams) -> Tensor:
 
 
 def chan_encode(values: np.ndarray, params: ChanCodecParams) -> np.ndarray:
-    """Semantic rows [L, feature_dim] -> complex symbols [L, symbol_dim]."""
-    if values.ndim != 2 or values.shape[1] != params.feature_dim:
+    """Semantic rows [..., L, feature_dim] -> complex symbols [..., L, symbol_dim]."""
+    if values.ndim < 2 or values.shape[-1] != params.feature_dim:
         raise ShapeError(f"rows {values.shape} vs codec feature_dim {params.feature_dim}")
     view = values @ params.enc_weight.data + params.enc_bias.data
     if not np.isfinite(view).all():

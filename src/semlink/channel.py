@@ -107,6 +107,7 @@ class ChannelFrame:
     noise_var: float
     p_s: float = 1.0  # symbol power the detector assumes
     csi_error_var: float = 0.0  # variance of the CSI error entries H_hat - H
+    cfg: ChannelConfig | None = None  # the configuration draw_channel drew it for
 
 
 def power_scale(x: np.ndarray, p_s: float) -> np.ndarray:
@@ -171,7 +172,7 @@ def draw_channel(cfg: ChannelConfig, rngs) -> ChannelFrame:
     csi_var = cfg.effective_csi_error_var
     h, err = _draw_h(cfg, rngs, csi_var > 0)
     h_hat = h + _complex_rows(err, 0.0, csi_var) if csi_var > 0 else h.copy()
-    return ChannelFrame(h, h_hat, calibrate_noise(cfg), cfg.p_s, csi_var)
+    return ChannelFrame(h, h_hat, calibrate_noise(cfg), cfg.p_s, csi_var, cfg)
 
 
 # -- transmission and detection -------------------------------------------------
@@ -256,13 +257,21 @@ def transmit_detect(x: np.ndarray, frame: ChannelFrame, rngs) -> np.ndarray:
     return lmmse_detect(y, frame, out_shape=x.shape)
 
 
+def _fixed_by_frame(cfg: ChannelConfig) -> tuple:
+    """The fields a frame drawn for cfg holds for every cell: all but snr_db."""
+    return (cfg.kind, cfg.n_t, cfg.n_r, cfg.rician_r, cfg.csi_error_var, cfg.p_s)
+
+
 def fading_cells(x: np.ndarray, cfgs: list, rngs, frame=None) -> np.ndarray:
     """T signals [T, ...] over C cells of one kind differing only in SNR and
     CSI error -> [C, T, ...] detected symbols at their original power.  One
     draw of H (rngs[t].substream(1), or a given frame's H and H_hat), CSI
     error and noise (substream(2)) is scaled to every cell: item (c, t) has
     the bits of signal t sent alone over cell c.  A given frame's H must be
-    [T, n_r, n_t] of the cells."""
+    [T, n_r, n_t] of the cells (ShapeError), and a frame that draw_channel
+    drew must come from a configuration that differs from every cell in
+    snr_db alone (ContractError): its H_hat carries one CSI error, so with a
+    frame the cells differ in SNR only."""
     cfg, t = cfgs[0], len(x)
     if len(cfgs) > 1 and len({(c.kind, c.n_t, c.n_r, c.rician_r, c.p_s) for c in cfgs}) > 1:
         raise ContractError("the cells of one fading pass differ beyond SNR and CSI error")
@@ -279,6 +288,10 @@ def fading_cells(x: np.ndarray, cfgs: list, rngs, frame=None) -> np.ndarray:
         if frame.h.shape != (t, cfg.n_r, cfg.n_t):
             raise ShapeError(f"frame channels {frame.h.shape} do not fit {t} signals over "
                              f"{cfg.n_r}x{cfg.n_t} cells")
+        if frame.cfg is not None and ({_fixed_by_frame(c) for c in cfgs}
+                                      != {_fixed_by_frame(frame.cfg)}):
+            raise ContractError(f"a frame drawn for {frame.cfg} crosses cells that differ from "
+                                "it beyond snr_db")
         h = frame.h
     hx = h @ _to_blocks(xs, t, cfg.n_t)
     if max(noise) > 0:

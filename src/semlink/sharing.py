@@ -6,7 +6,9 @@ between consecutive users, falls below a threshold.  Shared rows are averaged
 across users, broadcast once through a public channel, and re-inserted at
 every receiver; private rows travel per user.  Both cross one fading channel
 cell straight through channel.fading_cells.  The saving is the fraction of
-baseline symbols (K * L_s rows) eliminated by broadcasting.
+baseline symbols (K * L_s rows) eliminated by broadcasting.  Each distinct
+channel codec encodes and decodes once per transport, however many users
+hold it; the streams and their bits are those of the per-user path.
 
 Variance closeness is a proxy for semantic similarity; this module implements
 the bookkeeping exactly and leaves the modeling assumption to experiments.
@@ -126,8 +128,8 @@ def share_divergence(z: MultiUserSemantics, all_pairs: bool = False) -> np.ndarr
 
 def shared_positions(d: np.ndarray, epsilon: float) -> np.ndarray:
     """The threshold step of partition: sorted positions with d_i < epsilon."""
-    if epsilon < 0:
-        raise ContractError("epsilon must be >= 0")
+    if not epsilon >= 0:  # NaN too: it would put no position on either side
+        raise ContractError(f"epsilon must be >= 0, got {epsilon}")
     return np.flatnonzero(d < epsilon)
 
 
@@ -154,16 +156,30 @@ def transport(part: SharePartition, user_codecs: list, pub_codec: ChanCodecParam
     Forward only, on plain arrays.  The public stream is one fading_cells
     signal on rng.substream(0), a channel realization shared by all
     receivers; private stream u uses rng.substream(100 + u), and all K cross
-    the channel as one stack.  Receiver k decodes the detected streams with
+    the channel as one stack.  Receiver u decodes the detected streams with
     its own decoder and scatters rows back to their original positions.
+
+    Codec work runs once per distinct codec object, not once per user: the
+    users holding one codec encode their private rows as one [users, L_pri,
+    d_s] stack, and decode the public stream once and their private streams
+    as one stack.  A stacked matmul runs each user's rows as a BLAS product
+    of its own, so every output keeps the bits of the per-user path.  Rows
+    flattened into one matrix would not: numpy sends a single row through
+    gemv, and OpenBLAS rounds some rows of a taller matrix in other kernels.
+    All codecs must share symbol_dim and have the semantics' width as
+    feature_dim (ConfigError otherwise).
     """
-    k = part.num_users
+    k, d_s = part.num_users, part.z_pri.shape[2]
     if len(user_codecs) != k:
         raise ConfigError(f"{len(user_codecs)} codecs for {k} users")
     sym_dim = pub_codec.symbol_dim
     if any(c.symbol_dim != sym_dim for c in user_codecs):
         raise ConfigError("all channel codecs must share symbol_dim")
-    d_s = user_codecs[0].feature_dim
+    if any(c.feature_dim != d_s for c in (pub_codec, *user_codecs)):
+        raise ConfigError(f"all channel codecs must have feature_dim {d_s}, the semantics' width")
+    groups = {}  # id(codec) -> (codec, its users); ChanCodecParams is unhashable
+    for u, c in enumerate(user_codecs):
+        groups.setdefault(id(c), (c, []))[1].append(u)
 
     x_pub_hat = None
     if part.l_pub:
@@ -172,17 +188,20 @@ def transport(part: SharePartition, user_codecs: list, pub_codec: ChanCodecParam
 
     x_pri_hat = None
     if part.l_pri:
-        x_pri = np.stack([chan_encode(part.z_pri[u], user_codecs[u]) for u in range(k)])
+        x_pri = np.empty((k, part.l_pri, sym_dim), dtype=complex)
+        for c, users in groups.values():
+            x_pri[users] = chan_encode(part.z_pri[users], c)
         x_pri_hat = fading_cells(x_pri, [cfg], [rng.substream(100 + u) for u in range(k)])[0]
 
-    z_hat = []
-    for u in range(k):
-        out = np.zeros((part.length, d_s))
+    z_hat = [None] * k
+    for c, users in groups.values():
+        out = np.zeros((len(users), part.length, d_s))
         if x_pub_hat is not None:
-            out[part.shared_idx] = chan_decode(x_pub_hat, user_codecs[u])
+            out[:, part.shared_idx] = chan_decode(x_pub_hat, c)
         if x_pri_hat is not None:
-            out[part.private_idx] = chan_decode(x_pri_hat[u], user_codecs[u])
-        z_hat.append(out)
+            out[:, part.private_idx] = chan_decode(x_pri_hat[users], c)
+        for i, u in enumerate(users):
+            z_hat[u] = out[i]
     rows_sent = part.l_pub + k * part.l_pri
     return TransportResult(z_hat, rows_sent, rows_sent * sym_dim)
 

@@ -43,6 +43,19 @@ class TestEncodeDecode:
             x = chan_encode(np.random.default_rng(1).normal(size=(length, 16)), params)
             assert x.shape == (length, 4)
 
+    @pytest.mark.parametrize("d_s,d_c,length", [(6, 2, 1), (17, 9, 1), (17, 9, 3), (48, 32, 7)])
+    def test_stack_equals_each_item(self, d_s, d_c, length):
+        # a [users, L, d] stack is multiplied user by user: the bits of each row
+        # do not depend on the other users' rows, a single row included
+        params = ChanCodecParams.init(d_s, d_c, RngStream(5, d_s))
+        rows = np.random.default_rng(length).normal(size=(4, length, d_s))
+        x = chan_encode(rows, params)
+        z = chan_decode(x, params)
+        assert x.shape == (4, length, d_c) and z.shape == rows.shape
+        for u in range(4):
+            assert x[u].tobytes() == chan_encode(rows[u], params).tobytes()
+            assert z[u].tobytes() == chan_decode(x[u], params).tobytes()
+
     def test_zero_input_gives_decoder_bias(self):
         params = ChanCodecParams.init(8, 4, RngStream(2))
         params.dec_bias.data[...] = np.arange(8, dtype=float)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from gradcheck import fd_grad
 from semlink.channel import (
     ChannelConfig,
     ChannelFrame,
+    _fixed_by_frame,
     calibrate_noise,
     draw_channel,
     fading_cells,
@@ -508,6 +510,48 @@ class TestFadingCells:
         cells = [ChannelConfig(kind="rayleigh", n_t=n_t, n_r=n_r)]
         with pytest.raises(ShapeError, match="do not fit"):
             fading_cells(np.ones((1, 4), dtype=complex), cells, [RngStream(62)], frame)
+
+    @pytest.mark.parametrize("drawn,cell", [
+        (ChannelConfig(kind="awgn"), ChannelConfig(kind="rayleigh")),
+        (ChannelConfig(kind="rayleigh"), ChannelConfig(kind="rician")),
+        (ChannelConfig(kind="rayleigh"), ChannelConfig(kind="rayleigh", csi_error_var=0.1)),
+        (ChannelConfig(kind="rayleigh", csi_error_var=0.1), ChannelConfig(kind="rayleigh")),
+    ], ids=["awgn_frame_rayleigh_cell", "rayleigh_frame_rician_cell", "csi0_frame_csi01_cell",
+            "csi01_frame_csi0_cell"])
+    def test_frame_of_another_configuration_rejected(self, drawn, cell):
+        """A frame carries the kind and the CSI error it was drawn with: over a
+        cell of another kind or CSI error it would detect through the wrong
+        H_hat or regularizer (all four were accepted silently before)."""
+        frame = draw_channel(drawn, [RngStream(63)])
+        assert frame.cfg == drawn
+        with pytest.raises(ContractError, match="beyond snr_db"):
+            fading_cells(np.ones((1, 4), dtype=complex), [cell], [RngStream(64)], frame)
+
+    def test_frame_crosses_cells_of_other_snr_only(self):
+        drawn = ChannelConfig(kind="rician", snr_db=3.0, n_t=2, n_r=2, csi_error_var=0.02)
+        frame = draw_channel(drawn, [RngStream(65)])
+        cells = [replace(drawn, snr_db=snr) for snr in (0.0, 3.0, math.inf)]
+        x = np.ones((1, 4), dtype=complex)
+        assert fading_cells(x, cells, [RngStream(66)], frame).shape == (3, 1, 4)
+        with pytest.raises(ContractError, match="beyond snr_db"):
+            fading_cells(x, [*cells, replace(drawn, csi_error_var=0.05)], [RngStream(66)], frame)
+
+    def test_frame_holds_every_field_but_snr_db(self):
+        base = ChannelConfig(kind="rician", n_t=2, n_r=2)
+        other = {"kind": "rayleigh", "snr_db": 5.0, "n_t": 1, "n_r": 1, "rician_r": 2.0,
+                 "csi_error_var": 0.1, "p_s": 2.0}
+        assert set(other) == {f.name for f in fields(ChannelConfig)}
+        for name, value in other.items():
+            moved = _fixed_by_frame(replace(base, **{name: value})) != _fixed_by_frame(base)
+            assert moved == (name != "snr_db"), name
+
+    def test_hand_built_frame_is_not_checked_against_the_cells(self):
+        # a frame built by hand names no configuration
+        frame = ChannelFrame(np.eye(1, dtype=complex)[None], np.eye(1, dtype=complex)[None], 0.0)
+        assert frame.cfg is None
+        cells = [ChannelConfig(kind="rayleigh", csi_error_var=0.1)]
+        assert fading_cells(np.ones((1, 4), dtype=complex), cells, [RngStream(67)], frame).shape \
+            == (1, 1, 4)
 
     def test_cells_of_two_geometries_rejected(self):
         cells = [ChannelConfig(kind="rayleigh"), ChannelConfig(kind="rician")]

@@ -5,8 +5,12 @@ eval (4 trials over awgn, rayleigh and rician at CSI 0.02, with dumped
 images) and sweep-pr (4 trials at p_r 0.1, 0.5 and 0.9) on that checkpoint;
 sweep-users (20 trials); channel-bench (100 trials at 1x1, and at 4x4 with
 p_s 4).  In the .meta.json sidecars the --checkpoint path is reduced to its
-file name, so the digest does not depend on the run directory.  One more
-entry hashes sharing.transport's outputs for K = 2..10 over three kinds.
+file name, so the digest does not depend on the run directory.  Three more
+entries hash sharing.transport's outputs for K = 2..10 over three kinds,
+one per codec pattern: every user on the public codec (transport), every
+user and the public stream on a codec of its own (transport_distinct), and
+users spread over three codecs, the public stream on one of them
+(transport_mixed).
 
 The digest, in tests/golden.json, was made with the numpy, BLAS and Python
 versions it records; elsewhere the test fails and names the difference
@@ -56,10 +60,20 @@ def environment() -> dict:
             "python": platform.python_version()}
 
 
-def _transport_digest() -> str:
+def _codec_patterns() -> dict:
+    """{entry: codecs_for(k) -> (user codecs, public codec)} of the transport digests."""
+    def codec(*key):
+        return chancodec.inverse_params(chancodec.ChanCodecParams.init(16, 12, RngStream(*key)))
+
+    shared, pool = codec(1, 2), [codec(1, 3 + i) for i in range(11)]
+    return {"transport": lambda k: ([shared] * k, shared),
+            "transport_distinct": lambda k: (pool[:k], pool[10]),
+            "transport_mixed": lambda k: ([pool[u % 3] for u in range(k)], pool[1])}
+
+
+def _transport_digest(codecs_for) -> str:
     """sha256 over z_hat, rows_sent and symbols_sent of transport, K = 2..10,
     two draws each, over awgn 1x1, rayleigh 2x2 and rician 2x2 at p_s 4, CSI 0.02."""
-    codec = chancodec.inverse_params(chancodec.ChanCodecParams.init(16, 12, RngStream(1, 2)))
     cfgs = [ChannelConfig("awgn", 10.0),
             ChannelConfig("rayleigh", 5.0, n_t=2, n_r=2),
             ChannelConfig("rician", 15.0, n_t=2, n_r=2, p_s=4.0, csi_error_var=0.02)]
@@ -67,10 +81,11 @@ def _transport_digest() -> str:
     root = RngStream(11, 0x601D)
     for c, cfg in enumerate(cfgs):
         for k in range(2, 11):
+            user_codecs, pub_codec = codecs_for(k)
             for t in range(2):
                 stream = root.substream(c, k, t)
                 z = sharing.synth_correlated_semantics(stream.substream(1), k, 12, 16, 0.5)
-                res = sharing.transport(sharing.partition(z, 0.1), [codec] * k, codec, cfg,
+                res = sharing.transport(sharing.partition(z, 0.1), user_codecs, pub_codec, cfg,
                                         stream.substream(2))
                 h.update(np.stack(res.z_hat).tobytes())
                 h.update(f"{res.rows_sent},{res.symbols_sent};".encode())
@@ -91,7 +106,8 @@ def digest(root: Path) -> dict:
         if path.name.endswith(".meta.json"):
             data = data.replace(full, short)
         files[path.relative_to(root).as_posix()] = hashlib.sha256(data).hexdigest()
-    files["transport"] = _transport_digest()
+    for name, codecs_for in _codec_patterns().items():
+        files[name] = _transport_digest(codecs_for)
     return files
 
 

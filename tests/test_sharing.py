@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semlink.chancodec import ChanCodecParams, chan_encode, inverse_params
+from semlink import sharing
+from semlink.chancodec import ChanCodecParams, chan_decode, chan_encode, inverse_params
 from semlink.channel import ChannelConfig, fading_cells
 from semlink.errors import ConfigError, ContractError
 from semlink.rng import RngStream
@@ -128,6 +131,19 @@ class TestPartition:
         with pytest.raises(ContractError):
             partition(z, -0.1)
 
+    def test_nan_epsilon_rejected(self):
+        # NaN compares false both ways, so it would put no position on either side
+        z = synth_correlated_semantics(RngStream(4), 2, 10, 4, 0.5)
+        with pytest.raises(ContractError):
+            partition(z, math.nan)
+        with pytest.raises(ContractError):
+            shared_positions(share_divergence(z), math.nan)
+
+    def test_infinite_epsilon_shares_everything(self):
+        z = synth_correlated_semantics(RngStream(4), 3, 10, 4, 0.0)
+        part = partition(z, math.inf)
+        assert part.l_pub == 10 and part.l_pri == 0
+
     def test_matches_brute_force_oracle(self):
         rng = RngStream(5)
         sizes = rng  # reuse
@@ -165,6 +181,59 @@ def _separated_semantics(rng, k=3, length=10, dim=12, shared=(0, 3, 4, 8)):
     return MultiUserSemantics(z)
 
 
+def per_user_transport(part, user_codecs, pub_codec, cfg, rng):
+    """transport one user at a time: the public rows over rng.substream(0),
+    user u's private rows alone over rng.substream(100 + u), every stream
+    decoded by the receiving user's codec."""
+    pub = None
+    if part.l_pub:
+        pub = fading_cells(chan_encode(part.z_pub, pub_codec)[None], [cfg], [rng.substream(0)])[0, 0]
+    z_hat = []
+    for u, codec in enumerate(user_codecs):
+        out = np.zeros((part.length, part.z_pri.shape[2]))
+        if pub is not None:
+            out[part.shared_idx] = chan_decode(pub, codec)
+        if part.l_pri:
+            x = chan_encode(part.z_pri[u], codec)[None]
+            out[part.private_idx] = chan_decode(
+                fading_cells(x, [cfg], [rng.substream(100 + u)])[0, 0], codec)
+        z_hat.append(out)
+    return z_hat
+
+
+@st.composite
+def transport_cases(draw):
+    """(partition, user codecs, public codec, channel, seed): K = 2..6 users on
+    one codec object, on distinct ones or on a mix of two, the public codec one
+    of theirs or its own; nothing, part or all of the sequence shared."""
+    k, length = draw(st.integers(2, 6)), draw(st.integers(1, 8))
+    # widths of 16 and more with an output width of 1, 2 or 3 mod 8 put the rows
+    # of a matrix taller than one user's into OpenBLAS kernels that round them
+    # differently: the users' rows must be multiplied one user at a time
+    dim, symbol_dim = draw(st.sampled_from([2, 5, 17, 19])), draw(st.sampled_from([1, 2, 5, 9]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    z = synth_correlated_semantics(RngStream(seed, 37), k, length, dim,
+                                   draw(st.floats(0.0, 1.0)), jitter=0.5)
+    d = share_divergence(z)
+    epsilon = {"none": 0.0, "all": math.inf,
+               "some": float(np.median(d))}[draw(st.sampled_from(["none", "all", "some"]))]
+    pool = [ChanCodecParams.init(dim, symbol_dim, RngStream(seed, 38).substream(i)) for i in range(k + 1)]
+    pattern = draw(st.sampled_from(["one", "distinct", "mixed"]))
+    if pattern == "one":
+        codecs = [pool[0]] * k
+    elif pattern == "distinct":
+        codecs = pool[:k]
+    else:
+        codecs = [pool[i] for i in draw(st.permutations([u % 2 for u in range(k)]))]
+    pub = pool[k] if draw(st.booleans()) else codecs[draw(st.integers(0, k - 1))]
+    kind = draw(st.sampled_from(["awgn", "rayleigh", "rician"]))
+    n_t = draw(st.integers(1, 2))
+    n_r = n_t if kind == "awgn" else draw(st.integers(1, 2))
+    cfg = ChannelConfig(kind=kind, snr_db=draw(st.sampled_from([0.0, 10.0, math.inf])),
+                        n_t=n_t, n_r=n_r, csi_error_var=draw(st.sampled_from([0.0, 0.02])))
+    return partition(z, epsilon), codecs, pub, cfg, seed
+
+
 class TestTransport:
     def setup_method(self):
         self.d_s, self.d_c = 12, 8
@@ -193,8 +262,6 @@ class TestTransport:
         res = transport(part, [self.codec] * 3, self.codec, self.clean, root)
         assert res.rows_sent == 3 * 10
         # identical to sending each user's full sequence over its own stream
-        from semlink.chancodec import chan_decode
-
         for u in range(3):
             direct = chan_decode(
                 fading_cells(chan_encode(z.values[u], self.codec)[None], [self.clean],
@@ -212,8 +279,6 @@ class TestTransport:
         codecs = [ChanCodecParams.init(self.d_s, self.d_c, RngStream(24, u)) for u in range(3)]
         noisy = ChannelConfig(kind="rician", snr_db=5.0, n_t=2, n_r=3, csi_error_var=0.02, p_s=2.0)
         res = transport(part, codecs, self.codec, noisy, RngStream(25))
-        from semlink.chancodec import chan_decode
-
         for u in range(3):
             direct = chan_decode(
                 fading_cells(chan_encode(part.z_pri[u], codecs[u])[None], [noisy],
@@ -255,6 +320,56 @@ class TestTransport:
         part = partition(z, 0.5)
         with pytest.raises(ConfigError):
             transport(part, [self.codec] * 2, self.codec, self.clean, RngStream(19))
+
+    @pytest.mark.parametrize("wide", ["pub", "first", "last"])
+    def test_codec_of_another_width_rejected(self, wide):
+        # an all-shared partition: only the public codec encodes, every user decodes
+        base = np.random.default_rng(3).normal(size=(1, 5, 6))
+        part = partition(MultiUserSemantics(np.tile(base, (3, 1, 1))), 1e-9)
+        assert part.l_pri == 0
+        narrow = ChanCodecParams.init(6, 4, RngStream(30))
+        codecs, pub = [narrow] * 3, narrow
+        other = ChanCodecParams.init(9, 4, RngStream(31))
+        if wide == "pub":
+            pub = other
+        else:
+            codecs = [other, narrow, narrow] if wide == "first" else [narrow, narrow, other]
+        with pytest.raises(ConfigError, match="feature_dim"):
+            transport(part, codecs, pub, self.clean, RngStream(32))
+
+    @pytest.mark.parametrize("pattern,distinct", [("one", 1), ("mixed", 2), ("distinct", 5)])
+    def test_codec_calls_once_per_distinct_codec(self, monkeypatch, pattern, distinct):
+        z = _separated_semantics(RngStream(33), k=5)
+        part = partition(z, 0.5)
+        assert part.l_pub and part.l_pri
+        pool = [ChanCodecParams.init(self.d_s, self.d_c, RngStream(34, i)) for i in range(5)]
+        codecs = {"one": [pool[0]] * 5, "mixed": [pool[u % 2] for u in range(5)],
+                  "distinct": pool}[pattern]
+        calls = {"encode": 0, "decode": 0}
+
+        def counted(name, fn):
+            def wrapper(*a, **k):
+                calls[name] += 1
+                return fn(*a, **k)
+            return wrapper
+
+        monkeypatch.setattr(sharing, "chan_encode", counted("encode", sharing.chan_encode))
+        monkeypatch.setattr(sharing, "chan_decode", counted("decode", sharing.chan_decode))
+        transport(part, codecs, self.codec, self.clean, RngStream(35))
+        # the public rows once, then each distinct codec: one encode, two decodes
+        assert calls == {"encode": 1 + distinct, "decode": 2 * distinct}
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(case=transport_cases())
+    def test_equals_the_per_user_path(self, case):
+        part, codecs, pub, cfg, seed = case
+        res = transport(part, codecs, pub, cfg, RngStream(seed, 36))
+        want = per_user_transport(part, codecs, pub, cfg, RngStream(seed, 36))
+        assert len(res.z_hat) == len(want)
+        for got, ref in zip(res.z_hat, want):
+            assert got.tobytes() == ref.tobytes()
+        assert res.rows_sent == part.l_pub + part.num_users * part.l_pri
+        assert res.symbols_sent == res.rows_sent * pub.symbol_dim
 
     def test_broadcast_shared_identically(self):
         # one public realization: all users see the same detected public rows
